@@ -38,7 +38,6 @@ from .compat import (
     StateSet,
     WitnessSearchConfig,
     WitnessSearchResult,
-    basis_from_params,
     cfs_example_kets,
     cfs_example_states,
     pairwise_pp_check,

@@ -1,17 +1,25 @@
 """Command-line front end.
 
 Every subcommand assembles a run report carrying the command name, a
-digest of its inputs, the tolerances in effect, the seed (when the
-command is stochastic), structured results, and residuals.  JSON output
-is canonical (sorted keys) and contains no timing, so reruns with the
-same inputs and seed are byte-identical; wall time is reported in the
-text format only.
+digest of its inputs, the tolerances it passed to the library, the seed
+(when the command is stochastic), structured results, and residuals.
+JSON output is canonical (sorted keys) and contains no timing, so reruns
+with the same inputs and seed are byte-identical; wall time is reported
+in the text format only.
+
+One tolerance reaches every subcommand: ``--tol``, else the
+``SICMUB_TOL`` environment variable, else ``DEFAULT_TOL``.  It must be
+finite and positive.  A report's ``tolerances`` lists exactly the values
+its command passed to the library, under the parameter names they were
+passed as.
 
 Exit codes: 0 for success or a positive verdict, 1 for a mathematically
 valid negative verdict (state set compatible, set is not a SIC, purity
-checks fail), 2 for usage or input errors.
+checks fail), 2 for usage or input errors, including malformed or
+non-finite input and any input the library rejects.
 
-JSON schemas (complex numbers are ``[re, im]`` pairs):
+JSON schemas (complex numbers are ``[re, im]`` pairs; every number must
+be finite):
 
 * state sets: ``{"dim": d, "kets": [[[re, im], ...], ...]}`` or
   ``{"dim": d, "matrices": [[[[re, im], ...], ...], ...]}`` (row-major)
@@ -25,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -35,6 +44,7 @@ import numpy as np
 
 from . import __version__
 from .compat import (
+    SATURATION_TOL,
     StateSet,
     WitnessSearchConfig,
     cfs_example_kets,
@@ -51,7 +61,7 @@ from .purity import (
     quadratic_purity_check,
     triple_product_table,
 )
-from .qmath import DEFAULT_TOL, validate_density_matrix
+from .qmath import DEFAULT_TOL, SEARCH_TOL, validate_density_matrix
 from .sicgen import SicSet, builtin_sic, hesse_sic, is_sic, sic_probabilities
 from .wigner import (
     line_marginals,
@@ -63,6 +73,9 @@ from .wigner import (
 
 #: Environment variable overriding the default tolerance.
 TOL_ENV_VAR = "SICMUB_TOL"
+
+#: Hilbert-space dimension of the only built-in graph (hesse-mub).
+GRAPH_DIM = 3
 
 
 class UsageError(Exception):
@@ -81,22 +94,37 @@ def encode_matrix(m) -> list[list[list[float]]]:
     return [[encode_complex(z) for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def decode_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise UsageError(f"complex entries must be [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+def decode_array(value: Any, shape: tuple[int | None, ...], what: str, *, pairs: bool = True) -> np.ndarray:
+    """Decode nested JSON lists into a finite array of ``shape``.
+
+    ``None`` in ``shape`` accepts any length on that axis.  With
+    ``pairs`` the innermost lists are ``[re, im]`` pairs and the result
+    is complex; otherwise it is real.  Anything that is not a
+    rectangular array of finite numbers raises ``UsageError``.
+    """
+    full = shape + (2,) if pairs else shape
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != len(full) or any(n is not None and n != m for n, m in zip(full, arr.shape)):
+        expected = "(" + ", ".join("n" if n is None else str(n) for n in full) + ")"
+        raise UsageError(f"{what}: expected an array of shape {expected}" + (" ([re, im] pairs)" if pairs else ""))
+    # numpy promotes a JSON true/false mixed with numbers to 1/0, so look for booleans explicitly
+    if arr.dtype.kind not in "iuf" or any(isinstance(x, bool) for x in np.array(value, dtype=object).flat):
+        raise UsageError(f"{what}: entries must be numbers")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise UsageError(f"{what}: entries must be finite")
+    return arr.view(complex)[..., 0] if pairs else arr
 
 
-def decode_ket(entries, dim: int) -> np.ndarray:
-    if len(entries) != dim:
-        raise UsageError(f"ket has {len(entries)} entries, expected {dim}")
-    return np.array([decode_complex(p) for p in entries], dtype=complex)
-
-
-def decode_matrix(rows, dim: int) -> np.ndarray:
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise UsageError(f"matrix must be {dim}x{dim} row-major")
-    return np.array([[decode_complex(p) for p in row] for row in rows], dtype=complex)
+def decode_dim(doc: dict, path: str, default: int | None = None) -> int:
+    """The document's ``dim`` field as a positive integer."""
+    dim = doc.get("dim", default)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise UsageError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
+    return dim
 
 
 def _load_json(path: str) -> tuple[Any, bytes]:
@@ -111,34 +139,29 @@ def _load_json(path: str) -> tuple[Any, bytes]:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_state_file(path: str) -> tuple[int, list[np.ndarray], bytes]:
+def load_state_file(path: str) -> tuple[int, np.ndarray, bytes]:
     """Read a state-set file; returns (dim, density matrices, raw bytes)."""
     doc, raw = _load_json(path)
     if not isinstance(doc, dict) or "dim" not in doc:
         raise UsageError(f"{path}: expected an object with a 'dim' field")
-    dim = int(doc["dim"])
-    rhos: list[np.ndarray] = []
+    dim = decode_dim(doc, path)
     if "kets" in doc:
-        for entries in doc["kets"]:
-            ket = decode_ket(entries, dim)
-            norm = np.linalg.norm(ket)
-            if abs(norm - 1.0) > 1e-8:
-                raise UsageError(f"{path}: ket is not normalized (norm {norm!r})")
-            rhos.append(np.outer(ket, ket.conj()))
+        kets = decode_array(doc["kets"], (None, dim), f"{path}: kets")
+        norms = np.linalg.norm(kets, axis=1)
+        if np.any(np.abs(norms - 1.0) > SEARCH_TOL):
+            raise UsageError(f"{path}: ket is not normalized (norms {norms.tolist()!r})")
+        rhos = np.einsum("na,nb->nab", kets, kets.conj())
     elif "matrices" in doc:
-        for rows in doc["matrices"]:
-            rhos.append(decode_matrix(rows, dim))
+        rhos = decode_array(doc["matrices"], (None, dim, dim), f"{path}: matrices")
     else:
         raise UsageError(f"{path}: expected a 'kets' or 'matrices' field")
-    if not rhos:
-        raise UsageError(f"{path}: no states found")
     return dim, rhos, raw
 
 
-def _principal_ket(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _principal_ket(rho: np.ndarray) -> np.ndarray:
     """Extract the ket of a rank-1 density matrix (error if mixed)."""
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    if abs(w[-1] - 1.0) > tol:
+    if abs(w[-1] - 1.0) > SEARCH_TOL:
         raise UsageError(f"state is not pure (largest eigenvalue {w[-1]!r}); the criterion needs pure states")
     return v[:, -1]
 
@@ -221,14 +244,18 @@ def _short(value: Any) -> str:
     return str(value)
 
 
-def _tol_default() -> float:
-    raw = os.environ.get(TOL_ENV_VAR)
+def _resolve_tol(cli_tol: float | None) -> float:
+    """``--tol``, else ``SICMUB_TOL``, else ``DEFAULT_TOL``; finite and > 0."""
+    raw = os.environ.get(TOL_ENV_VAR) if cli_tol is None else cli_tol
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise UsageError(f"{TOL_ENV_VAR}={raw!r} is not a number") from exc
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"the tolerance (--tol or {TOL_ENV_VAR}) must be a finite positive number, got {raw!r}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,24 +266,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sicmub {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
-        p.add_argument("--tol", type=float, default=None, help="numerical tolerance (default from SICMUB_TOL or 1e-10)")
+    def leaf(p: argparse.ArgumentParser, handler, formats=("text", "json")) -> None:
+        p.add_argument(
+            "--tol", type=float, default=None, help=f"tolerance passed to every library check (default: {TOL_ENV_VAR}, else {DEFAULT_TOL:g})"
+        )
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", default=None, help="write the report to a file instead of stdout")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("verify-sic", help="check a projector set against the SIC overlap condition")
     p.add_argument("--builtin", default=None, help="built-in SIC id (hesse)")
     p.add_argument("--input", default=None, help="JSON file with dim and kets/matrices")
     p.add_argument("--emit-states", action="store_true", help="include the projectors in the results (reusable as an --input document)")
-    common(p, formats=("text", "json", "csv"))
+    leaf(p, _cmd_verify_sic, formats=("text", "json", "csv"))
 
     p = sub.add_parser("compat", help="post-Peierls compatibility")
     csub = p.add_subparsers(dest="compat_command", required=True)
 
     pt = csub.add_parser("triple", help="exact PP-ODOP criterion for three pure qutrit states")
     pt.add_argument("--states", required=True, help="'cfs-example' or a JSON state file")
-    pt.add_argument("--criterion", action="store_true", help="apply the ternary overlap criterion (default behavior)")
-    common(pt)
+    pt.add_argument("--criterion", action="store_true", help="accepted and ignored: the ternary criterion always applies")
+    leaf(pt, _cmd_compat_triple)
 
     ps = csub.add_parser("search", help="seeded witness search over von Neumann bases")
     ps.add_argument("--states", required=True, help="'cfs-example' or a JSON state file")
@@ -264,47 +294,41 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--threshold", type=float, default=1e-10, help="success threshold on the PP functional")
     ps.add_argument("--max-iters", type=int, default=200)
-    common(ps)
+    leaf(ps, _cmd_compat_search)
 
     p = sub.add_parser("mubs", help="mutually unbiased bases from the Hesse SIC")
     msub = p.add_subparsers(dest="mubs_command", required=True)
-    pb = msub.add_parser("build", help="construct the four MUBs")
-    common(pb)
-    pv = msub.add_parser("verify", help="verify the MUB conditions")
-    common(pv)
+    leaf(msub.add_parser("build", help="construct the four MUBs"), _cmd_mubs_build)
+    leaf(msub.add_parser("verify", help="verify the MUB conditions"), _cmd_mubs_verify)
     pc = msub.add_parser("cover", help="witnessing striations for SIC triples")
     pc.add_argument("--triple", default=None, help="comma-separated indices, e.g. 0,1,4 (default: all 84)")
-    common(pc, formats=("text", "json", "csv"))
+    leaf(pc, _cmd_mubs_cover, formats=("text", "json", "csv"))
 
     p = sub.add_parser("wigner", help="discrete Wigner function of a state")
     p.add_argument("--state", required=True, help="JSON file with one ket or one density matrix")
-    common(p, formats=("text", "json", "csv"))
+    leaf(p, _cmd_wigner, formats=("text", "json", "csv"))
 
     p = sub.add_parser("purity", help="purity conditions on a SIC probability vector")
     p.add_argument("--probs", required=True, help="JSON file with dim and probabilities")
     p.add_argument("--bits", action="store_true", help="report Shannon entropy in bits instead of nats")
-    common(p)
+    leaf(p, _cmd_purity)
 
     p = sub.add_parser("min-entropy", help="minimal-entropy pure states")
     esub = p.add_subparsers(dest="min_entropy_command", required=True)
-    pe = esub.add_parser("enumerate", help="enumerate the 12 three-zero pure states")
-    common(pe)
+    leaf(esub.add_parser("enumerate", help="enumerate the 12 three-zero pure states"), _cmd_min_entropy)
 
     p = sub.add_parser("graph", help="orthogonality graph and chromatic contextuality test")
     p.add_argument("--builtin", default="hesse-mub", help="built-in graph id (hesse-mub)")
     p.add_argument("--chromatic", action="store_true", help="compute the exact chromatic number and verdict")
-    p.add_argument("--dim", type=int, default=3, help="Hilbert-space dimension for the verdict")
-    common(p, formats=("text", "json", "edges"))
+    leaf(p, _cmd_graph, formats=("text", "json", "edges"))
 
     return parser
 
 
-def _emit(report: RunReport, args, csv_rows: list[list[Any]] | None = None) -> None:
+def _emit(report: RunReport, args, csv_rows: list[list[Any]] | None) -> None:
     if args.format == "json":
         payload = report.to_json()
     elif args.format == "csv":
-        if csv_rows is None:
-            raise UsageError(f"command {report.command} has no tabular CSV form")
         payload = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
     elif args.format == "edges":
         # plain edge-list export: one "label label" line per edge
@@ -318,35 +342,29 @@ def _emit(report: RunReport, args, csv_rows: list[list[Any]] | None = None) -> N
         sys.stdout.write(payload)
 
 
-def _load_states_arg(source: str) -> tuple[int, list[np.ndarray], str]:
+def _load_states_arg(source: str) -> tuple[int, np.ndarray, str]:
     """Resolve --states: builtin name or file path."""
     if source == "cfs-example":
         kets = cfs_example_kets()
-        rhos = [np.outer(v, v.conj()) for v in kets]
-        return 3, rhos, _digest(b"builtin:cfs-example")
+        return 3, np.einsum("na,nb->nab", kets, kets.conj()), _digest(b"builtin:cfs-example")
     dim, rhos, raw = load_state_file(source)
     return dim, rhos, _digest(raw)
 
 
-def _cmd_verify_sic(args) -> tuple[int, RunReport, list[list[Any]] | None]:
-    tol = args.tol if args.tol is not None else _tol_default()
+def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
     if (args.builtin is None) == (args.input is None):
         raise UsageError("verify-sic needs exactly one of --builtin or --input")
     if args.builtin is not None:
         try:
             sic = builtin_sic(args.builtin)
         except KeyError as exc:
-            raise UsageError(str(exc)) from exc
+            raise UsageError(exc.args[0]) from exc
         digest = _digest(f"builtin:{args.builtin}".encode())
     else:
         dim, rhos, raw = load_state_file(args.input)
-        arr = np.array(rhos)
-        if arr.shape[0] != dim * dim:
-            raise UsageError(f"a SIC in dimension {dim} needs {dim * dim} states, got {arr.shape[0]}")
-        try:
-            sic = SicSet(dim=dim, projectors=arr)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        if rhos.shape[0] != dim * dim:
+            raise UsageError(f"a SIC in dimension {dim} needs {dim * dim} states, got {rhos.shape[0]}")
+        sic = SicSet(dim=dim, projectors=rhos)
         digest = _digest(raw)
     check = is_sic(sic, tol=tol)
     gram = np.einsum("iab,jba->ij", np.asarray(sic.projectors), np.asarray(sic.projectors)).real
@@ -364,23 +382,19 @@ def _cmd_verify_sic(args) -> tuple[int, RunReport, list[list[Any]] | None]:
     return (0 if check.passed else 1), report, csv_rows
 
 
-def _cmd_compat_triple(args) -> tuple[int, RunReport, None]:
-    tol = args.tol if args.tol is not None else _tol_default()
+def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport, None]:
     dim, rhos, digest = _load_states_arg(args.states)
     if len(rhos) != 3:
         raise UsageError(f"the ternary criterion needs exactly 3 states, got {len(rhos)}")
     if dim != 3:
         raise UsageError(f"the ternary criterion applies to qutrits, got dimension {dim}")
     kets = [_principal_ket(rho) for rho in rhos]
-    try:
-        verdict = qutrit_triple_criterion(kets[0], kets[1], kets[2])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    verdict = qutrit_triple_criterion(*kets, tol=tol, saturation_tol=SATURATION_TOL)
     label = verdict.verdict + (" (saturated)" if verdict.saturated else "")
     report = RunReport(
         command="compat triple",
         inputs_digest=digest,
-        tolerances={"tol": tol, "saturation_tol": 1e-9},
+        tolerances={"tol": tol, "saturation_tol": SATURATION_TOL},
         results={
             "verdict": label,
             "incompatible": verdict.incompatible,
@@ -395,26 +409,21 @@ def _cmd_compat_triple(args) -> tuple[int, RunReport, None]:
     return (0 if verdict.incompatible else 1), report, None
 
 
-def _cmd_compat_search(args) -> tuple[int, RunReport, None]:
-    tol = args.tol if args.tol is not None else _tol_default()
+def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport, None]:
     dim, rhos, digest = _load_states_arg(args.states)
     if len(rhos) < 2:
         raise UsageError("the witness search needs at least 2 states")
-    try:
-        states = StateSet(dim=dim, rhos=np.array(rhos))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     cfg = WitnessSearchConfig(
         restarts=args.restarts,
         max_iters=args.max_iters,
         seed=args.seed,
         success_threshold=args.threshold,
     )
-    result = witness_search(states, cfg)
+    result = witness_search(StateSet(dim=dim, rhos=rhos), cfg)
     report = RunReport(
         command="compat search",
         inputs_digest=digest,
-        tolerances={"tol": tol, "success_threshold": args.threshold},
+        tolerances={"success_threshold": args.threshold},
         seed=args.seed,
         results={
             "value": result.value,
@@ -432,51 +441,49 @@ def _cmd_compat_search(args) -> tuple[int, RunReport, None]:
     return (0 if result.success else 1), report, None
 
 
-def _cmd_mubs(args) -> tuple[int, RunReport, list[list[Any]] | None]:
-    tol = args.tol if args.tol is not None else _tol_default()
-    sic = hesse_sic()
-    mubs = build_mub_set(sic)
-    digest = _digest(b"builtin:hesse")
-    if args.mubs_command == "build":
-        results = {
+def _cmd_mubs_build(args, tol: float) -> tuple[int, RunReport, None]:
+    mubs = build_mub_set(hesse_sic())
+    check = verify_mub_set(mubs, tol=tol)
+    report = RunReport(
+        command="mubs build",
+        inputs_digest=_digest(b"builtin:hesse"),
+        tolerances={"tol": tol},
+        results={
             "striations": [["".join(map(str, t)) for t in striation] for striation in mubs.striations],
             "prob_vectors": [[list(map(float, v)) for v in block] for block in np.asarray(mubs.prob_vectors)],
             "projectors": [[encode_matrix(p) for p in block] for block in np.asarray(mubs.projectors)],
-        }
-        check = verify_mub_set(mubs, tol=tol)
-        report = RunReport(
-            command="mubs build",
-            inputs_digest=digest,
-            tolerances={"tol": tol},
-            results=results,
-            residuals=check.residuals(),
-        )
-        return 0, report, None
-    if args.mubs_command == "verify":
-        check = verify_mub_set(mubs, tol=tol)
-        report = RunReport(
-            command="mubs verify",
-            inputs_digest=digest,
-            tolerances={"tol": tol},
-            results={"passed": check.passed},
-            residuals=check.residuals(),
-        )
-        return (0 if check.passed else 1), report, None
-    # cover
+        },
+        residuals=check.residuals(),
+    )
+    return 0, report, None
+
+
+def _cmd_mubs_verify(args, tol: float) -> tuple[int, RunReport, None]:
+    check = verify_mub_set(build_mub_set(hesse_sic()), tol=tol)
+    report = RunReport(
+        command="mubs verify",
+        inputs_digest=_digest(b"builtin:hesse"),
+        tolerances={"tol": tol},
+        results={"passed": check.passed},
+        residuals=check.residuals(),
+    )
+    return (0 if check.passed else 1), report, None
+
+
+def _cmd_mubs_cover(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
+    sic = hesse_sic()
+    mubs = build_mub_set(sic)
     if args.triple is not None:
         try:
             triple = tuple(int(x) for x in args.triple.split(","))
         except ValueError as exc:
             raise UsageError(f"--triple must be comma-separated integers, got {args.triple!r}") from exc
-        try:
-            striations = covering_witness(triple, mubs, sic, tol=1e-10)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        striations = covering_witness(triple, mubs, sic, tol=tol)
         results = {"triple": list(triple), "witnessing_striations": striations}
         rows = [["triple", "witnessing_striations"], ["".join(map(str, triple)), " ".join(map(str, striations))]]
         exit_code = 0 if striations else 1
     else:
-        table = covering_table(mubs, sic, tol=1e-10)
+        table = covering_table(mubs, sic, tol=tol)
         results = {
             "table": [
                 {"triple": "".join(map(str, t)), "witnessing_striations": w} for t, w in table
@@ -489,27 +496,26 @@ def _cmd_mubs(args) -> tuple[int, RunReport, list[list[Any]] | None]:
         exit_code = 0 if results["all_covered"] else 1
     report = RunReport(
         command="mubs cover",
-        inputs_digest=digest,
-        tolerances={"tol": tol, "pp_zero_tol": 1e-10},
+        inputs_digest=_digest(b"builtin:hesse"),
+        tolerances={"tol": tol},
         results=results,
     )
     return exit_code, report, rows
 
 
-def _cmd_wigner(args) -> tuple[int, RunReport, list[list[Any]] | None]:
-    tol = args.tol if args.tol is not None else _tol_default()
+def _cmd_wigner(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
     dim, rhos, raw = load_state_file(args.state)
     if len(rhos) != 1:
         raise UsageError(f"wigner expects exactly one state, got {len(rhos)}")
     if dim != 3:
         raise UsageError(f"the discrete Wigner function is implemented for qutrits, got dimension {dim}")
     rho = rhos[0]
-    check = validate_density_matrix(rho, tol=max(tol, 1e-8))
+    check = validate_density_matrix(rho, tol=tol)
     if not check.passed:
         raise UsageError(f"input is not a valid density matrix: {check.residuals()}")
     sic = hesse_sic()
     mubs = build_mub_set(sic)
-    probs = sic_probabilities(rho, sic)
+    probs = sic_probabilities(rho, sic, tol=tol)
     w = wigner_from_sic_probabilities(probs)
     ops = phase_point_operators(mubs)
     w_ops = wigner_of_density(rho, ops)
@@ -532,18 +538,14 @@ def _cmd_wigner(args) -> tuple[int, RunReport, list[list[Any]] | None]:
     return 0, report, csv_rows
 
 
-def _cmd_purity(args) -> tuple[int, RunReport, None]:
-    tol = args.tol if args.tol is not None else _tol_default()
+def _cmd_purity(args, tol: float) -> tuple[int, RunReport, None]:
     doc, raw = _load_json(args.probs)
     if not isinstance(doc, dict) or "probabilities" not in doc:
         raise UsageError(f"{args.probs}: expected an object with a 'probabilities' field")
-    probs = np.asarray(doc["probabilities"], dtype=float)
-    dim = int(doc.get("dim", 3))
-    if probs.shape != (dim * dim,):
-        raise UsageError(f"{args.probs}: expected {dim * dim} probabilities, got {probs.shape}")
-    if abs(probs.sum() - 1.0) > 1e-8 or probs.min() < -1e-12:
+    dim = decode_dim(doc, args.probs, default=3)
+    probs = decode_array(doc["probabilities"], (dim * dim,), f"{args.probs}: probabilities", pairs=False)
+    if abs(probs.sum() - 1.0) > SEARCH_TOL or probs.min() < -1e-12:
         raise UsageError(f"{args.probs}: not a probability vector (sum {probs.sum()!r}, min {probs.min()!r})")
-    sic = builtin_sic("hesse") if dim == 3 else None
     quadratic = quadratic_purity_check(probs, tol=tol)
     results: dict[str, Any] = {
         "quadratic": {"passed": quadratic.passed, "value": quadratic.value, "target": quadratic.target},
@@ -552,7 +554,7 @@ def _cmd_purity(args) -> tuple[int, RunReport, None]:
     pure = quadratic.passed
     if dim == 3:
         hesse_form = qbic_check_hesse(probs, tol=tol)
-        general = qbic_check_general(probs, triple_product_table(sic), tol=tol)
+        general = qbic_check_general(probs, triple_product_table(builtin_sic("hesse")), tol=tol)
         results["qbic_hesse"] = {"passed": hesse_form.passed, "value": hesse_form.value}
         results["qbic_general"] = {"passed": general.passed, "value": general.value, "target": general.target}
         residuals["qbic_hesse"] = hesse_form.residual
@@ -578,8 +580,7 @@ def _cmd_purity(args) -> tuple[int, RunReport, None]:
     return (0 if pure else 1), report, None
 
 
-def _cmd_min_entropy(args) -> tuple[int, RunReport, None]:
-    tol = args.tol if args.tol is not None else _tol_default()
+def _cmd_min_entropy(args, tol: float) -> tuple[int, RunReport, None]:
     survivors = enumerate_min_entropy_pure_states(tol=tol)
     report = RunReport(
         command="min-entropy enumerate",
@@ -595,8 +596,7 @@ def _cmd_min_entropy(args) -> tuple[int, RunReport, None]:
     return 0, report, None
 
 
-def _cmd_graph(args) -> tuple[int, RunReport, None]:
-    tol = args.tol if args.tol is not None else 1e-9
+def _cmd_graph(args, tol: float) -> tuple[int, RunReport, None]:
     if args.builtin != "hesse-mub":
         raise UsageError(f"unknown built-in graph {args.builtin!r}; available: hesse-mub")
     graph = hesse_mub_graph(tol=tol)
@@ -609,7 +609,7 @@ def _cmd_graph(args) -> tuple[int, RunReport, None]:
     }
     exit_code = 0
     if args.chromatic:
-        verdict = cabello_criterion(graph, args.dim)
+        verdict = cabello_criterion(graph, GRAPH_DIM)
         results["chromatic_number"] = verdict.chromatic_number
         results["dim"] = verdict.dim
         results["contextual"] = verdict.contextual
@@ -618,41 +618,31 @@ def _cmd_graph(args) -> tuple[int, RunReport, None]:
     report = RunReport(
         command="graph",
         inputs_digest=_digest(f"builtin:{args.builtin}".encode()),
-        tolerances={"orthogonality_tol": tol},
+        tolerances={"tol": tol},
         results=results,
     )
     return exit_code, report, None
 
 
 def _run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
-    if args.command == "verify-sic":
-        handler = _cmd_verify_sic
-    elif args.command == "compat":
-        handler = _cmd_compat_triple if args.compat_command == "triple" else _cmd_compat_search
-    elif args.command == "mubs":
-        handler = _cmd_mubs
-    elif args.command == "wigner":
-        handler = _cmd_wigner
-    elif args.command == "purity":
-        handler = _cmd_purity
-    elif args.command == "min-entropy":
-        handler = _cmd_min_entropy
-    else:
-        handler = _cmd_graph
-    code, report, csv_rows = handler(args)
+    code, report, csv_rows = args.handler(args, _resolve_tol(args.tol))
     report.wall_time_s = time.perf_counter() - start
     _emit(report, args, csv_rows)
     return code
 
 
 def main(argv=None) -> int:
-    """Console entry point; returns the process exit code."""
+    """Console entry point; returns the process exit code.
+
+    Bad usage, malformed input and any input the library rejects
+    (``ValueError``, ``LinAlgError``) print one ``error:`` line and exit
+    with code 2, never with a traceback.
+    """
     try:
         return _run(argv)
-    except UsageError as exc:
+    except (UsageError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

@@ -317,6 +317,8 @@ class WitnessSearchConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
+        if not (math.isfinite(self.success_threshold) and self.success_threshold > 0):
+            raise ValueError(f"success_threshold must be finite and positive, got {self.success_threshold!r}")
         if not (0 < self.step_shrink < 1):
             raise ValueError("step_shrink must lie in (0, 1)")
 
@@ -350,32 +352,6 @@ class WitnessSearchResult:
     best_restart: int
     history: tuple[RestartRecord, ...]
     config: WitnessSearchConfig
-
-
-def _hermitian_from_params(theta: np.ndarray, d: int) -> np.ndarray:
-    h = np.zeros((d, d), dtype=complex)
-    h[np.diag_indices(d)] = theta[:d]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            h[i, j] = theta[k] + 1j * theta[k + 1]
-            h[j, i] = theta[k] - 1j * theta[k + 1]
-            k += 2
-    return h
-
-
-def basis_from_params(theta, d: int) -> np.ndarray:
-    """Orthonormal basis (rows of kets) from ``d**2`` real parameters.
-
-    The parameters build a Hermitian generator ``H``; the basis kets are
-    the columns of ``exp(iH)``.
-    """
-    vec = np.asarray(theta, dtype=float).reshape(-1)
-    if vec.shape[0] != d * d:
-        raise ValueError(f"expected {d * d} parameters, got {vec.shape[0]}")
-    w, v = np.linalg.eigh(_hermitian_from_params(vec, d))
-    u = (v * np.exp(1j * w)) @ v.conj().T
-    return u.T
 
 
 def _functional_on_basis(rhos: np.ndarray, basis: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mub import build_mub_set
-from .qmath import frozen_array, trace_product
+from .qmath import SEARCH_TOL, frozen_array
 from .sicgen import hesse_sic
 
 #: Default overlap tolerance for declaring two states orthogonal.
@@ -91,12 +91,13 @@ def build_orthogonality_graph(states, labels, tol: float = ORTHOGONALITY_TOL) ->
     idem = np.max(np.abs(np.einsum("iab,ibc->iac", arr, arr) - arr))
     if idem > 1e-8:
         raise ValueError(f"states must be rank-1 projectors: idempotency residual {idem:.3e}")
-    n = arr.shape[0]
-    adjacency = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if trace_product(arr[i], arr[j]) <= tol:
-                adjacency[i, j] = adjacency[j, i] = True
+    gram = np.einsum("iab,jba->ij", arr, arr)
+    imag = np.max(np.abs(gram.imag))
+    if imag > SEARCH_TOL:
+        raise ValueError(f"trace product has imaginary residual {imag:.3e}")
+    # decide each pair once (i < j) and mirror, so rounding cannot break symmetry
+    adjacency = np.triu(gram.real <= tol, k=1)
+    adjacency |= adjacency.T
     return OrthoGraph(labels=tuple(labels), adjacency=adjacency)
 
 

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from sicmub.cli import encode_ket, encode_matrix, main
+from sicmub import cfs_example_kets
+from sicmub.cli import UsageError, _load_json, decode_array, encode_ket, encode_matrix, main
 
 
 def run_cli(capsys, *argv):
@@ -293,10 +297,6 @@ class TestPlumbing:
         _, out, _ = run_cli(capsys, "verify-sic", "--builtin", "hesse", "--format", "json")
         assert "wall_time" not in out
 
-    def test_csv_unavailable_for_non_tabular(self, capsys):
-        code, _, err = run_cli(capsys, "purity", "--probs", "nope.json")
-        assert code == 2  # missing file also maps to 2
-
     def test_unknown_subcommand_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
@@ -305,3 +305,142 @@ class TestPlumbing:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "sicmub" in out
+
+
+def replaced(doc, path, value):
+    """Copy of ``doc`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+CFS_DOC = {"dim": 3, "kets": [encode_ket(k) for k in cfs_example_kets()]}
+ONE_KET_DOC = {"dim": 3, "kets": [encode_ket(cfs_example_kets()[0])]}
+PURE_PROBS_DOC = {"dim": 3, "probabilities": [0.0, 0.0, 0.0] + [1.0 / 6.0] * 6}
+TRIPLE = ("compat", "triple", "--states", "{file}")
+PURITY = ("purity", "--probs", "{file}")
+HESSE = ("verify-sic", "--builtin", "hesse")
+SEARCH = ("compat", "search", "--states", "cfs-example", "--restarts", "2")
+
+#: (id, argv with "{file}" for the input path, input file text or None for no file, environment)
+MALFORMED = [
+    ("nan-ket", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets", 0, 1, 0), math.nan)), {}),
+    ("nan-prob", PURITY, json.dumps(replaced(PURE_PROBS_DOC, ("probabilities", 4), math.nan)), {}),
+    ("infinity-prob", PURITY, json.dumps(replaced(PURE_PROBS_DOC, ("probabilities", 4), math.inf)), {}),
+    ("overflow-prob", PURITY, json.dumps(replaced(PURE_PROBS_DOC, ("probabilities", 4), "BIG")).replace('"BIG"', "1e400"), {}),
+    ("nan-wigner-ket", ("wigner", "--state", "{file}"), json.dumps(replaced(ONE_KET_DOC, ("kets", 0, 2, 1), math.nan)), {}),
+    ("non-numeric-ket-entry", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets", 1, 0, 0), "abc")), {}),
+    ("boolean-ket-entry", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets", 1, 0, 0), True)), {}),
+    ("kets-not-an-array", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets",), 5)), {}),
+    ("dim-not-an-integer", TRIPLE, json.dumps(replaced(CFS_DOC, ("dim",), "abc")), {}),
+    ("purity-negative-dim", PURITY, json.dumps(replaced(PURE_PROBS_DOC, ("dim",), -3)), {}),
+    ("missing-file", PURITY, None, {}),
+    ("tol-nan", HESSE + ("--tol", "nan"), None, {}),
+    ("tol-zero", HESSE + ("--tol", "0"), None, {}),
+    ("tol-negative", HESSE + ("--tol", "-1"), None, {}),
+    ("env-tol-nan", HESSE, None, {"SICMUB_TOL": "nan"}),
+    ("threshold-nan", SEARCH + ("--threshold", "nan"), None, {}),
+    ("restarts-zero", SEARCH + ("--restarts", "0"), None, {}),
+    ("max-iters-zero", SEARCH + ("--max-iters", "0"), None, {}),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, text, env", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+    def test_exits_two_with_error_line(self, capsys, monkeypatch, tmp_path, argv, text, env):
+        monkeypatch.delenv("SICMUB_TOL", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        code, _, err = run_cli(capsys, *(arg.format(file=path) for arg in argv), "--format", "json")
+        assert code == 2
+        assert any(line.startswith("error:") for line in err.splitlines())
+        assert "Traceback" not in err
+
+
+def near_saturated_kets(eps):
+    """Real unit kets with equal squared overlaps 1/4 + eps, just on the
+    compatible side of the saturation boundary (gap about 9 eps / 4)."""
+    gram = np.full((3, 3), math.sqrt(0.25 + eps))
+    np.fill_diagonal(gram, 1.0)
+    return np.linalg.cholesky(gram).astype(complex)
+
+
+class TestToleranceHonesty:
+    def test_compat_triple_applies_tol(self, capsys, tmp_path):
+        states = write_states(tmp_path / "near.json", 3, kets=near_saturated_kets(1e-7))
+        for tol, expected_code, verdict in (("1e-6", 0, "incompatible"), ("1e-8", 1, "compatible")):
+            code, out, _ = run_cli(capsys, "compat", "triple", "--states", states, "--tol", tol, "--format", "json")
+            doc = json.loads(out)
+            assert code == expected_code
+            assert doc["results"]["verdict"] == verdict
+            assert doc["tolerances"] == {"tol": float(tol), "saturation_tol": 1e-9}
+
+    def test_graph_honours_env_tolerance(self, capsys, monkeypatch):
+        monkeypatch.setenv("SICMUB_TOL", "0.3")
+        code, out, _ = run_cli(capsys, "graph", "--format", "json")
+        doc = json.loads(out)
+        assert doc["tolerances"] == {"tol": 0.3}
+        # the 36 SIC pairs (overlap 1/4) now count as orthogonal too
+        assert doc["results"]["n_edges"] == 48 + 36
+
+    def test_compat_search_reports_only_its_threshold(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compat", "search", "--states", "cfs-example", "--restarts", "2",
+            "--threshold", "1e-9", "--tol", "1e-6", "--format", "json",
+        )
+        assert json.loads(out)["tolerances"] == {"success_threshold": 1e-9}
+
+    def test_mubs_cover_reports_and_applies_tol(self, capsys):
+        code, out, _ = run_cli(capsys, "mubs", "cover", "--triple", "0,1,4", "--tol", "1", "--format", "json")
+        doc = json.loads(out)
+        assert doc["tolerances"] == {"tol": 1.0}
+        # the PP functional never exceeds 1, so at tol 1 every striation witnesses
+        assert doc["results"]["witnessing_striations"] == [1, 2, 3, 4]
+
+    def test_wigner_reports_and_applies_tol(self, capsys, tmp_path):
+        state = write_states(tmp_path / "trace.json", 3, matrices=[np.eye(3) / 3.0 * (1.0 + 5e-9)])
+        code, _, err = run_cli(capsys, "wigner", "--state", state, "--tol", "1e-10")
+        assert code == 2
+        assert "density matrix" in err
+        code, out, _ = run_cli(capsys, "wigner", "--state", state, "--tol", "1e-8", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["tolerances"] == {"tol": 1e-8}
+
+
+finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def state_arrays(draw):
+    n, dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = (n, dim) if draw(st.booleans()) else (n, dim, dim)
+    arr = np.empty(shape, dtype=complex)
+    arr.real = draw(arrays(float, shape, elements=finite))
+    arr.imag = draw(arrays(float, shape, elements=finite))
+    return arr
+
+
+class TestCodecProperties:
+    @settings(deadline=None)
+    @given(arr=state_arrays(), bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+    def test_round_trip_and_non_finite_rejection(self, tmp_path_factory, arr, bad, data):
+        field, encode = ("kets", encode_ket) if arr.ndim == 2 else ("matrices", encode_matrix)
+        encoded = [encode(x) for x in arr]
+        path = tmp_path_factory.mktemp("codec") / "doc.json"
+        path.write_text(json.dumps({"dim": arr.shape[1], field: encoded}))
+        doc, _ = _load_json(str(path))
+        decoded = decode_array(doc[field], (None,) + arr.shape[1:], field)
+        np.testing.assert_array_equal(decoded, arr)
+
+        corrupted = np.array(encoded)
+        corrupted.flat[data.draw(st.integers(0, corrupted.size - 1))] = bad
+        path.write_text(json.dumps({"dim": arr.shape[1], field: corrupted.tolist()}))
+        doc, _ = _load_json(str(path))
+        with pytest.raises(UsageError, match="finite"):
+            decode_array(doc[field], (None,) + arr.shape[1:], field)

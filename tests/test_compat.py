@@ -239,26 +239,10 @@ class TestWitnessSearch:
         result = witness_search(states, WitnessSearchConfig(restarts=4, seed=12))
         assert validate_orthonormal_basis(result.basis, tol=1e-10).passed
 
-
-class TestBasisParametrization:
-    def test_zero_parameters_give_computational_basis(self):
-        from sicmub import basis_from_params
-
-        np.testing.assert_allclose(basis_from_params(np.zeros(9), 3), np.eye(3), atol=1e-14)
-
-    def test_any_parameters_give_an_orthonormal_basis(self):
-        from sicmub import basis_from_params, validate_orthonormal_basis
-
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            basis = basis_from_params(rng.uniform(-np.pi, np.pi, 9), 3)
-            assert validate_orthonormal_basis(basis, tol=1e-12).passed
-
-    def test_wrong_parameter_count_rejected(self):
-        from sicmub import basis_from_params
-
-        with pytest.raises(ValueError, match="parameters"):
-            basis_from_params(np.zeros(8), 3)
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1e-10])
+    def test_config_rejects_non_positive_or_non_finite_threshold(self, threshold):
+        with pytest.raises(ValueError, match="success_threshold"):
+            WitnessSearchConfig(success_threshold=threshold)
 
 
 class TestCriterionWitnessAgreement:

@@ -6,11 +6,14 @@ import pytest
 from sicmub import (
     OrthoGraph,
     basis_ket,
+    build_mub_set,
     build_orthogonality_graph,
     cabello_criterion,
     chromatic_number,
     hesse_mub_graph,
+    hesse_sic,
     projector,
+    trace_product,
 )
 
 
@@ -65,6 +68,25 @@ class TestGraphConstruction:
         states = np.array([projector(basis_ket(3, 0))])
         with pytest.raises(ValueError, match="labels"):
             build_orthogonality_graph(states, ["a", "b"])
+
+    def test_gram_adjacency_matches_pairwise_trace_products(self):
+        graph = hesse_mub_graph()
+        sic = hesse_sic()
+        mubs = build_mub_set(sic)
+        states = np.concatenate([np.asarray(sic.projectors), np.asarray(mubs.projectors).reshape(-1, 3, 3)])
+        n = len(states)
+        reference = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            for j in range(i + 1, n):
+                reference[i, j] = reference[j, i] = trace_product(states[i], states[j]) <= 1e-9
+        np.testing.assert_array_equal(np.asarray(graph.adjacency), reference)
+
+    def test_non_hermitian_input_rejected(self):
+        a = np.array([[1, 0, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
+        b = np.array([[0, 0, 0], [0, 1, 1j], [0, 0, 0]], dtype=complex)  # idempotent, not Hermitian
+        c = np.array([[0, 0, 0], [0, 0, 0], [0, 1, 1]], dtype=complex)
+        with pytest.raises(ValueError, match="imaginary residual"):
+            build_orthogonality_graph(np.array([a, b, c]), ["a", "b", "c"])
 
     def test_tolerance_stability_of_builtin_edge_set(self):
         reference = set(hesse_mub_graph(tol=1e-9).edges())
