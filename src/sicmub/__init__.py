@@ -43,7 +43,6 @@ from .compat import (
     pairwise_pp_check,
     pp_functional,
     qutrit_triple_criterion,
-    real_cubic_roots,
     saturation_cubic_roots,
     saturation_profile,
     witness_search,

@@ -139,8 +139,9 @@ def _load_json(path: str) -> tuple[Any, bytes]:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_state_file(path: str) -> tuple[int, np.ndarray, bytes]:
-    """Read a state-set file; returns (dim, density matrices, raw bytes)."""
+def load_state_file(path: str, tol: float) -> tuple[int, np.ndarray, bytes]:
+    """Read a state-set file, kets of unit norm within ``tol``; returns
+    (dim, density matrices, raw bytes)."""
     doc, raw = _load_json(path)
     if not isinstance(doc, dict) or "dim" not in doc:
         raise UsageError(f"{path}: expected an object with a 'dim' field")
@@ -148,7 +149,7 @@ def load_state_file(path: str) -> tuple[int, np.ndarray, bytes]:
     if "kets" in doc:
         kets = decode_array(doc["kets"], (None, dim), f"{path}: kets")
         norms = np.linalg.norm(kets, axis=1)
-        if np.any(np.abs(norms - 1.0) > SEARCH_TOL):
+        if np.any(np.abs(norms - 1.0) > tol):
             raise UsageError(f"{path}: ket is not normalized (norms {norms.tolist()!r})")
         rhos = np.einsum("na,nb->nab", kets, kets.conj())
     elif "matrices" in doc:
@@ -342,12 +343,12 @@ def _emit(report: RunReport, args, csv_rows: list[list[Any]] | None) -> None:
         sys.stdout.write(payload)
 
 
-def _load_states_arg(source: str) -> tuple[int, np.ndarray, str]:
+def _load_states_arg(source: str, tol: float) -> tuple[int, np.ndarray, str]:
     """Resolve --states: builtin name or file path."""
     if source == "cfs-example":
         kets = cfs_example_kets()
         return 3, np.einsum("na,nb->nab", kets, kets.conj()), _digest(b"builtin:cfs-example")
-    dim, rhos, raw = load_state_file(source)
+    dim, rhos, raw = load_state_file(source, tol)
     return dim, rhos, _digest(raw)
 
 
@@ -361,7 +362,7 @@ def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
             raise UsageError(exc.args[0]) from exc
         digest = _digest(f"builtin:{args.builtin}".encode())
     else:
-        dim, rhos, raw = load_state_file(args.input)
+        dim, rhos, raw = load_state_file(args.input, tol)
         if rhos.shape[0] != dim * dim:
             raise UsageError(f"a SIC in dimension {dim} needs {dim * dim} states, got {rhos.shape[0]}")
         sic = SicSet(dim=dim, projectors=rhos)
@@ -383,7 +384,7 @@ def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
 
 
 def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport, None]:
-    dim, rhos, digest = _load_states_arg(args.states)
+    dim, rhos, digest = _load_states_arg(args.states, tol)
     if len(rhos) != 3:
         raise UsageError(f"the ternary criterion needs exactly 3 states, got {len(rhos)}")
     if dim != 3:
@@ -410,7 +411,7 @@ def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport, None]:
 
 
 def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport, None]:
-    dim, rhos, digest = _load_states_arg(args.states)
+    dim, rhos, digest = _load_states_arg(args.states, tol)
     if len(rhos) < 2:
         raise UsageError("the witness search needs at least 2 states")
     cfg = WitnessSearchConfig(
@@ -420,10 +421,13 @@ def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport, None]:
         success_threshold=args.threshold,
     )
     result = witness_search(StateSet(dim=dim, rhos=rhos), cfg)
+    tolerances = {"success_threshold": args.threshold}
+    if args.states != "cfs-example":  # a state file's ket norms were checked at tol
+        tolerances["tol"] = tol
     report = RunReport(
         command="compat search",
         inputs_digest=digest,
-        tolerances={"success_threshold": args.threshold},
+        tolerances=tolerances,
         seed=args.seed,
         results={
             "value": result.value,
@@ -504,7 +508,7 @@ def _cmd_mubs_cover(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
 
 
 def _cmd_wigner(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
-    dim, rhos, raw = load_state_file(args.state)
+    dim, rhos, raw = load_state_file(args.state, tol)
     if len(rhos) != 1:
         raise UsageError(f"wigner expects exactly one state, got {len(rhos)}")
     if dim != 3:
@@ -545,7 +549,7 @@ def _cmd_purity(args, tol: float) -> tuple[int, RunReport, None]:
     dim = decode_dim(doc, args.probs, default=3)
     probs = decode_array(doc["probabilities"], (dim * dim,), f"{args.probs}: probabilities", pairs=False)
     if abs(probs.sum() - 1.0) > SEARCH_TOL or probs.min() < -1e-12:
-        raise UsageError(f"{args.probs}: not a probability vector (sum {probs.sum()!r}, min {probs.min()!r})")
+        raise UsageError(f"{args.probs}: not a probability vector (sum {float(probs.sum())!r}, min {float(probs.min())!r})")
     quadratic = quadratic_purity_check(probs, tol=tol)
     results: dict[str, Any] = {
         "quadratic": {"passed": quadratic.passed, "value": quadratic.value, "target": quadratic.target},
@@ -560,7 +564,7 @@ def _cmd_purity(args, tol: float) -> tuple[int, RunReport, None]:
         residuals["qbic_hesse"] = hesse_form.residual
         residuals["qbic_general"] = general.residual
         pure = pure and hesse_form.passed and general.passed
-    indices = distribution_indices(probs)
+    indices = distribution_indices(probs, zero_tol=tol)
     entropy = indices.shannon_entropy_nats / np.log(2.0) if args.bits else indices.shannon_entropy_nats
     results["indices"] = {
         "effective_number": indices.effective_number,

@@ -217,55 +217,24 @@ def pairwise_pp_check(a, b, tol: float = SEARCH_TOL) -> PairVerdict:
     return PairVerdict(verdict=COMPATIBLE, overlap_sq=x)
 
 
+#: Coefficients, highest degree first, of ``4x**3 - 9x**2 + 6x - 1 = (4x - 1)(x - 1)**2``.
+_SATURATION_CUBIC = (4.0, -9.0, 6.0, -1.0)
+
+
 def saturation_profile(x: float) -> float:
     """The boundary cubic ``4x**3 - 9x**2 + 6x - 1`` of the equal-overlap
     saturation condition; its real roots are 1/4 and a double root at 1."""
-    return ((4.0 * x - 9.0) * x + 6.0) * x - 1.0
+    c3, c2, c1, c0 = _SATURATION_CUBIC
+    return ((c3 * x + c2) * x + c1) * x + c0
 
 
-def real_cubic_roots(c3: float, c2: float, c1: float, c0: float, tol: float = 1e-12) -> list[tuple[float, int]]:
-    """Real roots of ``c3 x**3 + c2 x**2 + c1 x + c0`` with multiplicities.
-
-    Classifies via the discriminant of the monic cubic so repeated roots
-    are resolved by closed-form rational expressions instead of an
-    ill-conditioned generic eigenvalue solve.  Returns ``(root, mult)``
-    pairs sorted by root.
-    """
-    if c3 == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    b = c2 / c3
-    c = c1 / c3
-    d = c0 / c3
-    disc = 18.0 * b * c * d - 4.0 * b**3 * d + b**2 * c**2 - 4.0 * c**3 - 27.0 * d**2
-    scale = max(1.0, abs(b), abs(c), abs(d)) ** 4
-    delta0 = b * b - 3.0 * c
-    if abs(disc) <= tol * scale:
-        if abs(delta0) <= tol * max(1.0, abs(b), abs(c)) ** 2:
-            return [(-b / 3.0, 3)]
-        double = (9.0 * d - b * c) / (2.0 * delta0)
-        simple = (4.0 * b * c - 9.0 * d - b**3) / delta0
-        roots = [(simple, 1), (double, 2)]
-    elif disc > 0:
-        # Three distinct real roots: trigonometric form of the depressed cubic.
-        p = c - b * b / 3.0
-        q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-        m = 2.0 * math.sqrt(-p / 3.0)
-        phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m))))
-        roots = [(m * math.cos((phi - 2.0 * math.pi * k) / 3.0) - b / 3.0, 1) for k in range(3)]
-    else:
-        # One real root: Cardano.
-        p = c - b * b / 3.0
-        q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-        rad = math.sqrt(q * q / 4.0 + p**3 / 27.0)
-        u = math.copysign(abs(-q / 2.0 + rad) ** (1.0 / 3.0), -q / 2.0 + rad)
-        v = math.copysign(abs(-q / 2.0 - rad) ** (1.0 / 3.0), -q / 2.0 - rad)
-        roots = [(u + v - b / 3.0, 1)]
-    return sorted(roots)
-
-
-def saturation_cubic_roots(tol: float = 1e-12) -> list[tuple[float, int]]:
-    """Roots of the saturation cubic: ``[(0.25, 1), (1.0, 2)]``."""
-    return real_cubic_roots(4.0, -9.0, 6.0, -1.0, tol=tol)
+def saturation_cubic_roots() -> list[tuple[float, int]]:
+    """Roots with multiplicities, ``[(0.25, 1), (1.0, 2)]``: the cubic divided by
+    ``(x - 1)**2`` leaves no remainder and the linear quotient ``4x - 1``."""
+    quotient, remainder = np.polydiv(_SATURATION_CUBIC, (1.0, -2.0, 1.0))
+    if remainder.any():
+        raise ArithmeticError(f"(x - 1)**2 does not divide the saturation cubic: remainder {remainder}")
+    return [(float(-quotient[1] / quotient[0]), 1), (1.0, 2)]
 
 
 def cfs_example_kets() -> np.ndarray:
@@ -327,11 +296,11 @@ class WitnessSearchConfig:
 #: as failed and triggers a step shrink.
 _CYCLE_IMPROVEMENT_REL = 1e-3
 
-#: Gauss-Newton polish limits: iteration cap, finite-difference step,
-#: and the trust cap on one update's parameter norm.
+#: Gauss-Newton polish limits: iteration cap and trust cap on one update's norm.
 _POLISH_ITERS = 40
-_POLISH_FD_EPS = 1e-7
 _POLISH_MAX_STEP = 0.5
+
+_I2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -354,9 +323,37 @@ class WitnessSearchResult:
     config: WitnessSearchConfig
 
 
-def _functional_on_basis(rhos: np.ndarray, basis: np.ndarray) -> float:
-    probs = np.einsum("id,nde,ie->ni", basis.conj(), rhos, basis).real
-    return float(probs.prod(axis=0).sum())
+def _pair_generators(d: int) -> list[tuple[int, int, np.ndarray]]:
+    """The pair-mixing generators ``(j, k, G)`` the search moves along.
+
+    For each ``j < k``: the symmetric ``|j><k| + |k><j|``, then the
+    antisymmetric ``i|k><j| - i|j><k|``.  ``G**2`` projects onto span{j, k},
+    so ``u @ exp(i t G)`` changes only columns j, k, by :func:`_pair_rotation`.
+    """
+    table = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym, anti = np.zeros((2, d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0
+            anti[k, j], anti[j, k] = 1j, -1j
+            table += [(j, k, sym), (j, k, anti)]
+    return table
+
+
+def _pair_rotation(block: np.ndarray, angle: float) -> np.ndarray:
+    """``exp(i t B) = cos t I + i sin t B`` for a 2x2 block with ``B**2 = I``."""
+    return math.cos(angle) * _I2 + 1j * math.sin(angle) * block
+
+
+def _generator_exp(gens: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """``exp(i sum_g delta_g G_g)`` for a stack of Hermitian generators."""
+    w, v = np.linalg.eigh(np.tensordot(delta, gens, axes=1))
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def _column_probs(rhos: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``<u_m| rho_n |u_m>`` per state n and column m; the PP functional is ``.prod(axis=0).sum()``."""
+    return np.einsum("nde,dm,em->nm", rhos, u.conj(), u).real
 
 
 def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -366,29 +363,10 @@ def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (phases / np.abs(phases)).conj()
 
 
-def _rotated_pair(u: np.ndarray, j: int, k: int, flavor: int, angle: float) -> np.ndarray:
-    """Columns j, k of ``u`` after the elementary rotation exp(i t G).
-
-    ``flavor`` 0 uses the symmetric generator ``|j><k| + |k><j|``,
-    flavor 1 the antisymmetric ``i|k><j| - i|j><k|``; either only mixes
-    the two columns.
-    """
-    ct, st = math.cos(angle), math.sin(angle)
-    uj, uk = u[:, j], u[:, k]
-    if flavor == 0:
-        return np.stack([ct * uj + 1j * st * uk, 1j * st * uj + ct * uk], axis=1)
-    return np.stack([ct * uj - st * uk, st * uj + ct * uk], axis=1)
-
-
 def _descend(rhos: np.ndarray, u: np.ndarray, cfg: WitnessSearchConfig, stop_value: float):
     """Refine a basis in place; returns (value, basis, start_value, cycles)."""
-    d = u.shape[0]
-    coords = [(j, k, flavor) for j in range(d) for k in range(j + 1, d) for flavor in (0, 1)]
-
-    def column_probs(cols: np.ndarray) -> np.ndarray:
-        return np.einsum("nde,dm,em->nm", rhos, cols.conj(), cols).real
-
-    probs = column_probs(u)
+    moves = [(j, k, g[np.ix_((j, k), (j, k))]) for j, k, g in _pair_generators(u.shape[0])]
+    probs = _column_probs(rhos, u)
     outcome_products = probs.prod(axis=0)
     value = float(outcome_products.sum())
     start_value = value
@@ -396,10 +374,12 @@ def _descend(rhos: np.ndarray, u: np.ndarray, cfg: WitnessSearchConfig, stop_val
     cycles = 0
     while cycles < cfg.max_iters and step >= cfg.min_step and value > stop_value:
         cycle_start = value
-        for j, k, flavor in coords:
+        for j, k, block in moves:
+            pair = u[:, [j, k]]
+
             def probe(angle: float):
-                cols = _rotated_pair(u, j, k, flavor, angle)
-                new_probs = column_probs(cols)
+                cols = pair @ _pair_rotation(block, angle)
+                new_probs = _column_probs(rhos, cols)
                 new_value = value - outcome_products[j] - outcome_products[k] + new_probs.prod(axis=0).sum()
                 return float(new_value), cols, new_probs
 
@@ -419,10 +399,9 @@ def _descend(rhos: np.ndarray, u: np.ndarray, cfg: WitnessSearchConfig, stop_val
                     best = (f_vertex, vertex, cols_vertex, probs_vertex)
             if best[1] != 0.0:
                 value, _, cols, new_probs = best
-                u[:, j], u[:, k] = cols[:, 0], cols[:, 1]
-                probs[:, j], probs[:, k] = new_probs[:, 0], new_probs[:, 1]
-                outcome_products[j] = probs[:, j].prod()
-                outcome_products[k] = probs[:, k].prod()
+                u[:, [j, k]] = cols
+                probs[:, [j, k]] = new_probs
+                outcome_products[[j, k]] = new_probs.prod(axis=0)
             if value <= stop_value:
                 break
         cycles += 1
@@ -441,18 +420,15 @@ def _state_factors(rhos: np.ndarray, tol: float = 1e-12) -> list[np.ndarray]:
     return factors
 
 
-def _generator_move(u: np.ndarray, delta: np.ndarray, d: int) -> np.ndarray:
-    """Rotate ``u`` by ``exp(iH)`` with H the pair-mixing generator
-    combination weighted by ``delta`` (ordering matches _descend's)."""
-    h = np.zeros((d, d), dtype=complex)
-    g = 0
-    for j in range(d):
-        for k in range(j + 1, d):
-            h[j, k] += delta[g] - 1j * delta[g + 1]
-            h[k, j] += delta[g] + 1j * delta[g + 1]
-            g += 2
-    w, v = np.linalg.eigh(h)
-    return u @ ((v * np.exp(1j * w)) @ v.conj().T)
+def _matched_residual(factors: list[np.ndarray], match: np.ndarray, u: np.ndarray, gens: np.ndarray):
+    """The residuals ``W_match[i]† u_i`` over the columns of ``u`` (real and
+    imaginary parts) and their exact Jacobian in ``delta`` for the move
+    ``u @ exp(i sum_g delta_g G_g)`` at 0, the matching held fixed.  The
+    residuals are linear in ``u``, so column g is those of the tangent ``i u G_g``."""
+    points = np.concatenate([u[None], 1j * u @ gens])
+    parts = np.concatenate([points[:, :, i] @ factors[m].conj() for i, m in enumerate(match)], axis=-1)
+    flat = np.concatenate([parts.real, parts.imag], axis=-1)
+    return flat[0], flat[1:].T
 
 
 def _gauss_newton_polish(rhos: np.ndarray, u: np.ndarray, value: float):
@@ -467,42 +443,29 @@ def _gauss_newton_polish(rhos: np.ndarray, u: np.ndarray, value: float):
     Every update is accepted only if the functional improves, so the
     polish can never worsen the incumbent.
     """
-    d = u.shape[0]
-    n_params = d * (d - 1)
     factors = _state_factors(rhos)
-
-    def residual(basis_u: np.ndarray) -> np.ndarray:
-        probs = np.einsum("nde,dm,em->nm", rhos, basis_u.conj(), basis_u).real
-        match = probs.argmin(axis=0)
-        parts = [factors[match[i]].conj().T @ basis_u[:, i] for i in range(d)]
-        stacked = np.concatenate(parts)
-        return np.concatenate([stacked.real, stacked.imag])
-
-    best_u, best_value = u, value
-    current = u
+    gens = np.array([g for _, _, g in _pair_generators(u.shape[0])])
+    probs = _column_probs(rhos, u)
     for _ in range(_POLISH_ITERS):
-        r0 = residual(current)
-        jac = np.empty((r0.shape[0], n_params))
-        for g in range(n_params):
-            dv = np.zeros(n_params)
-            dv[g] = _POLISH_FD_EPS
-            jac[:, g] = (residual(_generator_move(current, dv, d)) - r0) / _POLISH_FD_EPS
+        match = probs.argmin(axis=0)
+        r0, jac = _matched_residual(factors, match, u, gens)
         delta, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
         norm = float(np.linalg.norm(delta))
         if norm > _POLISH_MAX_STEP:
             delta *= _POLISH_MAX_STEP / norm
-        accepted = False
         for _ in range(6):
-            candidate = _generator_move(current, delta, d)
-            candidate_value = _functional_on_basis(rhos, candidate.T)
-            if candidate_value < best_value:
-                current, best_u, best_value = candidate, candidate, candidate_value
-                accepted = True
+            candidate = u @ _generator_exp(gens, delta)
+            candidate_probs = _column_probs(rhos, candidate)
+            candidate_value = float(candidate_probs.prod(axis=0).sum())
+            if candidate_value < value:
                 break
             delta = delta / 2.0
-        if not accepted or best_value < 1e-26:
+        else:
             break
-    return best_value, best_u
+        u, probs, value = candidate, candidate_probs, candidate_value
+        if value < 1e-26:
+            break
+    return value, u
 
 
 def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> WitnessSearchResult:

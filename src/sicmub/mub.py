@@ -23,7 +23,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .compat import StateSet, pp_functional
 from .qmath import DEFAULT_TOL, basis_ket, frozen_array, projector
 from .sicgen import SicSet, reconstruct_from_probabilities
 
@@ -200,6 +199,17 @@ def build_mub_set(s: SicSet, tol: float = DEFAULT_TOL) -> MubSet:
     return mubs
 
 
+def _sic_mub_overlaps(m: MubSet, s: SicSet) -> np.ndarray:
+    """``overlaps[i, t, k] = tr(P_i M_tk)``: SIC projector i against state k
+    of striation t+1.  The PP functional of SIC states ``T`` measured in
+    striation t+1 is ``overlaps[T, t].prod(axis=0).sum()``."""
+    return np.einsum("iab,tkba->itk", np.asarray(s.projectors), np.asarray(m.projectors)).real
+
+
+def _witnessing(values: np.ndarray, tol: float) -> list[int]:
+    return [number for number, value in enumerate(values, start=1) if value <= tol]
+
+
 def covering_witness(triple, m: MubSet, s: SicSet, tol: float = 1e-10) -> list[int]:
     """Striations whose basis certifies PP incompatibility of a SIC triple.
 
@@ -211,14 +221,11 @@ def covering_witness(triple, m: MubSet, s: SicSet, tol: float = 1e-10) -> list[i
     key = tuple(int(i) for i in triple)
     if len(set(key)) != 3 or not all(0 <= i <= 8 for i in key):
         raise ValueError(f"need three distinct SIC indices in 0-8, got {triple}")
-    states = StateSet(dim=s.dim, rhos=np.asarray(s.projectors)[list(key)])
-    witnesses = []
-    for number in range(1, len(m.striations) + 1):
-        if pp_functional(states, m.basis(number)) <= tol:
-            witnesses.append(number)
-    return witnesses
+    return _witnessing(_sic_mub_overlaps(m, s)[list(key)].prod(axis=0).sum(-1), tol)
 
 
 def covering_table(m: MubSet, s: SicSet, tol: float = 1e-10) -> list[tuple[Triple, list[int]]]:
     """Witnessing striations for all C(9,3) = 84 SIC triples."""
-    return [(t, covering_witness(t, m, s, tol=tol)) for t in combinations(range(9), 3)]
+    triples = list(combinations(range(9), 3))
+    values = _sic_mub_overlaps(m, s)[np.array(triples)].prod(axis=1).sum(-1)
+    return [(t, _witnessing(v, tol)) for t, v in zip(triples, values)]

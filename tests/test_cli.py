@@ -227,6 +227,13 @@ class TestPurity:
         doc = json.loads(out)
         assert doc["results"]["indices"]["shannon_entropy_bits"] == pytest.approx(math.log2(6.0), abs=1e-12)
 
+    def test_zero_count_follows_tol(self, capsys, tmp_path):
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"dim": 3, "probabilities": [0.0, 0.0, 5e-10] + [(1.0 - 5e-10) / 6.0] * 6}))
+        for tol, zeros in (("1e-9", 3), ("1e-10", 2)):
+            _, out, _ = run_cli(capsys, "purity", "--probs", str(path), "--tol", tol, "--format", "json")
+            assert json.loads(out)["results"]["indices"]["zero_count"] == zeros
+
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -319,6 +326,8 @@ def replaced(doc, path, value):
 
 CFS_DOC = {"dim": 3, "kets": [encode_ket(k) for k in cfs_example_kets()]}
 ONE_KET_DOC = {"dim": 3, "kets": [encode_ket(cfs_example_kets()[0])]}
+#: One ket of norm 1 + 3e-9: off by more than the default tolerance 1e-10, within 1e-8.
+LONG_KET_DOC = {"dim": 3, "kets": [encode_ket(cfs_example_kets()[0] * (1.0 + 3e-9))]}
 PURE_PROBS_DOC = {"dim": 3, "probabilities": [0.0, 0.0, 0.0] + [1.0 / 6.0] * 6}
 TRIPLE = ("compat", "triple", "--states", "{file}")
 PURITY = ("purity", "--probs", "{file}")
@@ -332,6 +341,7 @@ MALFORMED = [
     ("infinity-prob", PURITY, json.dumps(replaced(PURE_PROBS_DOC, ("probabilities", 4), math.inf)), {}),
     ("overflow-prob", PURITY, json.dumps(replaced(PURE_PROBS_DOC, ("probabilities", 4), "BIG")).replace('"BIG"', "1e400"), {}),
     ("nan-wigner-ket", ("wigner", "--state", "{file}"), json.dumps(replaced(ONE_KET_DOC, ("kets", 0, 2, 1), math.nan)), {}),
+    ("wigner-ket-off-norm", ("wigner", "--state", "{file}"), json.dumps(LONG_KET_DOC), {}),
     ("non-numeric-ket-entry", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets", 1, 0, 0), "abc")), {}),
     ("boolean-ket-entry", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets", 1, 0, 0), True)), {}),
     ("kets-not-an-array", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets",), 5)), {}),
@@ -395,6 +405,16 @@ class TestToleranceHonesty:
             "--threshold", "1e-9", "--tol", "1e-6", "--format", "json",
         )
         assert json.loads(out)["tolerances"] == {"success_threshold": 1e-9}
+
+    def test_compat_search_on_a_file_applies_tol_to_ket_norms(self, capsys, tmp_path):
+        states = write_states(tmp_path / "long.json", 3, kets=cfs_example_kets() * (1.0 + 3e-9))
+        argv = ("compat", "search", "--states", states, "--restarts", "2", "--threshold", "1e-9", "--format", "json")
+        code, _, err = run_cli(capsys, *argv, "--tol", "1e-10")
+        assert code == 2
+        assert "not normalized" in err
+        code, out, _ = run_cli(capsys, *argv, "--tol", "1e-8")
+        assert code == 0
+        assert json.loads(out)["tolerances"] == {"success_threshold": 1e-9, "tol": 1e-8}
 
     def test_mubs_cover_reports_and_applies_tol(self, capsys):
         code, out, _ = run_cli(capsys, "mubs", "cover", "--triple", "0,1,4", "--tol", "1", "--format", "json")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sicmub import (
     StateSet,
@@ -14,10 +16,19 @@ from sicmub import (
     projector,
     qutrit_triple_criterion,
     random_ket,
-    real_cubic_roots,
     saturation_cubic_roots,
     saturation_profile,
     witness_search,
+)
+from sicmub.compat import (
+    _SATURATION_CUBIC,
+    _column_probs,
+    _generator_exp,
+    _haar_unitary,
+    _matched_residual,
+    _pair_generators,
+    _pair_rotation,
+    _state_factors,
 )
 
 
@@ -155,22 +166,14 @@ class TestSaturationCubic:
         assert abs(r1 - 0.25) < 1e-12 and m1 == 1
         assert abs(r2 - 1.0) < 1e-12 and m2 == 2
 
-    def test_generic_cubics(self):
-        # (x-1)(x-2)(x-3)
-        roots = real_cubic_roots(1, -6, 11, -6)
-        assert [m for _, m in roots] == [1, 1, 1]
-        np.testing.assert_allclose([r for r, _ in roots], [1.0, 2.0, 3.0], atol=1e-9)
-        # x**3 + x + 1: single real root
-        roots = real_cubic_roots(1, 0, 1, 1)
-        assert len(roots) == 1 and roots[0][1] == 1
-        assert abs(roots[0][0] ** 3 + roots[0][0] + 1) < 1e-12
-        # (x-2)**3
-        roots = real_cubic_roots(1, -6, 12, -8)
-        assert roots == [(2.0, 3)]
-
-    def test_leading_zero_rejected(self):
-        with pytest.raises(ValueError):
-            real_cubic_roots(0, 1, 1, 1)
+    def test_roots_rest_on_the_exact_factorisation(self):
+        # 4x^3 - 9x^2 + 6x - 1 = (4x - 1)(x - 1)^2, coefficient for coefficient
+        assert np.polymul((4.0, -1.0), np.polymul((1.0, -1.0), (1.0, -1.0))).tolist() == list(_SATURATION_CUBIC)
+        # the roots, repeated by multiplicity, rebuild the cubic exactly
+        roots = [r for r, m in saturation_cubic_roots() for _ in range(m)]
+        assert (4.0 * np.poly(roots)).tolist() == list(_SATURATION_CUBIC)
+        for x in np.linspace(-1.0, 2.0, 31):
+            assert saturation_profile(x) == pytest.approx((4.0 * x - 1.0) * (x - 1.0) ** 2, abs=1e-12)
 
 
 class TestCfsExample:
@@ -243,6 +246,49 @@ class TestWitnessSearch:
     def test_config_rejects_non_positive_or_non_finite_threshold(self, threshold):
         with pytest.raises(ValueError, match="success_threshold"):
             WitnessSearchConfig(success_threshold=threshold)
+
+
+class TestPairGenerators:
+    def test_table_order_and_squares(self):
+        table = _pair_generators(3)
+        assert [(j, k) for j, k, _ in table] == [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2)]
+        for j, k, g in table:
+            np.testing.assert_array_equal(g, g.conj().T)
+            np.testing.assert_array_equal(g @ g, np.diag([1.0 if i in (j, k) else 0.0 for i in range(3)]))
+        # symmetric |j><k| + |k><j| first, then antisymmetric i|k><j| - i|j><k|
+        assert table[0][2][0, 1] == 1.0 and table[1][2][1, 0] == 1j and table[1][2][0, 1] == -1j
+
+    @settings(deadline=None)
+    @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), angle=st.floats(-7.0, 7.0))
+    def test_pair_update_is_the_generator_exponential(self, d, seed, angle):
+        u = _haar_unitary(np.random.default_rng(seed), d)
+        for j, k, g in _pair_generators(d):
+            w, v = np.linalg.eigh(angle * g)
+            expected = u @ (v * np.exp(1j * w)) @ v.conj().T
+            moved = u.copy()
+            moved[:, [j, k]] = u[:, [j, k]] @ _pair_rotation(g[np.ix_((j, k), (j, k))], angle)
+            np.testing.assert_allclose(moved, expected, atol=1e-12)
+            np.testing.assert_allclose(u @ _generator_exp(g[None], np.array([angle])), expected, atol=1e-12)
+
+    def test_polish_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(31)
+        gens = np.array([g for _, _, g in _pair_generators(3)])
+        eps = 1e-6
+        for _ in range(10):
+            kets = np.array([random_ket(3, rng) for _ in range(4)])
+            rhos = np.einsum("na,nb->nab", kets, kets.conj())
+            # two pure states and one rank-2 mixture, so the factors differ in width
+            rhos = np.array([rhos[0], rhos[1], (rhos[2] + rhos[3]) / 2.0])
+            u = _haar_unitary(rng, 3)
+            factors = _state_factors(rhos)
+            match = _column_probs(rhos, u).argmin(axis=0)
+            _, jac = _matched_residual(factors, match, u, gens)
+            for g in range(len(gens)):
+                step = np.zeros(len(gens))
+                step[g] = eps
+                plus, _ = _matched_residual(factors, match, u @ _generator_exp(gens, step), gens)
+                minus, _ = _matched_residual(factors, match, u @ _generator_exp(gens, -step), gens)
+                np.testing.assert_allclose(jac[:, g], (plus - minus) / (2.0 * eps), atol=1e-6)
 
 
 class TestCriterionWitnessAgreement:
