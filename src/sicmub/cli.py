@@ -61,7 +61,7 @@ from .purity import (
     quadratic_purity_check,
     triple_product_table,
 )
-from .qmath import DEFAULT_TOL, SEARCH_TOL, validate_density_matrix
+from .qmath import DEFAULT_TOL, validate_density_matrix
 from .sicgen import SicSet, builtin_sic, hesse_sic, is_sic, sic_probabilities
 from .wigner import (
     line_marginals,
@@ -159,11 +159,11 @@ def load_state_file(path: str, tol: float) -> tuple[int, np.ndarray, bytes]:
     return dim, rhos, raw
 
 
-def _principal_ket(rho: np.ndarray) -> np.ndarray:
-    """Extract the ket of a rank-1 density matrix (error if mixed)."""
+def _principal_ket(rho: np.ndarray, tol: float) -> np.ndarray:
+    """Extract the ket of a rank-1 density matrix (error if mixed beyond ``tol``)."""
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    if abs(w[-1] - 1.0) > SEARCH_TOL:
-        raise UsageError(f"state is not pure (largest eigenvalue {w[-1]!r}); the criterion needs pure states")
+    if abs(w[-1] - 1.0) > tol:
+        raise UsageError(f"state is not pure (largest eigenvalue {float(w[-1])!r}); the criterion needs pure states")
     return v[:, -1]
 
 
@@ -389,7 +389,7 @@ def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport, None]:
         raise UsageError(f"the ternary criterion needs exactly 3 states, got {len(rhos)}")
     if dim != 3:
         raise UsageError(f"the ternary criterion applies to qutrits, got dimension {dim}")
-    kets = [_principal_ket(rho) for rho in rhos]
+    kets = [_principal_ket(rho, tol) for rho in rhos]
     verdict = qutrit_triple_criterion(*kets, tol=tol, saturation_tol=SATURATION_TOL)
     label = verdict.verdict + (" (saturated)" if verdict.saturated else "")
     report = RunReport(
@@ -548,7 +548,7 @@ def _cmd_purity(args, tol: float) -> tuple[int, RunReport, None]:
         raise UsageError(f"{args.probs}: expected an object with a 'probabilities' field")
     dim = decode_dim(doc, args.probs, default=3)
     probs = decode_array(doc["probabilities"], (dim * dim,), f"{args.probs}: probabilities", pairs=False)
-    if abs(probs.sum() - 1.0) > SEARCH_TOL or probs.min() < -1e-12:
+    if abs(probs.sum() - 1.0) > tol or probs.min() < -tol:
         raise UsageError(f"{args.probs}: not a probability vector (sum {float(probs.sum())!r}, min {float(probs.min())!r})")
     quadratic = quadratic_purity_check(probs, tol=tol)
     results: dict[str, Any] = {

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mub import build_mub_set
+from .mub import LINES, build_mub_set
 from .qmath import SEARCH_TOL, frozen_array
 from .sicgen import hesse_sic
 
@@ -110,13 +110,9 @@ def hesse_mub_graph(tol: float = ORTHOGONALITY_TOL) -> OrthoGraph:
     """
     sic = hesse_sic()
     mubs = build_mub_set(sic)
-    states = list(np.asarray(sic.projectors))
-    labels = [str(i) for i in range(9)]
-    for striation, triples in enumerate(mubs.striations):
-        for k, triple in enumerate(triples):
-            states.append(np.asarray(mubs.projectors)[striation, k])
-            labels.append("".join(str(i) for i in triple))
-    return build_orthogonality_graph(np.array(states), labels, tol=tol)
+    states = np.concatenate([sic.projectors, mubs.projectors.reshape(12, 3, 3)])
+    labels = [str(i) for i in range(9)] + ["".join(map(str, line)) for line in LINES.tolist()]
+    return build_orthogonality_graph(states, labels, tol=tol)
 
 
 def _greedy_clique(adjacency: np.ndarray) -> list[int]:

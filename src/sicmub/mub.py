@@ -35,6 +35,12 @@ _STRIATIONS: tuple[tuple[Triple, ...], ...] = (
     ((0, 5, 7), (1, 3, 8), (2, 4, 6)),
 )
 
+#: The 12 lines, striation-major: row ``3*s + k`` is line ``k`` of striation ``s+1``.
+LINES: np.ndarray = frozen_array(_STRIATIONS, dtype=int).reshape(12, 3)
+
+#: ``POINT_LINES[j]``: the four rows of :data:`LINES` through point ``j``, in striation order.
+POINT_LINES: np.ndarray = frozen_array(np.argsort(LINES, axis=None, kind="stable").reshape(9, 4) // 3, dtype=int)
+
 
 @dataclass(frozen=True)
 class SteinerSystem:
@@ -74,6 +80,22 @@ def steiner_s9() -> SteinerSystem:
     return SteinerSystem(striations=_STRIATIONS)
 
 
+def _line_states(lines: np.ndarray, s: SicSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Probability vectors and projectors of the MUB states of a stack of
+    lines ``(n, 3)``: each vector is zero on its line and 1/6 elsewhere,
+    and each reconstruction must be a rank-1 projector within ``tol``."""
+    if s.dim != 3:
+        raise ValueError("MUB construction is defined for the qutrit SIC")
+    p = np.full((len(lines), 9), 1.0 / 6.0)
+    np.put_along_axis(p, lines, 0.0, axis=1)
+    rho = reconstruct_from_probabilities(p, s)
+    residuals = np.max(np.abs(rho @ rho - rho), axis=(1, 2))
+    if residuals.max() > tol:
+        worst = residuals.argmax()
+        raise ValueError(f"reconstruction of {tuple(lines[worst].tolist())} is not a rank-1 projector: residual {residuals[worst]:.3e}")
+    return p, rho
+
+
 def mub_from_triple(triple, s: SicSet, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """MUB state for a Steiner line: probability vector and projector.
 
@@ -83,28 +105,20 @@ def mub_from_triple(triple, s: SicSet, tol: float = DEFAULT_TOL) -> tuple[np.nda
     which is why non-line triples are rejected up front).
     """
     key = tuple(sorted(int(i) for i in triple))
-    system = steiner_s9()
     if len(set(key)) != 3:
         raise ValueError(f"triple must consist of three distinct indices, got {triple}")
-    if not system.contains(key):
+    if not steiner_s9().contains(key):
         raise ValueError(f"{key} is not a line of S(9); the uniform-1/6 vector would not be a state")
-    if s.dim != 3:
-        raise ValueError("MUB construction is defined for the qutrit SIC")
-    p = np.full(9, 1.0 / 6.0)
-    p[list(key)] = 0.0
-    rho = reconstruct_from_probabilities(p, s)
-    projector_residual = float(np.max(np.abs(rho @ rho - rho)))
-    if projector_residual > tol:
-        raise ValueError(f"reconstruction of {key} is not a rank-1 projector: residual {projector_residual:.3e}")
-    return p, rho
+    p, rho = _line_states(np.array([key]), s, tol)
+    return p[0], rho[0]
 
 
 @dataclass(frozen=True, eq=False)
 class MubSet:
     """Four mutually unbiased qutrit bases keyed by striation.
 
-    ``projectors[s, k]`` and ``prob_vectors[s, k]`` describe the k-th
-    state of striation ``s+1``; ``striations[s][k]`` is its zero triple.
+    ``projectors[s, k]`` and ``prob_vectors[s, k]`` describe the state of
+    striation ``s+1`` whose zero triple is row ``3*s + k`` of :data:`LINES`.
     """
 
     striations: tuple[tuple[Triple, ...], ...]
@@ -112,6 +126,8 @@ class MubSet:
     prob_vectors: np.ndarray
 
     def __post_init__(self):
+        if not np.array_equal(np.reshape(self.striations, (-1, 3)), LINES):
+            raise ValueError("striations must list the lines of S(9) in the row order of LINES")
         object.__setattr__(self, "projectors", frozen_array(self.projectors))
         object.__setattr__(self, "prob_vectors", frozen_array(self.prob_vectors, dtype=float))
 
@@ -153,18 +169,12 @@ def verify_mub_set(m: MubSet, tol: float = DEFAULT_TOL) -> MubReport:
     """Check orthonormality within each basis, completeness of each
     basis, and cross-basis overlap 1/3 for all 54 cross pairs."""
     p = np.asarray(m.projectors)
-    n_striations, n_states = p.shape[0], p.shape[1]
-    gram = np.einsum("siab,tjba->sitj", p, p).real
-    within = 0.0
-    completeness = 0.0
-    cross = 0.0
-    eye = np.eye(p.shape[2])
-    for s in range(n_striations):
-        within = max(within, float(np.max(np.abs(gram[s, :, s, :] - np.eye(n_states)))))
-        completeness = max(completeness, float(np.max(np.abs(p[s].sum(axis=0) - eye))))
-        for t in range(n_striations):
-            if s != t:
-                cross = max(cross, float(np.max(np.abs(gram[s, :, t, :] - 1.0 / 3.0))))
+    n_striations, n_states = p.shape[:2]
+    gram = np.einsum("siab,tjba->sitj", p, p).real.reshape(n_striations * n_states, -1)
+    same_basis = np.kron(np.eye(n_striations, dtype=bool), np.ones((n_states, n_states), dtype=bool))
+    within = float(np.max(np.abs(gram - np.eye(len(gram)))[same_basis]))
+    cross = float(np.max(np.abs(gram - 1.0 / 3.0)[~same_basis], initial=0.0))
+    completeness = float(np.max(np.abs(p.sum(axis=1) - np.eye(p.shape[-1]))))
     passed = within <= tol and completeness <= tol and cross <= tol
     return MubReport(
         passed=passed,
@@ -182,13 +192,8 @@ def build_mub_set(s: SicSet, tol: float = DEFAULT_TOL) -> MubSet:
     including the identification of striation 2 (columns) with the
     computational basis.
     """
-    system = steiner_s9()
-    prob_vectors = np.empty((4, 3, 9))
-    projectors = np.empty((4, 3, 3, 3), dtype=complex)
-    for si, striation in enumerate(system.striations):
-        for ki, triple in enumerate(striation):
-            prob_vectors[si, ki], projectors[si, ki] = mub_from_triple(triple, s, tol=tol)
-    mubs = MubSet(striations=system.striations, projectors=projectors, prob_vectors=prob_vectors)
+    prob_vectors, projectors = _line_states(LINES, s, tol)
+    mubs = MubSet(striations=_STRIATIONS, projectors=projectors.reshape(4, 3, 3, 3), prob_vectors=prob_vectors.reshape(4, 3, 9))
     report = verify_mub_set(mubs, tol=tol)
     if not report.passed:
         raise ValueError(f"MUB validation failed: {report.residuals()}")

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .mub import steiner_s9
+from .mub import LINES, steiner_s9
 from .qmath import DEFAULT_TOL, frozen_array
 from .sicgen import SicSet
 
@@ -124,7 +124,8 @@ def qbic_check_hesse(p, tol: float = DEFAULT_TOL) -> PurityCheck:
     vec = _as_prob_vector(p)
     if vec.shape[0] != 9:
         raise ValueError(f"the grid form applies to qutrits (9 outcomes), got {vec.shape[0]}")
-    line_sum = sum(vec[i] * vec[j] * vec[k] for i, j, k in steiner_s9().triples)
+    # left-to-right, as the formula reads (numpy's pairwise sum would move the last bit)
+    line_sum = sum(vec[LINES].prod(axis=1).tolist())
     value = float(np.sum(vec**3) - 3.0 * line_sum)
     return PurityCheck(passed=abs(value) <= tol, value=value, target=0.0, tol=tol)
 

@@ -211,21 +211,24 @@ def sic_probabilities(rho, s: SicSet, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def reconstruct_from_probabilities(p, s: SicSet) -> np.ndarray:
-    """Invert the SIC representation: ``sum_i [(d+1) p(i) - 1/d] P_i``.
+    """Invert the SIC representation: ``sum_i [(d+1) p(i) - 1/d] P_i``,
+    for one vector or a stack ``(..., d**2)`` of them.
 
     The result is Hermitian with unit trace by construction.  Positivity
     is *not* guaranteed; probability vectors that do not describe a
     quantum state reconstruct to a non-positive operator, which callers
     detect with :func:`sicmub.qmath.validate_density_matrix`.
     """
-    vec = np.asarray(p, dtype=float).reshape(-1)
+    vec = np.asarray(p, dtype=float)
     d = s.dim
-    if vec.shape[0] != d * d:
-        raise ValueError(f"expected {d * d} probabilities, got {vec.shape[0]}")
-    if abs(vec.sum() - 1.0) > 1e-8:
-        raise ValueError(f"probabilities must sum to 1, got {vec.sum()!r}")
+    if vec.shape[-1:] != (d * d,):
+        raise ValueError(f"expected {d * d} probabilities on the last axis, got shape {vec.shape}")
+    sums = np.ravel(vec.sum(axis=-1))
+    worst = int(np.argmax(np.abs(sums - 1.0)))
+    if abs(sums[worst] - 1.0) > 1e-8:
+        raise ValueError(f"probabilities must sum to 1, got {float(sums[worst])!r}")
     coeffs = (d + 1.0) * vec - 1.0 / d
-    return np.einsum("i,iab->ab", coeffs, s.projectors)
+    return np.einsum("...i,iab->...ab", coeffs, s.projectors)
 
 
 def hs_inner_from_probabilities(p, q) -> float:

@@ -15,14 +15,19 @@ determine ``W`` right back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .mub import MubSet, Triple, steiner_s9
+from .mub import LINES, POINT_LINES, MubSet, Triple
 from .qmath import frozen_array
 
 #: Per-striation normalization tolerance for line-probability input.
 LINE_NORMALIZATION_TOL = 1e-9
+
+#: The rows of :data:`LINES` as the tuple keys of line-probability dicts.
+_LINE_KEYS: tuple[Triple, ...] = tuple(map(tuple, LINES.tolist()))
+_line_values = itemgetter(*_LINE_KEYS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,22 +50,13 @@ def phase_point_operators(m: MubSet, tol: float = 1e-10) -> PhasePointOperators:
     ``tr A_j A_k = 3 delta_jk``, line averages equal the MUB projectors)
     are checked within ``tol``; violations raise with the residuals.
     """
-    system = steiner_s9()
-    eye = np.eye(3, dtype=complex)
-    ops = np.empty((9, 3, 3), dtype=complex)
-    for j in range(9):
-        total = -eye.copy()
-        for line in system.lines_through(j):
-            total = total + m.state(line)[1]
-        ops[j] = total
+    line_projectors = np.asarray(m.projectors).reshape(12, 3, 3)
+    ops = line_projectors[POINT_LINES].sum(axis=1) - np.eye(3)
 
     trace_residual = float(np.max(np.abs(np.einsum("jaa->j", ops) - 1.0)))
     gram = np.einsum("jab,kba->jk", ops, ops).real
     gram_residual = float(np.max(np.abs(gram - 3.0 * np.eye(9))))
-    line_residual = 0.0
-    for line in system.triples:
-        average = ops[list(line)].sum(axis=0) / 3.0
-        line_residual = max(line_residual, float(np.max(np.abs(average - m.state(line)[1]))))
+    line_residual = float(np.max(np.abs(ops[LINES].sum(axis=1) / 3.0 - line_projectors)))
     if max(trace_residual, gram_residual, line_residual) > tol:
         raise ValueError(
             "phase-point operator properties violated: residuals "
@@ -95,7 +91,7 @@ def line_marginals(w) -> dict[Triple, float]:
     vec = np.asarray(w, dtype=float).reshape(-1)
     if vec.shape[0] != 9:
         raise ValueError(f"expected 9 Wigner values, got {vec.shape[0]}")
-    return {line: float(vec[list(line)].sum()) for line in steiner_s9().triples}
+    return dict(zip(_LINE_KEYS, vec[LINES].sum(axis=1).tolist()))
 
 
 def wigner_from_line_probs(q: dict[Triple, float], tol: float = LINE_NORMALIZATION_TOL) -> np.ndarray:
@@ -105,19 +101,16 @@ def wigner_from_line_probs(q: dict[Triple, float], tol: float = LINE_NORMALIZATI
     inverse of :func:`line_marginals` on consistent input.  Each
     striation's three probabilities must sum to 1 within ``tol``.
     """
-    system = steiner_s9()
     lookup = {tuple(sorted(line)): float(value) for line, value in q.items()}
-    missing = [line for line in system.triples if line not in lookup]
+    missing = sorted(set(_LINE_KEYS) - lookup.keys())
     if missing or len(lookup) != 12:
         raise ValueError(f"need exactly the 12 lines of S(9); missing {missing}, got {sorted(lookup)}")
-    for number, striation in enumerate(system.striations, start=1):
-        total = sum(lookup[line] for line in striation)
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"striation {number} probabilities sum to {total!r}, expected 1")
-    w = np.empty(9)
-    for i in range(9):
-        w[i] = (sum(lookup[line] for line in system.lines_through(i)) - 1.0) / 3.0
-    return w
+    vec = np.array(_line_values(lookup))
+    totals = vec.reshape(4, 3).sum(axis=1)
+    bad = np.flatnonzero(np.abs(totals - 1.0) > tol)
+    if bad.size:
+        raise ValueError(f"striation {bad[0] + 1} probabilities sum to {float(totals[bad[0]])!r}, expected 1")
+    return (vec[POINT_LINES].sum(axis=1) - 1.0) / 3.0
 
 
 def negativity(w) -> float:

@@ -329,6 +329,8 @@ ONE_KET_DOC = {"dim": 3, "kets": [encode_ket(cfs_example_kets()[0])]}
 #: One ket of norm 1 + 3e-9: off by more than the default tolerance 1e-10, within 1e-8.
 LONG_KET_DOC = {"dim": 3, "kets": [encode_ket(cfs_example_kets()[0] * (1.0 + 3e-9))]}
 PURE_PROBS_DOC = {"dim": 3, "probabilities": [0.0, 0.0, 0.0] + [1.0 / 6.0] * 6}
+#: A pure-state vector scaled to sum 1 + 5e-9: not a probability vector at the default tolerance.
+HEAVY_PROBS_DOC = {"dim": 3, "probabilities": [0.0, 0.0, 0.0] + [(1.0 + 5e-9) / 6.0] * 6}
 TRIPLE = ("compat", "triple", "--states", "{file}")
 PURITY = ("purity", "--probs", "{file}")
 HESSE = ("verify-sic", "--builtin", "hesse")
@@ -347,6 +349,7 @@ MALFORMED = [
     ("kets-not-an-array", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets",), 5)), {}),
     ("dim-not-an-integer", TRIPLE, json.dumps(replaced(CFS_DOC, ("dim",), "abc")), {}),
     ("purity-negative-dim", PURITY, json.dumps(replaced(PURE_PROBS_DOC, ("dim",), -3)), {}),
+    ("purity-sum-off-tol", PURITY + ("--tol", "1e-10"), json.dumps(HEAVY_PROBS_DOC), {}),
     ("missing-file", PURITY, None, {}),
     ("tol-nan", HESSE + ("--tol", "nan"), None, {}),
     ("tol-zero", HESSE + ("--tol", "0"), None, {}),
@@ -390,6 +393,15 @@ class TestToleranceHonesty:
             assert code == expected_code
             assert doc["results"]["verdict"] == verdict
             assert doc["tolerances"] == {"tol": float(tol), "saturation_tol": 1e-9}
+
+    def test_compat_triple_judges_purity_at_tol(self, capsys, tmp_path):
+        states = write_states(tmp_path / "long.json", 3, kets=cfs_example_kets() * (1.0 + 1e-7))
+        code, out, _ = run_cli(capsys, "compat", "triple", "--states", states, "--tol", "1e-6", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["verdict"] == "incompatible (saturated)"
+        code, _, err = run_cli(capsys, "compat", "triple", "--states", states, "--tol", "1e-8")
+        assert code == 2
+        assert "not normalized" in err
 
     def test_graph_honours_env_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("SICMUB_TOL", "0.3")

@@ -7,8 +7,10 @@ import pytest
 
 from sicmub import (
     MubSet,
+    SicSet,
     StateSet,
     basis_ket,
+    build_mub_set,
     covering_table,
     covering_witness,
     mub_from_triple,
@@ -20,6 +22,7 @@ from sicmub import (
     trace_product,
     verify_mub_set,
 )
+from sicmub.mub import LINES, POINT_LINES
 
 GOLDEN = Path(__file__).parent / "data" / "covering_table.json"
 
@@ -54,6 +57,25 @@ class TestSteinerSystem:
         assert system.striation_of((2, 5, 8)) == 2
         with pytest.raises(ValueError):
             system.striation_of((0, 1, 3))
+
+
+class TestLineTable:
+    def test_rows_are_the_triples_in_striation_order(self):
+        assert [tuple(row) for row in LINES.tolist()] == list(steiner_s9().triples)
+
+    def test_point_lines_index_the_lines_through_each_point(self):
+        system = steiner_s9()
+        for i in range(9):
+            assert [tuple(row) for row in LINES[POINT_LINES[i]].tolist()] == list(system.lines_through(i))
+
+    def test_one_line_per_striation_through_each_point(self):
+        np.testing.assert_array_equal(POINT_LINES // 3, np.tile(np.arange(4), (9, 1)))
+
+    def test_tables_are_read_only(self):
+        with pytest.raises(ValueError):
+            LINES[0, 0] = 5
+        with pytest.raises(ValueError):
+            POINT_LINES[0, 0] = 5
 
 
 class TestMubFromTriple:
@@ -125,6 +147,25 @@ class TestBuildAndVerify:
         proj[0, 0] = u @ proj[0, 0] @ u.conj().T
         broken = MubSet(striations=mubs.striations, projectors=proj, prob_vectors=np.array(mubs.prob_vectors))
         assert not verify_mub_set(broken, tol=1e-6).passed
+
+    def test_striations_out_of_table_order_rejected(self, mubs):
+        swapped = (mubs.striations[1], mubs.striations[0]) + tuple(mubs.striations[2:])
+        with pytest.raises(ValueError, match="LINES"):
+            MubSet(striations=swapped, projectors=mubs.projectors, prob_vectors=mubs.prob_vectors)
+
+    def test_non_qutrit_sic_rejected(self):
+        # the qubit SIC: four Bloch vectors on a regular tetrahedron
+        bloch = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0)
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        qubit = SicSet(dim=2, projectors=(np.eye(2) + np.einsum("nk,kab->nab", bloch, paulis)) / 2.0)
+        with pytest.raises(ValueError, match="qutrit"):
+            build_mub_set(qubit)
+
+    def test_matches_one_line_construction(self, sic, mubs):
+        for row, line in enumerate(LINES.tolist()):
+            p, rho = mub_from_triple(line, sic)
+            np.testing.assert_array_equal(np.asarray(mubs.prob_vectors).reshape(12, 9)[row], p)
+            np.testing.assert_allclose(np.asarray(mubs.projectors).reshape(12, 3, 3)[row], rho, rtol=0, atol=1e-15)
 
     def test_mub_vectors_pass_both_purity_checks(self, mubs):
         for block in np.asarray(mubs.prob_vectors):

@@ -137,6 +137,13 @@ class TestQbicChecks:
         line_sum = sum(p[i] * p[j] * p[k] for i, j, k in steiner_s9().triples)
         assert line_sum == pytest.approx(1.0 / 108.0, abs=1e-15)
 
+    def test_hesse_form_equals_the_line_loop(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            p = rng.dirichlet(np.ones(9))
+            line_sum = sum(p[i] * p[j] * p[k] for i, j, k in steiner_s9().triples)
+            assert qbic_check_hesse(p).value == float(np.sum(p**3) - 3.0 * line_sum)
+
     def test_sic_state_hesse_form(self):
         assert qbic_check_hesse(sic_state_distribution(0), tol=1e-10).passed
 

@@ -163,6 +163,22 @@ class TestRepresentationProperties:
             p = sic_probabilities(rho, sic)
             np.testing.assert_allclose(reconstruct_from_probabilities(p, sic), rho, atol=1e-10)
 
+    def test_stacked_reconstruction_matches_rows(self, sic):
+        rng = np.random.default_rng(77)
+        stack = np.array(
+            [[sic_probabilities(random_density_matrix(3, rng), sic) for _ in range(3)] for _ in range(4)]
+        )
+        rhos = reconstruct_from_probabilities(stack, sic)
+        assert rhos.shape == (4, 3, 3, 3)
+        for s, k in np.ndindex(4, 3):
+            np.testing.assert_allclose(rhos[s, k], reconstruct_from_probabilities(stack[s, k], sic), rtol=0, atol=1e-15)
+
+    def test_stack_with_one_unnormalized_row_rejected(self, sic):
+        stack = np.full((4, 3, 9), 1.0 / 9.0)
+        stack[2, 1, 5] += 1e-6
+        with pytest.raises(ValueError, match="sum to 1"):
+            reconstruct_from_probabilities(stack, sic)
+
     def test_affine_map_matches_trace_product(self, sic):
         rng = np.random.default_rng(321)
         for _ in range(100):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sicmub import (
     basis_ket,
@@ -22,6 +25,17 @@ def ops(mubs):
     return phase_point_operators(mubs)
 
 
+@st.composite
+def ginibre_states(draw):
+    """Mixed qutrit state ``G G† / tr(G G†)`` from a drawn complex ``G``."""
+    parts = draw(arrays(float, (2, 3, 3), elements=st.floats(-1.0, 1.0)))
+    g = parts[0] + 1j * parts[1]
+    m = g @ g.conj().T
+    trace = np.trace(m).real
+    assume(trace > 1e-6)
+    return m / trace
+
+
 class TestPhasePointOperators:
     def test_unit_traces(self, ops):
         for a in np.asarray(ops.ops):
@@ -36,6 +50,11 @@ class TestPhasePointOperators:
         arr = np.asarray(ops.ops)
         average = (arr[0] + arr[1] + arr[2]) / 3.0
         np.testing.assert_allclose(average, mubs.state((0, 1, 2))[1], atol=1e-12)
+
+    def test_equals_the_sum_over_lines_through_each_point(self, ops, mubs):
+        for j in range(9):
+            total = sum(mubs.state(line)[1] for line in steiner_s9().lines_through(j)) - np.eye(3)
+            np.testing.assert_allclose(np.asarray(ops.ops)[j], total, rtol=0, atol=1e-15)
 
     def test_all_line_averages(self, ops, mubs):
         arr = np.asarray(ops.ops)
@@ -81,13 +100,18 @@ class TestWignerMaps:
         expected[[0, 3, 6]] = 1.0 / 3.0
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
-    def test_commuting_triangle_on_random_states(self, sic, ops):
-        rng = np.random.default_rng(2718)
-        for _ in range(200):
-            rho = random_density_matrix(3, rng)
-            via_ops = wigner_of_density(rho, ops)
-            via_probs = wigner_from_sic_probabilities(sic_probabilities(rho, sic))
-            np.testing.assert_allclose(via_ops, via_probs, atol=1e-10)
+    @settings(deadline=None)
+    @given(rho=ginibre_states())
+    def test_commuting_triangle_on_random_states(self, sic, mubs, ops, rho):
+        # Wootters, Ann. Phys. 176, 1 (1987): phase-point operators, SIC
+        # probabilities and MUB line probabilities carry the same W
+        w = wigner_of_density(rho, ops)
+        np.testing.assert_allclose(w, wigner_from_sic_probabilities(sic_probabilities(rho, sic)), atol=1e-10)
+        q = line_marginals(w)
+        assert len(q) == 12
+        for line, value in q.items():
+            assert value == pytest.approx(trace_product(rho, mubs.state(line)[1]), abs=1e-10)
+        np.testing.assert_allclose(wigner_from_line_probs(q), w, atol=1e-10)
 
 
 class TestLineMarginals:
@@ -95,6 +119,10 @@ class TestLineMarginals:
         w = wigner_of_density(projector(basis_ket(3, 0)), ops)
         q = line_marginals(w)
         assert q[(0, 3, 6)] == pytest.approx(1.0, abs=1e-12)
+
+    def test_equals_the_sum_along_each_line(self):
+        w = np.random.default_rng(17).standard_normal(9)
+        assert line_marginals(w) == {line: float(w[list(line)].sum()) for line in steiner_s9().triples}
 
     def test_uniform_gives_third_everywhere(self):
         q = line_marginals(np.full(9, 1.0 / 9.0))
