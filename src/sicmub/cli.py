@@ -37,7 +37,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -61,7 +61,7 @@ from .purity import (
     quadratic_purity_check,
     triple_product_table,
 )
-from .qmath import DEFAULT_TOL, validate_density_matrix
+from .qmath import DEFAULT_TOL, SEARCH_TOL, validate_density_matrix
 from .sicgen import SicSet, builtin_sic, hesse_sic, is_sic, sic_probabilities
 from .wigner import (
     line_marginals,
@@ -420,9 +420,10 @@ def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport, None]:
         seed=args.seed,
         success_threshold=args.threshold,
     )
-    result = witness_search(StateSet(dim=dim, rhos=rhos), cfg)
+    from_file = args.states != "cfs-example"  # a state file's kets and states are judged at tol
+    result = witness_search(StateSet(dim=dim, rhos=rhos, tol=tol if from_file else SEARCH_TOL), cfg)
     tolerances = {"success_threshold": args.threshold}
-    if args.states != "cfs-example":  # a state file's ket norms were checked at tol
+    if from_file:
         tolerances["tol"] = tol
     report = RunReport(
         command="compat search",
@@ -435,10 +436,7 @@ def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport, None]:
             "best_restart": result.best_restart,
             "restarts_run": len(result.history),
             "basis_kets": [encode_ket(v) for v in np.asarray(result.basis)],
-            "history": [
-                {"restart": r.restart, "start_value": r.start_value, "final_value": r.final_value, "cycles": r.cycles}
-                for r in result.history
-            ],
+            "history": [asdict(r) for r in result.history],
         },
         residuals={"pp_functional": result.value},
     )
@@ -548,8 +546,8 @@ def _cmd_purity(args, tol: float) -> tuple[int, RunReport, None]:
         raise UsageError(f"{args.probs}: expected an object with a 'probabilities' field")
     dim = decode_dim(doc, args.probs, default=3)
     probs = decode_array(doc["probabilities"], (dim * dim,), f"{args.probs}: probabilities", pairs=False)
-    if abs(probs.sum() - 1.0) > tol or probs.min() < -tol:
-        raise UsageError(f"{args.probs}: not a probability vector (sum {float(probs.sum())!r}, min {float(probs.min())!r})")
+    if probs.min() < -tol:  # the library checks the sum, at the same tol
+        raise UsageError(f"{args.probs}: not a probability vector (min {float(probs.min())!r})")
     quadratic = quadratic_purity_check(probs, tol=tol)
     results: dict[str, Any] = {
         "quadratic": {"passed": quadratic.passed, "value": quadratic.value, "target": quadratic.target},

@@ -37,10 +37,11 @@ INCOMPATIBLE = "incompatible"
 
 @dataclass(frozen=True, eq=False)
 class StateSet:
-    """Two or more density matrices on a common space."""
+    """Two or more density matrices on a common space, each validated within ``tol``."""
 
     dim: int
     rhos: np.ndarray
+    tol: float = SEARCH_TOL
 
     def __post_init__(self):
         arr = np.asarray(self.rhos, dtype=complex)
@@ -49,7 +50,7 @@ class StateSet:
         if arr.shape[0] < 2:
             raise ValueError("a StateSet needs at least two states")
         for i, rho in enumerate(arr):
-            report = validate_density_matrix(rho, tol=SEARCH_TOL)
+            report = validate_density_matrix(rho, tol=self.tol)
             if not report.passed:
                 raise ValueError(f"state {i} is not a valid density matrix: {report.residuals()}")
         object.__setattr__(self, "rhos", frozen_array(arr))
@@ -300,15 +301,13 @@ _CYCLE_IMPROVEMENT_REL = 1e-3
 _POLISH_ITERS = 40
 _POLISH_MAX_STEP = 0.5
 
-_I2 = np.eye(2, dtype=complex)
-
-
 @dataclass(frozen=True)
 class RestartRecord:
     restart: int
     start_value: float
     final_value: float
     cycles: int
+    probes: int
 
 
 @dataclass(frozen=True)
@@ -328,7 +327,7 @@ def _pair_generators(d: int) -> list[tuple[int, int, np.ndarray]]:
 
     For each ``j < k``: the symmetric ``|j><k| + |k><j|``, then the
     antisymmetric ``i|k><j| - i|j><k|``.  ``G**2`` projects onto span{j, k},
-    so ``u @ exp(i t G)`` changes only columns j, k, by :func:`_pair_rotation`.
+    so ``u @ exp(i t G)`` changes only columns j, k, by :func:`_rotate_pair`.
     """
     table = []
     for j in range(d):
@@ -340,9 +339,38 @@ def _pair_generators(d: int) -> list[tuple[int, int, np.ndarray]]:
     return table
 
 
-def _pair_rotation(block: np.ndarray, angle: float) -> np.ndarray:
-    """``exp(i t B) = cos t I + i sin t B`` for a 2x2 block with ``B**2 = I``."""
-    return math.cos(angle) * _I2 + 1j * math.sin(angle) * block
+def _rotate_pair(x: list[complex], y: list[complex], c: complex, angle: float):
+    """Columns j, k of ``u @ exp(i t G)`` (or their amplitudes) from columns
+    ``x``, ``y`` of ``u``, where ``c = i G[k, j]``: ``G**2`` projects onto
+    span{j, k}, so ``exp(i t G)`` acts there as ``cos t + i sin t G``."""
+    cos_t, sin_t = math.cos(angle), math.sin(angle)
+    forward, back = sin_t * c, sin_t * c.conjugate()
+    return [cos_t * a + forward * b for a, b in zip(x, y)], [cos_t * b - back * a for a, b in zip(x, y)]
+
+
+def _pair_coefficients(x: list[complex], y: list[complex], c: complex, owners: list[int], n_states: int):
+    """Per state, ``(alpha, beta, gamma)`` with ``p_j(t) = alpha + h(t)``,
+    ``p_k(t) = alpha - h(t)`` and ``h(t) = beta cos 2t + gamma sin 2t`` along
+    :func:`_rotate_pair`, from the amplitudes ``x``, ``y`` of columns j, k
+    on the factor columns.  ``owners`` names the state of each factor column;
+    entries of ``x``, ``y`` past ``len(owners)`` are not read."""
+    s, q, g = [0.0] * n_states, [0.0] * n_states, [0.0] * n_states
+    for n, a, b in zip(owners, x, y):
+        s[n] += a.real * a.real + a.imag * a.imag
+        q[n] += b.real * b.real + b.imag * b.imag
+        g[n] += (c * a.conjugate() * b).real
+    return [(0.5 * (sn + qn), 0.5 * (sn - qn), gn) for sn, qn, gn in zip(s, q, g)]
+
+
+def _pair_products(coeffs: list[tuple[float, float, float]], angle: float) -> tuple[float, float]:
+    """The outcome products ``prod_n p_nj``, ``prod_n p_nk`` after rotating by ``angle``."""
+    cos_2t, sin_2t = math.cos(2.0 * angle), math.sin(2.0 * angle)
+    plus = minus = 1.0
+    for alpha, beta, gamma in coeffs:
+        h = beta * cos_2t + gamma * sin_2t
+        plus *= alpha + h
+        minus *= alpha - h
+    return plus, minus
 
 
 def _generator_exp(gens: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -364,50 +392,60 @@ def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def _descend(rhos: np.ndarray, u: np.ndarray, cfg: WitnessSearchConfig, stop_value: float):
-    """Refine a basis in place; returns (value, basis, start_value, cycles)."""
-    moves = [(j, k, g[np.ix_((j, k), (j, k))]) for j, k, g in _pair_generators(u.shape[0])]
-    probs = _column_probs(rhos, u)
-    outcome_products = probs.prod(axis=0)
-    value = float(outcome_products.sum())
-    start_value = value
+    """Refine a basis; returns (value, basis, start_value, cycles, probes).
+
+    A probe is scalar arithmetic: :func:`_pair_coefficients` reads each
+    state's ``(alpha, beta, gamma)`` off the amplitudes ``<w|u_j>``,
+    ``<w|u_k>`` of its factor columns once per move, and
+    :func:`_pair_products` evaluates the rotation at any angle from them.
+    Only an accepted move rotates columns j, k of the basis and their
+    amplitudes.  ``start_value`` and ``value`` are the functional of the
+    start and the returned basis, computed from ``rhos``.
+    """
+    d = u.shape[0]
+    factors = _state_factors(rhos)
+    owners = [n for n, w in enumerate(factors) for _ in range(w.shape[1])]
+    # column m holds the amplitudes <w|u_m>, then the entries of u_m: one rotation moves both
+    amps = (np.concatenate(factors + [np.eye(d)], axis=1).conj().T @ u).T.tolist()
+    moves = [(j, k, 1j * complex(g[k, j])) for j, k, g in _pair_generators(d)]
+    col_products = _column_probs(rhos, u).prod(axis=0).tolist()
+    value = start_value = float(sum(col_products))
     step = cfg.initial_step
-    cycles = 0
+    cycles = probes = 0
     while cycles < cfg.max_iters and step >= cfg.min_step and value > stop_value:
         cycle_start = value
-        for j, k, block in moves:
-            pair = u[:, [j, k]]
+        for j, k, c in moves:
+            coeffs = _pair_coefficients(amps[j], amps[k], c, owners, len(factors))
+            rest = value - col_products[j] - col_products[k]
 
             def probe(angle: float):
-                cols = pair @ _pair_rotation(block, angle)
-                new_probs = _column_probs(rhos, cols)
-                new_value = value - outcome_products[j] - outcome_products[k] + new_probs.prod(axis=0).sum()
-                return float(new_value), cols, new_probs
+                pair = _pair_products(coeffs, angle)
+                return rest + pair[0] + pair[1], angle, pair
 
-            f_minus, cols_minus, probs_minus = probe(-step)
-            f_plus, cols_plus, probs_plus = probe(step)
-            best = (value, 0.0, None, None)
-            if f_minus < best[0]:
-                best = (f_minus, -step, cols_minus, probs_minus)
-            if f_plus < best[0]:
-                best = (f_plus, step, cols_plus, probs_plus)
-            curvature = f_minus - 2.0 * value + f_plus
+            best = (value, 0.0, None)
+            minus, plus = probe(-step), probe(step)
+            probes += 2
+            if minus[0] < best[0]:
+                best = minus
+            if plus[0] < best[0]:
+                best = plus
+            curvature = minus[0] - 2.0 * value + plus[0]
             if curvature > 0.0:
-                vertex = 0.5 * step * (f_minus - f_plus) / curvature
-                vertex = min(max(vertex, -2.0 * step), 2.0 * step)
-                f_vertex, cols_vertex, probs_vertex = probe(vertex)
-                if f_vertex < best[0]:
-                    best = (f_vertex, vertex, cols_vertex, probs_vertex)
+                angle = 0.5 * step * (minus[0] - plus[0]) / curvature
+                vertex = probe(min(max(angle, -2.0 * step), 2.0 * step))
+                probes += 1
+                if vertex[0] < best[0]:
+                    best = vertex
             if best[1] != 0.0:
-                value, _, cols, new_probs = best
-                u[:, [j, k]] = cols
-                probs[:, [j, k]] = new_probs
-                outcome_products[[j, k]] = new_probs.prod(axis=0)
+                value, angle, (col_products[j], col_products[k]) = best
+                amps[j], amps[k] = _rotate_pair(amps[j], amps[k], c, angle)
             if value <= stop_value:
                 break
         cycles += 1
         if cycle_start - value <= _CYCLE_IMPROVEMENT_REL * cycle_start:
             step *= cfg.step_shrink
-    return value, u, start_value, cycles
+    u = np.array(amps)[:, len(owners) :].T
+    return float(_column_probs(rhos, u).prod(axis=0).sum()), u, start_value, cycles, probes
 
 
 def _state_factors(rhos: np.ndarray, tol: float = 1e-12) -> list[np.ndarray]:
@@ -493,10 +531,12 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
         u = _haar_unitary(rng, d)
-        value, u, start_value, cycles = _descend(rhos, u, cfg, stop_value)
+        value, u, start_value, cycles, probes = _descend(rhos, u, cfg, stop_value)
         if value > stop_value:
             value, u = _gauss_newton_polish(rhos, u, value)
-        history.append(RestartRecord(restart=restart, start_value=start_value, final_value=value, cycles=cycles))
+        history.append(
+            RestartRecord(restart=restart, start_value=start_value, final_value=value, cycles=cycles, probes=probes)
+        )
         if value < best_value:
             best_value = value
             best_u = u.copy()

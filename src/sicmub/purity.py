@@ -93,7 +93,7 @@ def collinear_in_grid(j: int, k: int, l: int) -> bool:
 
 def quadratic_purity_check(p, tol: float = DEFAULT_TOL) -> PurityCheck:
     """Quadratic purity condition ``sum p**2 = 2/(d(d+1))``."""
-    vec = _as_prob_vector(p)
+    vec = _as_prob_vector(p, tol)
     d = math.isqrt(vec.shape[0])
     value = float(np.dot(vec, vec))
     target = 2.0 / (d * (d + 1.0))
@@ -106,7 +106,7 @@ def qbic_check_general(p, table: TripleProductTable, tol: float = DEFAULT_TOL) -
     Contracts all ``d**6`` index combinations (729 terms for qutrits;
     clarity over cleverness) against the target ``(d+7)/(d+1)**3``.
     """
-    vec = _as_prob_vector(p)
+    vec = _as_prob_vector(p, tol)
     n = table.dim * table.dim
     if vec.shape[0] != n:
         raise ValueError(f"probability vector has length {vec.shape[0]}, table expects {n}")
@@ -121,7 +121,7 @@ def qbic_check_hesse(p, tol: float = DEFAULT_TOL) -> PurityCheck:
     ``sum_i p(i)**3 - 3 * sum_{lines} p(i) p(j) p(k)`` must vanish for
     pure states (qutrit only).
     """
-    vec = _as_prob_vector(p)
+    vec = _as_prob_vector(p, tol)
     if vec.shape[0] != 9:
         raise ValueError(f"the grid form applies to qutrits (9 outcomes), got {vec.shape[0]}")
     # left-to-right, as the formula reads (numpy's pairwise sum would move the last bit)
@@ -149,8 +149,9 @@ class DistributionIndices:
 
 
 def distribution_indices(p, zero_tol: float = 1e-9) -> DistributionIndices:
-    """Effective number, Shannon entropy (nats), and zero count of ``p``."""
-    vec = _as_prob_vector(p)
+    """Effective number, Shannon entropy (nats), and zero count of ``p``
+    (which must sum to 1 within ``zero_tol``)."""
+    vec = _as_prob_vector(p, zero_tol)
     d_sq = vec.shape[0]
     effective = 1.0 / float(np.dot(vec, vec))
     positive = vec[vec > 0]
@@ -216,8 +217,10 @@ def random_fixed_purity_vector(
     raise RuntimeError(f"no nonnegative sample after {max_tries} tries (target {target})")
 
 
-def _as_prob_vector(p) -> np.ndarray:
+def _as_prob_vector(p, tol: float) -> np.ndarray:
+    """``p`` as a flat float array; raises unless it sums to 1 within ``tol``."""
     vec = np.asarray(p, dtype=float).reshape(-1)
-    if abs(vec.sum() - 1.0) > 1e-8:
-        raise ValueError(f"probability vector must sum to 1, got {vec.sum()!r}")
+    total = float(vec.sum())
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"probability vector must sum to 1 within {tol!r}, got {total!r}")
     return vec

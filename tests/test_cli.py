@@ -428,6 +428,26 @@ class TestToleranceHonesty:
         assert code == 0
         assert json.loads(out)["tolerances"] == {"success_threshold": 1e-9, "tol": 1e-8}
 
+    def test_compat_search_judges_states_at_tol(self, capsys, tmp_path):
+        states = write_states(tmp_path / "long.json", 3, kets=cfs_example_kets() * math.sqrt(1.0 + 1e-7))
+        argv = ("compat", "search", "--states", states, "--restarts", "2", "--threshold", "1e-9")
+        code, out, _ = run_cli(capsys, *argv, "--tol", "1e-6", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["tolerances"] == {"success_threshold": 1e-9, "tol": 1e-6}
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "error:" in err
+
+    def test_purity_judges_the_sum_at_tol(self, capsys, tmp_path):
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps({"dim": 3, "probabilities": [0.0, 0.0, 0.0] + [(1.0 + 1e-7) / 6.0] * 6}))
+        code, out, _ = run_cli(capsys, "purity", "--probs", str(path), "--tol", "1e-6", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["pure"] is True
+        code, _, err = run_cli(capsys, "purity", "--probs", str(path))
+        assert code == 2
+        assert "got 1.0000001" in err and "np.float64" not in err
+
     def test_mubs_cover_reports_and_applies_tol(self, capsys):
         code, out, _ = run_cli(capsys, "mubs", "cover", "--triple", "0,1,4", "--tol", "1", "--format", "json")
         doc = json.loads(out)

@@ -26,8 +26,10 @@ from sicmub.compat import (
     _generator_exp,
     _haar_unitary,
     _matched_residual,
+    _pair_coefficients,
     _pair_generators,
-    _pair_rotation,
+    _pair_products,
+    _rotate_pair,
     _state_factors,
 )
 
@@ -242,6 +244,36 @@ class TestWitnessSearch:
         result = witness_search(states, WitnessSearchConfig(restarts=4, seed=12))
         assert validate_orthonormal_basis(result.basis, tol=1e-10).passed
 
+    def test_maximally_mixed_states_sit_at_one_ninth(self):
+        states = StateSet(dim=3, rhos=np.array([np.eye(3) / 3.0] * 3))
+        result = witness_search(states, WitnessSearchConfig(restarts=4, seed=1, stop_at_success=False))
+        # every outcome has probability 1/3 for every state, whatever the basis
+        assert result.value == pytest.approx(1.0 / 9.0, abs=1e-15)
+        assert len(result.history) == 4
+        for record in result.history:
+            assert record.start_value == pytest.approx(1.0 / 9.0, abs=1e-15)
+            assert record.final_value == pytest.approx(1.0 / 9.0, abs=1e-15)
+        assert not result.success
+
+    def test_value_on_rank_two_states_is_the_functional_of_the_basis(self):
+        rng = np.random.default_rng(41)
+        kets = np.array([random_ket(3, rng) for _ in range(6)])
+        rhos = np.einsum("na,nb->nab", kets, kets.conj())
+        states = StateSet(dim=3, rhos=(rhos[0::2] + rhos[1::2]) / 2.0)
+        result = witness_search(states, WitnessSearchConfig(restarts=3, seed=4, stop_at_success=False))
+        effects = np.array([np.outer(b, b.conj()) for b in np.asarray(result.basis)])
+        assert result.value == pytest.approx(pp_functional(states, effects), abs=1e-15)
+        assert result.value == result.history[result.best_restart].final_value
+
+    def test_probe_counts_are_deterministic_and_bounded(self, kets):
+        states = StateSet.from_kets(kets[[0, 2, 7]])
+        cfg = WitnessSearchConfig(restarts=3, seed=9, stop_at_success=False)
+        first, second = witness_search(states, cfg), witness_search(states, cfg)
+        assert [r.probes for r in first.history] == [r.probes for r in second.history]
+        for record in first.history:
+            # two probes per move plus at most one vertex probe, six moves per cycle
+            assert 12 * (record.cycles - 1) < record.probes <= 18 * record.cycles
+
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1e-10])
     def test_config_rejects_non_positive_or_non_finite_threshold(self, threshold):
         with pytest.raises(ValueError, match="success_threshold"):
@@ -266,9 +298,36 @@ class TestPairGenerators:
             w, v = np.linalg.eigh(angle * g)
             expected = u @ (v * np.exp(1j * w)) @ v.conj().T
             moved = u.copy()
-            moved[:, [j, k]] = u[:, [j, k]] @ _pair_rotation(g[np.ix_((j, k), (j, k))], angle)
+            moved[:, j], moved[:, k] = _rotate_pair(u[:, j].tolist(), u[:, k].tolist(), 1j * g[k, j], angle)
             np.testing.assert_allclose(moved, expected, atol=1e-12)
             np.testing.assert_allclose(u @ _generator_exp(g[None], np.array([angle])), expected, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(
+        ranks=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        angles=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=3),
+    )
+    def test_closed_form_probe_is_the_functional_of_the_rotated_basis(self, ranks, seed, angles):
+        rng = np.random.default_rng(seed)
+        rhos = []
+        for rank in ranks:
+            kets = np.array([random_ket(3, rng) for _ in range(rank)])
+            weights = rng.dirichlet(np.ones(rank))
+            rhos.append(np.einsum("r,ra,rb->ab", weights, kets, kets.conj()))
+        rhos = np.array(rhos)
+        u = _haar_unitary(rng, 3)
+        factors = _state_factors(rhos)
+        assert [w.shape[1] for w in factors] == ranks
+        owners = [n for n, w in enumerate(factors) for _ in range(w.shape[1])]
+        amps = (np.concatenate(factors, axis=1).conj().T @ u).T
+        products = _column_probs(rhos, u).prod(axis=0)
+        for j, k, g in _pair_generators(3):
+            coeffs = _pair_coefficients(amps[j].tolist(), amps[k].tolist(), 1j * g[k, j], owners, len(ranks))
+            rest = products.sum() - products[j] - products[k]
+            for angle in angles:
+                expected = _column_probs(rhos, u @ _generator_exp(g[None], np.array([angle]))).prod(axis=0).sum()
+                assert rest + sum(_pair_products(coeffs, angle)) == pytest.approx(expected, abs=1e-12)
 
     def test_polish_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(31)
