@@ -7,8 +7,6 @@ from .qmath import (
     SEARCH_TOL,
     ValidationReport,
     basis_ket,
-    born_probabilities,
-    normalize_ket,
     overlap_squared,
     projector,
     random_density_matrix,
@@ -16,7 +14,6 @@ from .qmath import (
     trace_product,
     validate_density_matrix,
     validate_orthonormal_basis,
-    validate_povm,
 )
 from .sicgen import (
     GramCheck,
@@ -26,7 +23,6 @@ from .sicgen import (
     generate_sic_orbit,
     hesse_kets,
     hesse_sic,
-    hs_inner_from_probabilities,
     is_sic,
     reconstruct_from_probabilities,
     sic_probabilities,
@@ -34,13 +30,11 @@ from .sicgen import (
 )
 from .compat import (
     CompatVerdict,
-    PairVerdict,
     StateSet,
     WitnessSearchConfig,
     WitnessSearchResult,
     cfs_example_kets,
     cfs_example_states,
-    pairwise_pp_check,
     pp_functional,
     qutrit_triple_criterion,
     saturation_cubic_roots,
@@ -50,25 +44,21 @@ from .compat import (
 from .mub import (
     MubReport,
     MubSet,
-    SteinerSystem,
     build_mub_set,
     covering_table,
     covering_witness,
     mub_from_triple,
-    steiner_s9,
     verify_mub_set,
 )
 from .purity import (
     DistributionIndices,
     PurityCheck,
     TripleProductTable,
-    collinear_in_grid,
     distribution_indices,
     enumerate_min_entropy_pure_states,
     qbic_check_general,
     qbic_check_hesse,
     quadratic_purity_check,
-    random_fixed_purity_vector,
     triple_product,
     triple_product_table,
 )

@@ -52,7 +52,7 @@ from .compat import (
     witness_search,
 )
 from .contextuality import cabello_criterion, hesse_mub_graph
-from .mub import build_mub_set, covering_table, covering_witness, verify_mub_set
+from .mub import LINES, build_mub_set, covering_table, covering_witness, verify_mub_set
 from .purity import (
     distribution_indices,
     enumerate_min_entropy_pure_states,
@@ -451,7 +451,7 @@ def _cmd_mubs_build(args, tol: float) -> tuple[int, RunReport, None]:
         inputs_digest=_digest(b"builtin:hesse"),
         tolerances={"tol": tol},
         results={
-            "striations": [["".join(map(str, t)) for t in striation] for striation in mubs.striations],
+            "striations": [["".join(map(str, t)) for t in striation] for striation in LINES.reshape(4, 3, 3).tolist()],
             "prob_vectors": [[list(map(float, v)) for v in block] for block in np.asarray(mubs.prob_vectors)],
             "projectors": [[encode_matrix(p) for p in block] for block in np.asarray(mubs.projectors)],
         },

@@ -90,19 +90,6 @@ class CompatVerdict:
         return self.verdict == INCOMPATIBLE
 
 
-@dataclass(frozen=True)
-class PairVerdict:
-    """Verdict of the pairwise PP check (orthogonality test)."""
-
-    verdict: str
-    overlap_sq: float
-    witness: np.ndarray | None = None
-
-    @property
-    def incompatible(self) -> bool:
-        return self.verdict == INCOMPATIBLE
-
-
 def pp_functional(states: StateSet, effects) -> float:
     """The PP product-sum ``sum_i prod_a tr(rho_a E_i)``.
 
@@ -116,23 +103,6 @@ def pp_functional(states: StateSet, effects) -> float:
         raise ValueError(f"dimension mismatch: states {states.dim} vs measurement {eff.shape[1]}")
     probs = np.einsum("nab,kba->nk", states.rhos, eff).real
     return float(probs.prod(axis=0).sum())
-
-
-def _complete_to_basis(kets: list[np.ndarray], dim: int) -> np.ndarray:
-    """Extend orthonormal kets to a full basis (rows) via QR."""
-    given = np.array(kets, dtype=complex)
-    q, _ = np.linalg.qr(np.concatenate([given.T, np.eye(dim, dtype=complex)], axis=1))
-    basis = [v for v in given]
-    for col in q.T:
-        if len(basis) == dim:
-            break
-        comp = col.copy()
-        for v in basis:
-            comp -= np.vdot(v, comp) * v
-        norm = np.linalg.norm(comp)
-        if norm > 1e-7:
-            basis.append(comp / norm)
-    return np.array(basis)
 
 
 def qutrit_triple_criterion(
@@ -151,18 +121,18 @@ def qutrit_triple_criterion(
 
     the comparison applied within ``tol``.  An orthogonal pair (any
     ``x_i <= tol``) short-circuits to incompatible: the inequalities are
-    derived for strictly nonzero overlaps, and a basis containing the
-    orthogonal pair witnesses the incompatibility directly (it is
-    attached as ``witness``).
+    derived for strictly nonzero overlaps, and an orthonormal basis whose
+    first two kets span the pair witnesses the incompatibility directly
+    (it is attached as ``witness``).
 
-    Raises ``ValueError`` for non-qutrit input or states identical as
-    projectors.
+    Raises ``ValueError`` for non-qutrit input, kets whose norm is off 1
+    by more than ``tol``, or states identical as projectors.
     """
     kets = [np.asarray(v, dtype=complex).reshape(-1) for v in (a, b, c)]
     for v in kets:
         if v.shape[0] != 3:
             raise ValueError(f"criterion applies to qutrits only, got dimension {v.shape[0]}")
-        if abs(np.linalg.norm(v) - 1.0) > SEARCH_TOL:
+        if abs(np.linalg.norm(v) - 1.0) > tol:
             raise ValueError("states must be unit kets")
     x1 = overlap_squared(kets[0], kets[1])
     x2 = overlap_squared(kets[1], kets[2])
@@ -180,7 +150,7 @@ def qutrit_triple_criterion(
     ortho_pairs = [(i, j) for (i, j, x) in ((0, 1, x1), (1, 2, x2), (2, 0, x3)) if x <= tol]
     if ortho_pairs:
         i, j = ortho_pairs[0]
-        witness = _complete_to_basis([kets[i], kets[j]], 3)
+        witness = np.linalg.qr(np.column_stack([kets[i], kets[j], np.eye(3)]))[0].T
         incompatible = True
     else:
         incompatible = overlap_sum < 1.0 and boundary_lhs >= boundary_rhs - tol
@@ -194,28 +164,6 @@ def qutrit_triple_criterion(
         boundary_rhs=boundary_rhs,
         witness=None if witness is None else frozen_array(witness),
     )
-
-
-def pairwise_pp_check(a, b, tol: float = SEARCH_TOL) -> PairVerdict:
-    """Two pure states are PP incompatible iff they are orthogonal.
-
-    Any basis containing both states witnesses the incompatible case;
-    one is attached to the verdict.
-    """
-    u = np.asarray(a, dtype=complex).reshape(-1)
-    v = np.asarray(b, dtype=complex).reshape(-1)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    x = overlap_squared(u, v)
-    if 1.0 - x <= tol:
-        raise ValueError(f"states are identical as projectors (|overlap|^2 = {x!r})")
-    if x <= tol:
-        return PairVerdict(
-            verdict=INCOMPATIBLE,
-            overlap_sq=x,
-            witness=frozen_array(_complete_to_basis([u, v], u.shape[0])),
-        )
-    return PairVerdict(verdict=COMPATIBLE, overlap_sq=x)
 
 
 #: Coefficients, highest degree first, of ``4x**3 - 9x**2 + 6x - 1 = (4x - 1)(x - 1)**2``.

@@ -1,5 +1,5 @@
-"""The order-9 Steiner triple system and the mutually unbiased bases it
-generates from the Hesse SIC.
+"""The line table of the 3x3 grid (the Steiner triple system S(9)) and
+the mutually unbiased bases it generates from the Hesse SIC.
 
 Writing the nine SIC indices row by row on a 3x3 grid, the horizontal,
 vertical, and (cyclic) diagonal lines form the 12 triples of S(9),
@@ -28,56 +28,22 @@ from .sicgen import SicSet, reconstruct_from_probabilities
 
 Triple = tuple[int, int, int]
 
-_STRIATIONS: tuple[tuple[Triple, ...], ...] = (
-    ((0, 1, 2), (3, 4, 5), (6, 7, 8)),
-    ((0, 3, 6), (1, 4, 7), (2, 5, 8)),
-    ((0, 4, 8), (1, 5, 6), (2, 3, 7)),
-    ((0, 5, 7), (1, 3, 8), (2, 4, 6)),
+#: The 12 lines, striation-major: row ``3*s + k`` is line ``k`` of striation ``s+1``.
+LINES: np.ndarray = frozen_array(
+    [
+        [0, 1, 2], [3, 4, 5], [6, 7, 8],  # rows
+        [0, 3, 6], [1, 4, 7], [2, 5, 8],  # columns
+        [0, 4, 8], [1, 5, 6], [2, 3, 7],  # diagonals
+        [0, 5, 7], [1, 3, 8], [2, 4, 6],  # anti-diagonals
+    ],
+    dtype=int,
 )
 
-#: The 12 lines, striation-major: row ``3*s + k`` is line ``k`` of striation ``s+1``.
-LINES: np.ndarray = frozen_array(_STRIATIONS, dtype=int).reshape(12, 3)
+#: The rows of :data:`LINES` as sorted tuples, for membership tests.
+_LINE_SET = frozenset(map(tuple, LINES.tolist()))
 
 #: ``POINT_LINES[j]``: the four rows of :data:`LINES` through point ``j``, in striation order.
 POINT_LINES: np.ndarray = frozen_array(np.argsort(LINES, axis=None, kind="stable").reshape(9, 4) // 3, dtype=int)
-
-
-@dataclass(frozen=True)
-class SteinerSystem:
-    """The 12 triples of S(9), grouped into 4 striations of 3 lines.
-
-    Each index 0-8 lies on exactly four lines (one per striation) and
-    each unordered pair of indices lies on exactly one line.
-    """
-
-    striations: tuple[tuple[Triple, ...], ...]
-
-    @property
-    def triples(self) -> tuple[Triple, ...]:
-        return tuple(t for striation in self.striations for t in striation)
-
-    def contains(self, triple) -> bool:
-        return tuple(sorted(triple)) in set(self.triples)
-
-    def lines_through(self, index: int) -> tuple[Triple, ...]:
-        """The four lines containing a grid point, in striation order."""
-        if not 0 <= index <= 8:
-            raise ValueError(f"grid index {index} out of range 0-8")
-        return tuple(t for striation in self.striations for t in striation if index in t)
-
-    def striation_of(self, triple) -> int:
-        """1-based striation number of a line."""
-        key = tuple(sorted(triple))
-        for number, striation in enumerate(self.striations, start=1):
-            if key in striation:
-                return number
-        raise ValueError(f"{triple} is not a line of S(9)")
-
-
-def steiner_s9() -> SteinerSystem:
-    """The Steiner triple system on the 3x3 grid, striations ordered
-    rows, columns, diagonals, anti-diagonals."""
-    return SteinerSystem(striations=_STRIATIONS)
 
 
 def _line_states(lines: np.ndarray, s: SicSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +73,7 @@ def mub_from_triple(triple, s: SicSet, tol: float = DEFAULT_TOL) -> tuple[np.nda
     key = tuple(sorted(int(i) for i in triple))
     if len(set(key)) != 3:
         raise ValueError(f"triple must consist of three distinct indices, got {triple}")
-    if not steiner_s9().contains(key):
+    if key not in _LINE_SET:
         raise ValueError(f"{key} is not a line of S(9); the uniform-1/6 vector would not be a state")
     p, rho = _line_states(np.array([key]), s, tol)
     return p[0], rho[0]
@@ -115,36 +81,18 @@ def mub_from_triple(triple, s: SicSet, tol: float = DEFAULT_TOL) -> tuple[np.nda
 
 @dataclass(frozen=True, eq=False)
 class MubSet:
-    """Four mutually unbiased qutrit bases keyed by striation.
+    """Four mutually unbiased qutrit bases indexed by striation.
 
     ``projectors[s, k]`` and ``prob_vectors[s, k]`` describe the state of
     striation ``s+1`` whose zero triple is row ``3*s + k`` of :data:`LINES`.
     """
 
-    striations: tuple[tuple[Triple, ...], ...]
     projectors: np.ndarray
     prob_vectors: np.ndarray
 
     def __post_init__(self):
-        if not np.array_equal(np.reshape(self.striations, (-1, 3)), LINES):
-            raise ValueError("striations must list the lines of S(9) in the row order of LINES")
         object.__setattr__(self, "projectors", frozen_array(self.projectors))
         object.__setattr__(self, "prob_vectors", frozen_array(self.prob_vectors, dtype=float))
-
-    def basis(self, striation: int) -> np.ndarray:
-        """Projectors of one basis, by 1-based striation number."""
-        if not 1 <= striation <= len(self.striations):
-            raise ValueError(f"striation {striation} out of range 1-{len(self.striations)}")
-        return self.projectors[striation - 1]
-
-    def state(self, triple) -> tuple[np.ndarray, np.ndarray]:
-        """(probability vector, projector) of the state with this zero triple."""
-        key = tuple(sorted(int(i) for i in triple))
-        for si, striation in enumerate(self.striations):
-            for ki, t in enumerate(striation):
-                if t == key:
-                    return self.prob_vectors[si, ki], self.projectors[si, ki]
-        raise KeyError(f"{triple} is not a line of S(9)")
 
 
 @dataclass(frozen=True)
@@ -193,7 +141,7 @@ def build_mub_set(s: SicSet, tol: float = DEFAULT_TOL) -> MubSet:
     computational basis.
     """
     prob_vectors, projectors = _line_states(LINES, s, tol)
-    mubs = MubSet(striations=_STRIATIONS, projectors=projectors.reshape(4, 3, 3, 3), prob_vectors=prob_vectors.reshape(4, 3, 9))
+    mubs = MubSet(projectors=projectors.reshape(4, 3, 3, 3), prob_vectors=prob_vectors.reshape(4, 3, 9))
     report = verify_mub_set(mubs, tol=tol)
     if not report.passed:
         raise ValueError(f"MUB validation failed: {report.residuals()}")

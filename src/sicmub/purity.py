@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .mub import LINES, steiner_s9
+from .mub import LINES
 from .qmath import DEFAULT_TOL, frozen_array
 from .sicgen import SicSet
 
@@ -78,17 +78,6 @@ def triple_product_table(s: SicSet) -> TripleProductTable:
     p = np.asarray(s.projectors)
     values = np.einsum("iab,jbc,kca->ijk", p, p, p).real
     return TripleProductTable(dim=s.dim, values=values)
-
-
-def collinear_in_grid(j: int, k: int, l: int) -> bool:
-    """Whether three distinct grid indices 0-8 lie on a line of S(9)."""
-    triple = (j, k, l)
-    if len(set(triple)) != 3:
-        raise ValueError(f"indices must be distinct, got {triple}")
-    for idx in triple:
-        if not 0 <= idx <= 8:
-            raise ValueError(f"grid index {idx} out of range 0-8")
-    return steiner_s9().contains(triple)
 
 
 def quadratic_purity_check(p, tol: float = DEFAULT_TOL) -> PurityCheck:
@@ -182,39 +171,6 @@ def enumerate_min_entropy_pure_states(tol: float = DEFAULT_TOL) -> list[tuple[tu
         if quadratic_purity_check(p, tol=tol).passed and qbic_check_hesse(p, tol=tol).passed:
             survivors.append((triple, p))
     return survivors
-
-
-def random_fixed_purity_vector(
-    rng: np.random.Generator,
-    d: int = 3,
-    sum_sq: float | None = None,
-    max_tries: int = 1000,
-) -> np.ndarray:
-    """Sample a probability vector with a prescribed ``sum(p**2)``.
-
-    Draws a uniform simplex point and rescales it radially about the
-    uniform distribution; the scale factor solving
-    ``sum p**2 = sum_sq`` exists in closed form because the cross term
-    vanishes.  Draws pushed outside the nonnegative orthant are
-    rejected and retried.  Default target is the purity shell
-    ``2/(d(d+1))``.
-    """
-    n = d * d
-    target = 2.0 / (d * (d + 1.0)) if sum_sq is None else float(sum_sq)
-    if target < 1.0 / n:
-        raise ValueError(f"sum of squares below the simplex minimum 1/{n}")
-    centroid = 1.0 / n
-    for _ in range(max_tries):
-        p = rng.dirichlet(np.ones(n))
-        deviation = p - centroid
-        spread = float(np.dot(deviation, deviation))
-        if spread == 0.0:
-            continue
-        scale = math.sqrt((target - centroid) / spread)
-        q = centroid + scale * deviation
-        if q.min() >= 0.0:
-            return q
-    raise RuntimeError(f"no nonnegative sample after {max_tries} tries (target {target})")
 
 
 def _as_prob_vector(p, tol: float) -> np.ndarray:

@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 * kets are 1-D complex ``numpy`` arrays,
 * operators are square complex arrays acting on the same space,
-* a POVM is an array of effect matrices with shape ``(k, d, d)``,
+* a measurement is an array of effect matrices with shape ``(k, d, d)``,
 * an orthonormal basis is an array of kets with shape ``(d, d)``,
   axis 0 indexing the basis vectors.
 
@@ -39,15 +39,6 @@ def basis_ket(dim: int, j: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[j] = 1.0
     return v
-
-
-def normalize_ket(v) -> np.ndarray:
-    """Return ``v`` scaled to unit Euclidean norm."""
-    vec = np.asarray(v, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return vec / norm
 
 
 def _as_ket(v, *, tol: float = SEARCH_TOL) -> np.ndarray:
@@ -98,28 +89,6 @@ def trace_product(a, b, *, imag_tol: float = SEARCH_TOL) -> float:
     return float(t.real)
 
 
-def born_probabilities(rho, effects, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Outcome probabilities ``p_i = tr(rho E_i)`` for a POVM.
-
-    Entries below ``-tol`` or a total off from 1 by more than ``tol``
-    indicate an invalid state/POVM pair and raise ``ValueError``; tiny
-    negative values from rounding are clipped to ``[0, 1]``.
-    """
-    rm = _as_square(rho, "state")
-    eff = np.asarray(effects, dtype=complex)
-    if eff.ndim != 3 or eff.shape[1] != eff.shape[2]:
-        raise ValueError(f"POVM must have shape (k, d, d), got {eff.shape}")
-    if eff.shape[1] != rm.shape[0]:
-        raise ValueError(f"dimension mismatch: state {rm.shape[0]} vs POVM {eff.shape[1]}")
-    raw = np.einsum("ab,kba->k", rm, eff).real
-    if raw.min() < -tol:
-        raise ValueError(f"negative probability {raw.min():.3e} beyond tolerance: invalid POVM or state")
-    total = raw.sum()
-    if abs(total - 1.0) > max(tol, 1e-9):
-        raise ValueError(f"probabilities sum to {total!r}: incomplete POVM or non-unit-trace state")
-    return np.clip(raw, 0.0, 1.0)
-
-
 def random_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit ket (normalized complex Gaussian vector)."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -141,7 +110,6 @@ class ValidationReport:
     is the verdict at the tolerance recorded in ``tol``.
     """
 
-    kind: str
     tol: float
     passed: bool
     max_hermiticity_residual: float
@@ -178,31 +146,11 @@ def validate_density_matrix(rho, tol: float = DEFAULT_TOL) -> ValidationReport:
     min_eig = _min_eigenvalue(m)
     passed = herm <= tol and trace_res <= tol and min_eig >= -tol
     return ValidationReport(
-        kind="density_matrix",
         tol=tol,
         passed=passed,
         max_hermiticity_residual=herm,
         trace_residual=trace_res,
         min_eigenvalue=min_eig,
-    )
-
-
-def validate_povm(effects, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Diagnostics for a POVM: Hermitian, positive effects summing to identity."""
-    eff = np.asarray(effects, dtype=complex)
-    if eff.ndim != 3 or eff.shape[1] != eff.shape[2] or eff.shape[0] == 0:
-        raise ValueError(f"POVM must have shape (k, d, d) with k >= 1, got {eff.shape}")
-    herm = max(_hermiticity_residual(e) for e in eff)
-    min_eig = min(_min_eigenvalue(e) for e in eff)
-    completeness = float(np.max(np.abs(eff.sum(axis=0) - np.eye(eff.shape[1]))))
-    passed = herm <= tol and min_eig >= -tol and completeness <= tol
-    return ValidationReport(
-        kind="povm",
-        tol=tol,
-        passed=passed,
-        max_hermiticity_residual=herm,
-        min_eigenvalue=min_eig,
-        completeness_residual=completeness,
     )
 
 
@@ -216,7 +164,6 @@ def validate_orthonormal_basis(kets, tol: float = DEFAULT_TOL) -> ValidationRepo
     complete = arr.shape[0] == arr.shape[1]
     passed = complete and ortho <= tol
     return ValidationReport(
-        kind="orthonormal_basis",
         tol=tol,
         passed=passed,
         max_hermiticity_residual=float(np.max(np.abs(gram - gram.conj().T))),

@@ -89,10 +89,6 @@ class SicSet:
             )
         object.__setattr__(self, "projectors", frozen_array(p))
 
-    def povm_effects(self) -> np.ndarray:
-        """The informationally complete POVM ``{P_i / d}``."""
-        return self.projectors / self.dim
-
     def same_projectors(self, other: "SicSet", tol: float = DEFAULT_TOL) -> bool:
         """Entrywise equality of the projector lists within ``tol``."""
         if self.dim != other.dim:
@@ -205,7 +201,7 @@ def sic_probabilities(rho, s: SicSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     raw = np.einsum("ab,iba->i", rm, s.projectors).real / d
     if raw.min() < -tol:
         raise ValueError(f"negative SIC probability {raw.min():.3e}: input is not positive semidefinite")
-    if abs(raw.sum() - 1.0) > max(tol, 1e-9):
+    if abs(raw.sum() - 1.0) > tol:
         raise ValueError(f"SIC probabilities sum to {raw.sum()!r}: input is not unit trace")
     return np.clip(raw, 0.0, 1.0)
 
@@ -230,19 +226,3 @@ def reconstruct_from_probabilities(p, s: SicSet) -> np.ndarray:
     coeffs = (d + 1.0) * vec - 1.0 / d
     return np.einsum("...i,iab->...ab", coeffs, s.projectors)
 
-
-def hs_inner_from_probabilities(p, q) -> float:
-    """Hilbert-Schmidt inner product from SIC probabilities.
-
-    ``tr(rho sigma) = d (d+1) p.q - 1`` -- the Euclidean dot product of
-    the probability vectors determines the operator inner product up to
-    an affine rescaling (factor 12, offset 1, in dimension 3).
-    """
-    pv = np.asarray(p, dtype=float).reshape(-1)
-    qv = np.asarray(q, dtype=float).reshape(-1)
-    if pv.shape != qv.shape:
-        raise ValueError(f"dimension mismatch: {pv.shape[0]} vs {qv.shape[0]}")
-    d = math.isqrt(pv.shape[0])
-    if d * d != pv.shape[0]:
-        raise ValueError(f"SIC probability vectors must have square length, got {pv.shape[0]}")
-    return float(d * (d + 1) * np.dot(pv, qv) - 1.0)

@@ -17,7 +17,6 @@ from sicmub import (
     cabello_criterion,
     cfs_example_kets,
     chromatic_number,
-    collinear_in_grid,
     covering_witness,
     enumerate_min_entropy_pure_states,
     hesse_mub_graph,
@@ -37,7 +36,6 @@ from sicmub import (
     reconstruct_from_probabilities,
     saturation_cubic_roots,
     sic_probabilities,
-    steiner_s9,
     trace_product,
     triple_product,
     triple_product_table,
@@ -47,6 +45,7 @@ from sicmub import (
     witness_search,
 )
 from sicmub.contextuality import OrthoGraph
+from sicmub.mub import LINES
 
 
 def _report(number, text):
@@ -85,11 +84,11 @@ def test_criterion_03_saturation_cubic_roots():
 def test_criterion_04_mub_construction(sic):
     mubs = build_mub_set(sic)
     projectors = np.asarray(mubs.projectors)
+    assert LINES.shape == (12, 3)
     worst_rank1 = 0.0
-    for striation in steiner_s9().striations:
-        for triple in striation:
-            _, rho = mub_from_triple(triple, sic)
-            worst_rank1 = max(worst_rank1, float(np.max(np.abs(rho @ rho - rho))))
+    for line in LINES.tolist():
+        _, rho = mub_from_triple(line, sic)
+        worst_rank1 = max(worst_rank1, float(np.max(np.abs(rho @ rho - rho))))
     assert worst_rank1 < 1e-10
     worst_within = 0.0
     worst_cross = 0.0
@@ -161,9 +160,12 @@ def test_criterion_07_purity_conditions(sic):
 
 
 def test_criterion_08_triple_products(sic):
+    lines = LINES.tolist()
+    # 12 lines with 3 pairs each cover all 36 pairs of points: each pair lies on exactly one line
+    assert len(lines) == 12 and len({pair for line in lines for pair in combinations(line, 2)}) == 36
     for triple in combinations(range(9), 3):
         value = triple_product(sic, *triple)
-        expected = -0.125 if collinear_in_grid(*triple) else 0.0625
+        expected = -0.125 if list(triple) in lines else 0.0625
         assert abs(value - expected) < 1e-12, triple
     _report(8, "collinear triple products all -1/8 and noncollinear all 1/16, within 1e-12")
 
@@ -171,7 +173,7 @@ def test_criterion_08_triple_products(sic):
 def test_criterion_09_min_entropy_enumeration():
     survivors = enumerate_min_entropy_pure_states()
     assert len(survivors) == 12
-    assert {t for t, _ in survivors} == set(steiner_s9().triples)
+    assert {t for t, _ in survivors} == set(map(tuple, LINES.tolist()))
     _report(9, "minimal-entropy enumeration returns exactly the 12 grid-line states")
 
 

@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sicmub import (
+    SEARCH_TOL,
     StateSet,
     WitnessSearchConfig,
     basis_ket,
     cfs_example_kets,
     cfs_example_states,
-    pairwise_pp_check,
+    overlap_squared,
     pp_functional,
     projector,
     qutrit_triple_criterion,
     random_ket,
     saturation_cubic_roots,
     saturation_profile,
+    validate_orthonormal_basis,
     witness_search,
 )
 from sicmub.compat import (
@@ -90,10 +92,43 @@ class TestTripleCriterion:
         verdict = qutrit_triple_criterion(basis_ket(3, 0), basis_ket(3, 1), basis_ket(3, 2))
         assert verdict.incompatible
         assert verdict.witness is not None
+        assert validate_orthonormal_basis(verdict.witness, tol=1e-10).passed
         # the attached witness basis certifies: the functional vanishes on it
         states = StateSet.from_kets(np.array([basis_ket(3, 0), basis_ket(3, 1), basis_ket(3, 2)]))
         effects = np.array([np.outer(v, v.conj()) for v in np.asarray(verdict.witness)])
         assert pp_functional(states, effects) == pytest.approx(0.0, abs=1e-12)
+
+    def test_nearly_orthogonal_pair_gets_an_orthonormal_witness(self):
+        # |<a|b>|^2 = 9e-10 <= tol short-circuits; the witness must span a, b and |2>
+        a = basis_ket(3, 0)
+        b = np.array([3e-5, math.sqrt(1.0 - 9e-10), 0.0], dtype=complex)
+        c = np.array([0.6, 0.0, 0.8], dtype=complex)
+        witness = np.asarray(qutrit_triple_criterion(a, b, c).witness)
+        assert validate_orthonormal_basis(witness, tol=1e-10).passed
+        assert overlap_squared(witness[2], basis_ket(3, 2)) == pytest.approx(1.0, abs=1e-12)
+        effects = np.einsum("ka,kb->kab", witness, witness.conj())
+        assert pp_functional(StateSet.from_kets(np.array([a, b, c])), effects) <= SEARCH_TOL
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tilt=st.floats(0.0, math.sqrt(SEARCH_TOL)))
+    def test_witness_of_a_tilted_orthogonal_pair_is_orthonormal(self, seed, tilt):
+        # b is orthogonal to a tilted by an angle whose squared sine stays within tol
+        rng = np.random.default_rng(seed)
+        a, b, c = (random_ket(3, rng) for _ in range(3))
+        b -= np.vdot(a, b) * a
+        b = math.cos(tilt) * b / np.linalg.norm(b) + math.sin(tilt) * a
+        verdict = qutrit_triple_criterion(a, b, c)
+        assert verdict.incompatible
+        witness = np.asarray(verdict.witness)
+        assert validate_orthonormal_basis(witness, tol=1e-10).passed
+        effects = np.einsum("ka,kb->kab", witness, witness.conj())
+        assert pp_functional(StateSet.from_kets(np.array([a, b, c])), effects) <= SEARCH_TOL
+
+    def test_ket_norms_are_checked_at_tol(self):
+        kets = cfs_example_kets() * math.sqrt(1.0 + 1e-7)
+        assert qutrit_triple_criterion(*kets, tol=1e-6).incompatible
+        with pytest.raises(ValueError, match="unit kets"):
+            qutrit_triple_criterion(*kets)
 
     def test_identical_states_rejected(self):
         with pytest.raises(ValueError, match="identical"):
@@ -127,28 +162,6 @@ class TestTripleCriterion:
             x = (s * c) ** 2
             expect_saturated = abs(saturation_profile(x)) <= 1e-9 and x < 1.0
             assert verdict.saturated == expect_saturated, f"theta={theta}"
-
-
-class TestPairwiseCheck:
-    def test_hesse_pair_is_compatible(self, kets):
-        verdict = pairwise_pp_check(kets[0], kets[1])
-        assert not verdict.incompatible
-        assert verdict.overlap_sq == pytest.approx(0.25, abs=1e-12)
-
-    def test_orthogonal_pair_is_incompatible(self):
-        verdict = pairwise_pp_check(basis_ket(3, 0), basis_ket(3, 1))
-        assert verdict.incompatible
-        assert verdict.witness is not None
-
-    def test_overlapping_pair_is_compatible(self):
-        b = (basis_ket(3, 0) + basis_ket(3, 1)) / math.sqrt(2.0)
-        verdict = pairwise_pp_check(basis_ket(3, 0), b)
-        assert not verdict.incompatible
-        assert verdict.overlap_sq == pytest.approx(0.5, abs=1e-12)
-
-    def test_identical_states_rejected(self):
-        with pytest.raises(ValueError, match="identical"):
-            pairwise_pp_check(basis_ket(3, 1), basis_ket(3, 1))
 
 
 class TestSaturationCubic:

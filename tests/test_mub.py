@@ -18,7 +18,6 @@ from sicmub import (
     projector,
     qbic_check_hesse,
     quadratic_purity_check,
-    steiner_s9,
     trace_product,
     verify_mub_set,
 )
@@ -28,45 +27,43 @@ GOLDEN = Path(__file__).parent / "data" / "covering_table.json"
 
 
 class TestSteinerSystem:
+    """The rows of LINES are the Steiner triple system S(9) on the 3x3 grid."""
+
     def test_first_striation_is_the_rows(self):
-        assert steiner_s9().striations[0] == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+        assert LINES[:3].tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
 
     def test_pair_zero_five_only_in_057(self):
-        lines = [t for t in steiner_s9().triples if 0 in t and 5 in t]
-        assert lines == [(0, 5, 7)]
+        assert [row for row in LINES.tolist() if 0 in row and 5 in row] == [[0, 5, 7]]
 
     def test_every_index_lies_on_four_lines(self):
-        system = steiner_s9()
-        for i in range(9):
-            assert len(system.lines_through(i)) == 4
+        np.testing.assert_array_equal(np.bincount(LINES.ravel()), np.full(9, 4))
 
     def test_design_properties_exact(self):
-        triples = steiner_s9().triples
-        assert len(triples) == 12
+        assert LINES.shape == (12, 3)
         # each unordered pair occurs exactly once
-        seen = {}
-        for t in triples:
-            for pair in combinations(t, 2):
-                seen[pair] = seen.get(pair, 0) + 1
-        assert len(seen) == 36
-        assert set(seen.values()) == {1}
+        pairs = [pair for row in LINES.tolist() for pair in combinations(sorted(row), 2)]
+        assert len(pairs) == len(set(pairs)) == 36
 
     def test_striation_lookup(self):
-        system = steiner_s9()
-        assert system.striation_of((0, 5, 7)) == 4
-        assert system.striation_of((2, 5, 8)) == 2
-        with pytest.raises(ValueError):
-            system.striation_of((0, 1, 3))
+        # row // 3 + 1 is the striation number; (0, 1, 3) is on no line
+        rows = LINES.tolist()
+        assert rows.index([0, 5, 7]) // 3 + 1 == 4
+        assert rows.index([2, 5, 8]) // 3 + 1 == 2
+        assert [0, 1, 3] not in rows
 
 
 class TestLineTable:
     def test_rows_are_the_triples_in_striation_order(self):
-        assert [tuple(row) for row in LINES.tolist()] == list(steiner_s9().triples)
+        # point 3r + c at row r, column c; striation s holds the lines on which
+        # r, c, c - r or c + r is constant, in the order 0, 1, 2 of that constant
+        r, c = np.divmod(LINES, 3)
+        for s, key in enumerate((r, c, (c - r) % 3, (c + r) % 3)):
+            block = key[3 * s : 3 * s + 3]
+            np.testing.assert_array_equal(block, np.repeat(np.arange(3), 3).reshape(3, 3))
 
     def test_point_lines_index_the_lines_through_each_point(self):
-        system = steiner_s9()
         for i in range(9):
-            assert [tuple(row) for row in LINES[POINT_LINES[i]].tolist()] == list(system.lines_through(i))
+            assert POINT_LINES[i].tolist() == [row for row in range(12) if i in LINES[row]]
 
     def test_one_line_per_striation_through_each_point(self):
         np.testing.assert_array_equal(POINT_LINES // 3, np.tile(np.arange(4), (9, 1)))
@@ -119,22 +116,20 @@ class TestBuildAndVerify:
         np.testing.assert_allclose(np.asarray(mubs.projectors)[1], computational, atol=1e-12)
 
     def test_each_mub_state_annihilates_exactly_its_line(self, sic, mubs):
-        for striation in mubs.striations:
-            for triple in striation:
-                _, rho = mubs.state(triple)
-                for i in range(9):
-                    value = trace_product(rho, np.asarray(sic.projectors)[i])
-                    if i in triple:
-                        assert abs(value) < 1e-12
-                    else:
-                        assert value > 0.1
+        for triple, rho in zip(LINES.tolist(), mubs.projectors.reshape(12, 3, 3)):
+            for i in range(9):
+                value = trace_product(rho, np.asarray(sic.projectors)[i])
+                if i in triple:
+                    assert abs(value) < 1e-12
+                else:
+                    assert value > 0.1
 
     def test_duplicated_basis_fails_cross_condition(self, mubs):
         proj = np.array(mubs.projectors)
         proj[1] = proj[0]
         vectors = np.array(mubs.prob_vectors)
         vectors[1] = vectors[0]
-        broken = MubSet(striations=mubs.striations, projectors=proj, prob_vectors=vectors)
+        broken = MubSet(projectors=proj, prob_vectors=vectors)
         report = verify_mub_set(broken, tol=1e-10)
         assert not report.passed
         assert report.max_cross_basis_residual > 0.5
@@ -145,13 +140,8 @@ class TestBuildAndVerify:
         u = (v * np.exp(1j * w)) @ v.conj().T
         proj = np.array(mubs.projectors)
         proj[0, 0] = u @ proj[0, 0] @ u.conj().T
-        broken = MubSet(striations=mubs.striations, projectors=proj, prob_vectors=np.array(mubs.prob_vectors))
+        broken = MubSet(projectors=proj, prob_vectors=np.array(mubs.prob_vectors))
         assert not verify_mub_set(broken, tol=1e-6).passed
-
-    def test_striations_out_of_table_order_rejected(self, mubs):
-        swapped = (mubs.striations[1], mubs.striations[0]) + tuple(mubs.striations[2:])
-        with pytest.raises(ValueError, match="LINES"):
-            MubSet(striations=swapped, projectors=mubs.projectors, prob_vectors=mubs.prob_vectors)
 
     def test_non_qutrit_sic_rejected(self):
         # the qubit SIC: four Bloch vectors on a regular tetrahedron
@@ -192,7 +182,7 @@ class TestCoveringWitness:
         triples = [tuple(sorted(rng.choice(9, size=3, replace=False))) for _ in range(15)]
         for triple in triples:
             for striation in covering_witness(triple, mubs, sic):
-                basis = np.asarray(mubs.basis(striation))
+                basis = mubs.projectors[striation - 1]
                 probs = np.array(
                     [[trace_product(np.asarray(sic.projectors)[i], b) for b in basis] for i in triple]
                 )
@@ -215,4 +205,4 @@ class TestCoveringWitness:
 
     def test_functional_really_vanishes_for_reported_witnesses(self, sic, mubs):
         states = StateSet(dim=3, rhos=np.asarray(sic.projectors)[[0, 1, 4]])
-        assert pp_functional(states, mubs.basis(4)) == pytest.approx(0.0, abs=1e-12)
+        assert pp_functional(states, mubs.projectors[3]) == pytest.approx(0.0, abs=1e-12)

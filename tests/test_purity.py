@@ -5,21 +5,20 @@ import numpy as np
 import pytest
 
 from sicmub import (
-    collinear_in_grid,
     distribution_indices,
     enumerate_min_entropy_pure_states,
     qbic_check_general,
     qbic_check_hesse,
     quadratic_purity_check,
     random_density_matrix,
-    random_fixed_purity_vector,
+    mub_from_triple,
     random_ket,
     reconstruct_from_probabilities,
     sic_probabilities,
-    steiner_s9,
     triple_product,
     triple_product_table,
 )
+from sicmub.mub import LINES
 
 
 def sic_state_distribution(k):
@@ -32,6 +31,18 @@ def line_distribution(triple):
     p = np.full(9, 1.0 / 6.0)
     p[list(triple)] = 0.0
     return p
+
+
+def _shell_vector(rng):
+    """A probability vector with ``sum p**2 = 1/6``: a uniform simplex draw
+    rescaled radially about the uniform distribution (the cross term
+    vanishes, so the scale is closed-form), redrawn until nonnegative."""
+    centroid = 1.0 / 9.0
+    while True:
+        deviation = rng.dirichlet(np.ones(9)) - centroid
+        q = centroid + math.sqrt((1.0 / 6.0 - centroid) / np.dot(deviation, deviation)) * deviation
+        if q.min() >= 0.0:
+            return q
 
 
 class TestQuadraticCheck:
@@ -79,12 +90,9 @@ class TestTripleProducts:
             np.testing.assert_allclose(values, values.transpose(perm), atol=1e-13)
 
     def test_constant_on_collinear_and_noncollinear_classes(self, sic):
-        collinear = [triple_product(sic, *t) for t in steiner_s9().triples]
-        noncollinear = [
-            triple_product(sic, *t)
-            for t in combinations(range(9), 3)
-            if not collinear_in_grid(*t)
-        ]
+        lines = LINES.tolist()
+        collinear = [triple_product(sic, *t) for t in lines]
+        noncollinear = [triple_product(sic, *t) for t in combinations(range(9), 3) if list(t) not in lines]
         assert len(collinear) == 12 and len(noncollinear) == 72
         assert max(collinear) - min(collinear) < 1e-12
         assert max(noncollinear) - min(noncollinear) < 1e-12
@@ -94,17 +102,19 @@ class TestTripleProducts:
 
 class TestCollinearity:
     def test_row_is_a_line(self):
-        assert collinear_in_grid(0, 1, 2)
+        assert [0, 1, 2] in LINES.tolist()
 
     def test_diagonal_is_a_line(self):
-        assert collinear_in_grid(0, 4, 8)
+        assert [0, 4, 8] in LINES.tolist()
 
-    def test_bent_triple_is_not(self):
-        assert not collinear_in_grid(0, 1, 3)
+    def test_bent_triple_is_not(self, sic):
+        assert [0, 1, 3] not in LINES.tolist()
+        with pytest.raises(ValueError, match="not a line"):
+            mub_from_triple((0, 1, 3), sic)
 
-    def test_duplicates_rejected(self):
+    def test_duplicates_rejected(self, sic):
         with pytest.raises(ValueError, match="distinct"):
-            collinear_in_grid(1, 1, 2)
+            mub_from_triple((1, 1, 2), sic)
 
 
 class TestQbicChecks:
@@ -134,14 +144,14 @@ class TestQbicChecks:
         assert check.passed
         p = line_distribution((0, 1, 2))
         assert np.sum(p**3) == pytest.approx(1.0 / 36.0, abs=1e-15)
-        line_sum = sum(p[i] * p[j] * p[k] for i, j, k in steiner_s9().triples)
+        line_sum = sum(p[i] * p[j] * p[k] for i, j, k in LINES.tolist())
         assert line_sum == pytest.approx(1.0 / 108.0, abs=1e-15)
 
     def test_hesse_form_equals_the_line_loop(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             p = rng.dirichlet(np.ones(9))
-            line_sum = sum(p[i] * p[j] * p[k] for i, j, k in steiner_s9().triples)
+            line_sum = sum(p[i] * p[j] * p[k] for i, j, k in LINES.tolist())
             assert qbic_check_hesse(p).value == float(np.sum(p**3) - 3.0 * line_sum)
 
     def test_sic_state_hesse_form(self):
@@ -182,7 +192,7 @@ class TestMinEntropyEnumeration:
     def test_exactly_the_twelve_lines_survive(self):
         survivors = enumerate_min_entropy_pure_states()
         assert len(survivors) == 12
-        assert {t for t, _ in survivors} == set(steiner_s9().triples)
+        assert {t for t, _ in survivors} == set(map(tuple, LINES.tolist()))
 
     def test_includes_first_row(self):
         assert (0, 1, 2) in {t for t, _ in enumerate_min_entropy_pure_states()}
@@ -202,7 +212,7 @@ class TestQbicEquivalence:
         rng = np.random.default_rng(77)
         agree = 0
         for _ in range(1000):
-            p = random_fixed_purity_vector(rng)
+            p = _shell_vector(rng)
             general = qbic_check_general(p, table, tol=1e-10)
             hesse_form = qbic_check_hesse(p, tol=1e-10)
             assert general.passed == hesse_form.passed
@@ -214,14 +224,10 @@ class TestQbicEquivalence:
     def test_sampler_hits_the_shell_exactly(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            p = random_fixed_purity_vector(rng)
+            p = _shell_vector(rng)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert p.min() >= 0.0
             assert np.dot(p, p) == pytest.approx(1.0 / 6.0, abs=1e-12)
-
-    def test_sampler_rejects_impossible_target(self):
-        with pytest.raises(ValueError):
-            random_fixed_purity_vector(np.random.default_rng(0), sum_sq=0.05)
 
 
 class TestPurityRankOneEquivalence:
@@ -235,7 +241,7 @@ class TestPurityRankOneEquivalence:
         for _ in range(70):
             samples.append(sic_probabilities(random_density_matrix(3, rng), sic))
         for _ in range(60):
-            samples.append(random_fixed_purity_vector(rng))
+            samples.append(_shell_vector(rng))
         assert len(samples) == 200
         for p in samples:
             both = (

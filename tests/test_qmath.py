@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from sicmub import (
-    basis_ket,
-    born_probabilities,
     overlap_squared,
     projector,
     random_density_matrix,
@@ -11,13 +9,7 @@ from sicmub import (
     trace_product,
     validate_density_matrix,
     validate_orthonormal_basis,
-    validate_povm,
 )
-from sicmub.qmath import normalize_ket
-
-
-def computational_povm(d=3):
-    return np.array([projector(basis_ket(d, j)) for j in range(d)])
 
 
 class TestTraceProduct:
@@ -30,8 +22,8 @@ class TestTraceProduct:
         assert trace_product(rho, np.eye(3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_same_striation_mub_projectors_orthogonal(self, mubs):
-        p012 = mubs.state((0, 1, 2))[1]
-        p345 = mubs.state((3, 4, 5))[1]
+        # rows 0 and 1 of LINES: (0, 1, 2) and (3, 4, 5)
+        p012, p345 = mubs.projectors[0, :2]
         assert trace_product(p012, p345) == pytest.approx(0.0, abs=1e-14)
 
     def test_dimension_mismatch_raises(self):
@@ -42,42 +34,6 @@ class TestTraceProduct:
         m = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError, match="imaginary"):
             trace_product(m, np.array([[0, 0], [1j, 0]]))
-
-
-class TestBornProbabilities:
-    def test_sic_state_against_sic_povm(self, sic, projectors):
-        # 1/3 on the matching outcome, 1/12 elsewhere
-        p = born_probabilities(projectors[0], sic.povm_effects())
-        expected = np.full(9, 1.0 / 12.0)
-        expected[0] = 1.0 / 3.0
-        np.testing.assert_allclose(p, expected, atol=1e-14)
-
-    def test_maximally_mixed_is_uniform(self, sic):
-        p = born_probabilities(np.eye(3) / 3.0, sic.povm_effects())
-        np.testing.assert_allclose(p, np.full(9, 1.0 / 9.0), atol=1e-14)
-
-    def test_first_hesse_ket_in_computational_basis(self, kets):
-        # amplitudes (0, 1, -1)/sqrt(2) square to (0, 1/2, 1/2)
-        p = born_probabilities(projector(kets[0]), computational_povm())
-        np.testing.assert_allclose(p, [0.0, 0.5, 0.5], atol=1e-14)
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            born_probabilities(np.eye(2) / 2.0, computational_povm(3))
-
-    def test_incomplete_povm_raises(self):
-        effects = computational_povm(3)[:2]
-        with pytest.raises(ValueError, match="sum"):
-            born_probabilities(np.eye(3) / 3.0, effects)
-
-    def test_probabilities_sum_to_one_for_random_pairs(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            rho = random_density_matrix(3, rng)
-            g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            q, _ = np.linalg.qr(g)
-            effects = np.array([np.outer(q[:, j], q[:, j].conj()) for j in range(3)])
-            assert born_probabilities(rho, effects).sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestValidation:
@@ -92,14 +48,6 @@ class TestValidation:
         report = validate_density_matrix(np.eye(3) * 1.1 / 3.0, tol=1e-10)
         assert not report.passed
         assert report.trace_residual == pytest.approx(0.1, abs=1e-12)
-
-    def test_povm_missing_effect_fails_completeness(self, sic):
-        report = validate_povm(np.asarray(sic.povm_effects())[:-1], tol=1e-10)
-        assert not report.passed
-        assert report.completeness_residual > 0.1
-
-    def test_full_sic_povm_passes(self, sic):
-        assert validate_povm(sic.povm_effects(), tol=1e-10).passed
 
     def test_orthonormal_basis(self):
         rng = np.random.default_rng(3)
@@ -122,12 +70,6 @@ class TestKetHelpers:
         for _ in range(25):
             p = projector(random_ket(4, rng))
             assert trace_product(p, p) == pytest.approx(1.0, abs=1e-12)
-
-    def test_normalize_ket(self):
-        v = normalize_ket([3, 4j])
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
-        with pytest.raises(ValueError):
-            normalize_ket([0, 0])
 
     def test_projector_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):

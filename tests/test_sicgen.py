@@ -7,7 +7,6 @@ from sicmub import (
     builtin_sic,
     generate_sic_orbit,
     hesse_kets,
-    hs_inner_from_probabilities,
     is_sic,
     random_density_matrix,
     random_ket,
@@ -120,7 +119,7 @@ class TestProbabilityRepresentation:
         np.testing.assert_allclose(sic_probabilities(np.eye(3) / 3.0, sic), np.full(9, 1.0 / 9.0), atol=1e-14)
 
     def test_mub_state_distribution(self, sic, mubs):
-        p = sic_probabilities(mubs.state((0, 1, 2))[1], sic)
+        p = sic_probabilities(mubs.projectors[0, 0], sic)  # row 0 of LINES: (0, 1, 2)
         expected = np.full(9, 1.0 / 6.0)
         expected[[0, 1, 2]] = 0.0
         np.testing.assert_allclose(p, expected, atol=1e-12)
@@ -140,19 +139,28 @@ class TestProbabilityRepresentation:
             reconstruct_from_probabilities(np.full(9, 1.0 / 9.0), sic), np.eye(3) / 3.0, atol=1e-14
         )
 
+    # tr(rho sigma) = d (d + 1) p.q - 1 = 12 p.q - 1 for qutrits
+
     def test_inner_product_of_sic_state_with_itself(self, sic, projectors):
         p = sic_probabilities(projectors[0], sic)
-        assert hs_inner_from_probabilities(p, p) == pytest.approx(1.0, abs=1e-12)
+        assert 12.0 * np.dot(p, p) - 1.0 == pytest.approx(1.0, abs=1e-12)
 
     def test_inner_product_of_parallel_lines_vanishes(self, sic, mubs):
-        p = sic_probabilities(mubs.state((0, 1, 2))[1], sic)
-        q = sic_probabilities(mubs.state((3, 4, 5))[1], sic)
-        assert hs_inner_from_probabilities(p, q) == pytest.approx(0.0, abs=1e-12)
+        # rows 0 and 1 of LINES: (0, 1, 2) and (3, 4, 5)
+        p, q = (sic_probabilities(rho, sic) for rho in mubs.projectors[0, :2])
+        assert 12.0 * np.dot(p, q) - 1.0 == pytest.approx(0.0, abs=1e-12)
 
     def test_inner_product_across_striations_is_third(self, sic, mubs):
-        p = sic_probabilities(mubs.state((0, 1, 2))[1], sic)
-        q = sic_probabilities(mubs.state((0, 3, 6))[1], sic)
-        assert hs_inner_from_probabilities(p, q) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        # rows 0 and 3 of LINES: (0, 1, 2) and (0, 3, 6)
+        p = sic_probabilities(mubs.projectors[0, 0], sic)
+        q = sic_probabilities(mubs.projectors[1, 0], sic)
+        assert 12.0 * np.dot(p, q) - 1.0 == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_trace_is_checked_at_the_given_tol(self, sic):
+        excess = np.eye(3) / 3.0 * (1.0 + 5e-10)
+        with pytest.raises(ValueError, match="unit trace"):
+            sic_probabilities(excess, sic, tol=1e-10)
+        np.testing.assert_allclose(sic_probabilities(excess, sic, tol=1e-9), np.full(9, 1.0 / 9.0), atol=1e-12)
 
 
 class TestRepresentationProperties:
@@ -186,7 +194,7 @@ class TestRepresentationProperties:
             sigma = random_density_matrix(3, rng)
             p = sic_probabilities(rho, sic)
             q = sic_probabilities(sigma, sic)
-            assert hs_inner_from_probabilities(p, q) == pytest.approx(trace_product(rho, sigma), abs=1e-10)
+            assert 12.0 * np.dot(p, q) - 1.0 == pytest.approx(trace_product(rho, sigma), abs=1e-10)
 
     def test_orbit_covariance_permutes_projectors(self, projectors):
         for a in range(3):

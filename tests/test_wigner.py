@@ -12,12 +12,12 @@ from sicmub import (
     projector,
     random_density_matrix,
     sic_probabilities,
-    steiner_s9,
     trace_product,
     wigner_from_line_probs,
     wigner_from_sic_probabilities,
     wigner_of_density,
 )
+from sicmub.mub import LINES
 
 
 @pytest.fixture(scope="module")
@@ -49,18 +49,20 @@ class TestPhasePointOperators:
     def test_line_average_recovers_mub_projector(self, ops, mubs):
         arr = np.asarray(ops.ops)
         average = (arr[0] + arr[1] + arr[2]) / 3.0
-        np.testing.assert_allclose(average, mubs.state((0, 1, 2))[1], atol=1e-12)
+        np.testing.assert_allclose(average, mubs.projectors[0, 0], atol=1e-12)  # row 0 of LINES: (0, 1, 2)
 
     def test_equals_the_sum_over_lines_through_each_point(self, ops, mubs):
+        line_projectors = mubs.projectors.reshape(12, 3, 3)
         for j in range(9):
-            total = sum(mubs.state(line)[1] for line in steiner_s9().lines_through(j)) - np.eye(3)
+            total = sum(line_projectors[row] for row, line in enumerate(LINES) if j in line) - np.eye(3)
             np.testing.assert_allclose(np.asarray(ops.ops)[j], total, rtol=0, atol=1e-15)
 
     def test_all_line_averages(self, ops, mubs):
         arr = np.asarray(ops.ops)
-        for line in steiner_s9().triples:
-            average = arr[list(line)].sum(axis=0) / 3.0
-            np.testing.assert_allclose(average, mubs.state(line)[1], atol=1e-12)
+        line_projectors = mubs.projectors.reshape(12, 3, 3)
+        for row, line in enumerate(LINES):
+            average = arr[line].sum(axis=0) / 3.0
+            np.testing.assert_allclose(average, line_projectors[row], atol=1e-12)
 
 
 class TestWignerMaps:
@@ -109,8 +111,9 @@ class TestWignerMaps:
         np.testing.assert_allclose(w, wigner_from_sic_probabilities(sic_probabilities(rho, sic)), atol=1e-10)
         q = line_marginals(w)
         assert len(q) == 12
-        for line, value in q.items():
-            assert value == pytest.approx(trace_product(rho, mubs.state(line)[1]), abs=1e-10)
+        line_projectors = mubs.projectors.reshape(12, 3, 3)
+        for row, line in enumerate(LINES.tolist()):
+            assert q[tuple(line)] == pytest.approx(trace_product(rho, line_projectors[row]), abs=1e-10)
         np.testing.assert_allclose(wigner_from_line_probs(q), w, atol=1e-10)
 
 
@@ -122,7 +125,7 @@ class TestLineMarginals:
 
     def test_equals_the_sum_along_each_line(self):
         w = np.random.default_rng(17).standard_normal(9)
-        assert line_marginals(w) == {line: float(w[list(line)].sum()) for line in steiner_s9().triples}
+        assert line_marginals(w) == {tuple(line): float(w[line].sum()) for line in LINES.tolist()}
 
     def test_uniform_gives_third_everywhere(self):
         q = line_marginals(np.full(9, 1.0 / 9.0))
@@ -135,18 +138,19 @@ class TestLineMarginals:
 
     def test_marginals_match_born_probabilities(self, sic, mubs, ops):
         rng = np.random.default_rng(31415)
+        line_projectors = mubs.projectors.reshape(12, 3, 3)
         for _ in range(50):
             rho = random_density_matrix(3, rng)
             q = line_marginals(wigner_of_density(rho, ops))
-            for line, value in q.items():
-                assert value == pytest.approx(trace_product(rho, mubs.state(line)[1]), abs=1e-10)
+            for row, line in enumerate(LINES.tolist()):
+                assert q[tuple(line)] == pytest.approx(trace_product(rho, line_projectors[row]), abs=1e-10)
 
     def test_striation_sums_are_one_for_states(self, ops):
         rng = np.random.default_rng(123)
         rho = random_density_matrix(3, rng)
         q = line_marginals(wigner_of_density(rho, ops))
-        for striation in steiner_s9().striations:
-            assert sum(q[line] for line in striation) == pytest.approx(1.0, abs=1e-12)
+        for striation in LINES.reshape(4, 3, 3).tolist():
+            assert sum(q[tuple(line)] for line in striation) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLineInversion:
@@ -155,13 +159,13 @@ class TestLineInversion:
         np.testing.assert_allclose(wigner_from_line_probs(line_marginals(w)), w, atol=1e-12)
 
     def test_uniform_line_probabilities(self):
-        q = {line: 1.0 / 3.0 for line in steiner_s9().triples}
+        q = {tuple(line): 1.0 / 3.0 for line in LINES.tolist()}
         np.testing.assert_allclose(wigner_from_line_probs(q), np.full(9, 1.0 / 9.0), atol=1e-14)
 
     def test_delta_at_one_point(self):
         # all four lines through 0 certain: a delta at the corner point,
         # not reachable by any quantum state
-        q = {line: (1.0 if 0 in line else 0.0) for line in steiner_s9().triples}
+        q = {tuple(line): (1.0 if 0 in line else 0.0) for line in LINES.tolist()}
         w = wigner_from_line_probs(q)
         assert w[0] == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(np.delete(w, 0), np.zeros(8), atol=1e-14)
@@ -174,13 +178,13 @@ class TestLineInversion:
             np.testing.assert_allclose(wigner_from_line_probs(line_marginals(w)), w, atol=1e-10)
 
     def test_inconsistent_striation_sum_rejected(self):
-        q = {line: 1.0 / 3.0 for line in steiner_s9().triples}
+        q = {tuple(line): 1.0 / 3.0 for line in LINES.tolist()}
         q[(0, 1, 2)] = 0.5
         with pytest.raises(ValueError, match="striation"):
             wigner_from_line_probs(q)
 
     def test_missing_line_rejected(self):
-        q = {line: 1.0 / 3.0 for line in steiner_s9().triples[:-1]}
+        q = {tuple(line): 1.0 / 3.0 for line in LINES.tolist()[:-1]}
         with pytest.raises(ValueError, match="12 lines"):
             wigner_from_line_probs(q)
 
@@ -190,9 +194,8 @@ class TestNegativity:
         assert negativity(wigner_of_density(projectors[0], ops)) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_mub_states_are_nonnegative(self, mubs, ops):
-        for striation in mubs.striations:
-            for line in striation:
-                assert negativity(wigner_of_density(mubs.state(line)[1], ops)) == pytest.approx(0.0, abs=1e-12)
+        for rho in mubs.projectors.reshape(12, 3, 3):
+            assert negativity(wigner_of_density(rho, ops)) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_is_nonnegative(self, ops):
         assert negativity(wigner_of_density(np.eye(3) / 3.0, ops)) == 0.0
@@ -209,13 +212,12 @@ class TestNegativity:
         assert neg.max() <= 1.0 / 3.0 + 1e-9
 
     def test_mub_supports_intersect_in_one_point(self, sic, mubs, ops):
-        system = steiner_s9()
         for s1 in range(4):
             for s2 in range(s1 + 1, 4):
-                for line1 in system.striations[s1]:
-                    for line2 in system.striations[s2]:
-                        w1 = wigner_of_density(mubs.state(line1)[1], ops)
-                        w2 = wigner_of_density(mubs.state(line2)[1], ops)
+                for rho1 in mubs.projectors[s1]:
+                    for rho2 in mubs.projectors[s2]:
+                        w1 = wigner_of_density(rho1, ops)
+                        w2 = wigner_of_density(rho2, ops)
                         support1 = set(np.flatnonzero(np.abs(w1) > 1e-10))
                         support2 = set(np.flatnonzero(np.abs(w2) > 1e-10))
                         assert len(support1 & support2) == 1
