@@ -435,6 +435,9 @@ def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport, None]:
             "success": result.success,
             "best_restart": result.best_restart,
             "restarts_run": len(result.history),
+            "cycles": sum(r.cycles for r in result.history),
+            "probes": sum(r.probes for r in result.history),
+            "polish_iters": sum(r.polish_iters for r in result.history),
             "basis_kets": [encode_ket(v) for v in np.asarray(result.basis)],
             "history": [asdict(r) for r in result.history],
         },

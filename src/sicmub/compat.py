@@ -22,7 +22,7 @@ misclassified as compatible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -215,12 +215,17 @@ class WitnessSearchConfig:
     of projectors), probing each rotation angle with a three-point
     quadratic fit at the current step.  The step shrinks by
     ``step_shrink`` after any cycle that fails to improve the value by
-    a relative 1e-3, and the restart stops below ``min_step``, at
-    ``max_iters`` cycles, or once the functional drops below
-    ``success_threshold``.  With ``stop_at_success`` the restart loop
-    itself exits on the first success; the reported winner (lowest
-    value, ties to the lowest restart index) is deterministic for a
-    given ``seed`` either way.
+    a relative 1e-3.  The descent stops below ``min_step``, at
+    ``max_iters`` cycles, or, with ``stop_at_success``, once the
+    functional reaches ``success_threshold``; a Gauss-Newton polish then
+    finishes any restart that has not reached it.  With
+    ``stop_at_success`` the descent also hands a copy of its basis to
+    the polish after cycles 1, 2, 4, 8, ...: a polish that reaches the
+    threshold ends the restart, any other is dropped, and the restart
+    loop itself exits on the first success.  Without it every restart
+    runs its full descent and polish.  The reported winner (lowest
+    value, ties within a relative 1e-12 to the lowest restart index) is
+    deterministic for a given ``seed`` either way.
     """
 
     restarts: int = 32
@@ -249,13 +254,39 @@ _CYCLE_IMPROVEMENT_REL = 1e-3
 _POLISH_ITERS = 40
 _POLISH_MAX_STEP = 0.5
 
+#: Final values within this relative distance of the lowest one tie for the
+#: winner.  Restarts that end on one flat floor (mixed states) differ by
+#: rounding, up to 2e-14 relative on 12 random mixed triples.
+_TIE_REL = 1e-12
+
+
+@dataclass
+class _RestartCounts:
+    """The running counts of one restart, as :class:`RestartRecord` reports them."""
+
+    cycles: int = 0
+    probes: int = 0
+    polish_iters: int = 0
+    polish_accepted: int = 0
+
+
 @dataclass(frozen=True)
 class RestartRecord:
+    """One restart: the functional of its start and final basis, the descent's
+    ``cycles`` and ``probes``, the Gauss-Newton ``polish_iters`` and
+    ``polish_accepted`` updates summed over every polish run (failed trials
+    included), and ``phase``, the phase that produced ``final_value``:
+    ``"polish"``, ``"descent"``, or ``"none"`` when neither improved on
+    ``start_value``."""
+
     restart: int
     start_value: float
     final_value: float
     cycles: int
     probes: int
+    polish_iters: int
+    polish_accepted: int
+    phase: str
 
 
 @dataclass(frozen=True)
@@ -339,8 +370,15 @@ def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (phases / np.abs(phases)).conj()
 
 
-def _descend(rhos: np.ndarray, u: np.ndarray, cfg: WitnessSearchConfig, stop_value: float):
-    """Refine a basis; returns (value, basis, start_value, cycles, probes).
+def _descend(
+    rhos: np.ndarray,
+    factors: list[np.ndarray],
+    u: np.ndarray,
+    cfg: WitnessSearchConfig,
+    stop_value: float,
+    counts: _RestartCounts,
+):
+    """Refine a basis; returns (value, basis, start_value, polished).
 
     A probe is scalar arithmetic: :func:`_pair_coefficients` reads each
     state's ``(alpha, beta, gamma)`` off the amplitudes ``<w|u_j>``,
@@ -349,9 +387,14 @@ def _descend(rhos: np.ndarray, u: np.ndarray, cfg: WitnessSearchConfig, stop_val
     Only an accepted move rotates columns j, k of the basis and their
     amplitudes.  ``start_value`` and ``value`` are the functional of the
     start and the returned basis, computed from ``rhos``.
+
+    When the restart can stop at success (``stop_value > 0``), a copy of
+    the basis is offered to :func:`_gauss_newton_polish` after cycles 1,
+    2, 4, 8, ... whenever the descent goes on.  A polish that reaches
+    ``stop_value`` ends the restart with its basis (``polished`` is True);
+    any other is dropped, and the descent continues from its own amplitudes.
     """
     d = u.shape[0]
-    factors = _state_factors(rhos)
     owners = [n for n, w in enumerate(factors) for _ in range(w.shape[1])]
     # column m holds the amplitudes <w|u_m>, then the entries of u_m: one rotation moves both
     amps = (np.concatenate(factors + [np.eye(d)], axis=1).conj().T @ u).T.tolist()
@@ -359,8 +402,11 @@ def _descend(rhos: np.ndarray, u: np.ndarray, cfg: WitnessSearchConfig, stop_val
     col_products = _column_probs(rhos, u).prod(axis=0).tolist()
     value = start_value = float(sum(col_products))
     step = cfg.initial_step
-    cycles = probes = 0
-    while cycles < cfg.max_iters and step >= cfg.min_step and value > stop_value:
+    while counts.cycles < cfg.max_iters and step >= cfg.min_step and value > stop_value:
+        if stop_value > 0.0 and counts.cycles and counts.cycles & (counts.cycles - 1) == 0:
+            polished_value, polished = _gauss_newton_polish(rhos, factors, np.array(amps)[:, len(owners) :].T, counts)
+            if polished_value <= stop_value:
+                return polished_value, polished, start_value, True
         cycle_start = value
         for j, k, c in moves:
             coeffs = _pair_coefficients(amps[j], amps[k], c, owners, len(factors))
@@ -372,7 +418,7 @@ def _descend(rhos: np.ndarray, u: np.ndarray, cfg: WitnessSearchConfig, stop_val
 
             best = (value, 0.0, None)
             minus, plus = probe(-step), probe(step)
-            probes += 2
+            counts.probes += 2
             if minus[0] < best[0]:
                 best = minus
             if plus[0] < best[0]:
@@ -381,7 +427,7 @@ def _descend(rhos: np.ndarray, u: np.ndarray, cfg: WitnessSearchConfig, stop_val
             if curvature > 0.0:
                 angle = 0.5 * step * (minus[0] - plus[0]) / curvature
                 vertex = probe(min(max(angle, -2.0 * step), 2.0 * step))
-                probes += 1
+                counts.probes += 1
                 if vertex[0] < best[0]:
                     best = vertex
             if best[1] != 0.0:
@@ -389,11 +435,11 @@ def _descend(rhos: np.ndarray, u: np.ndarray, cfg: WitnessSearchConfig, stop_val
                 amps[j], amps[k] = _rotate_pair(amps[j], amps[k], c, angle)
             if value <= stop_value:
                 break
-        cycles += 1
+        counts.cycles += 1
         if cycle_start - value <= _CYCLE_IMPROVEMENT_REL * cycle_start:
             step *= cfg.step_shrink
     u = np.array(amps)[:, len(owners) :].T
-    return float(_column_probs(rhos, u).prod(axis=0).sum()), u, start_value, cycles, probes
+    return float(_column_probs(rhos, u).prod(axis=0).sum()), u, start_value, False
 
 
 def _state_factors(rhos: np.ndarray, tol: float = 1e-12) -> list[np.ndarray]:
@@ -417,8 +463,8 @@ def _matched_residual(factors: list[np.ndarray], match: np.ndarray, u: np.ndarra
     return flat[0], flat[1:].T
 
 
-def _gauss_newton_polish(rhos: np.ndarray, u: np.ndarray, value: float):
-    """Drive the matched-orthogonality residuals to zero.
+def _gauss_newton_polish(rhos: np.ndarray, factors: list[np.ndarray], u: np.ndarray, counts: _RestartCounts):
+    """Drive the matched-orthogonality residuals to zero; returns (value, basis).
 
     At a vanishing PP functional every outcome ket is orthogonal to the
     support of (at least) one state.  The coordinate descent locates
@@ -427,12 +473,14 @@ def _gauss_newton_polish(rhos: np.ndarray, u: np.ndarray, value: float):
     residuals ``W_a(i)† e_i`` are linear in the basis and Gauss-Newton
     keeps converging where the functional itself is quartic-flat.
     Every update is accepted only if the functional improves, so the
-    polish can never worsen the incumbent.
+    polish can never worsen the functional of ``u``.  Adds its
+    iterations and accepted updates to ``counts``.
     """
-    factors = _state_factors(rhos)
     gens = np.array([g for _, _, g in _pair_generators(u.shape[0])])
     probs = _column_probs(rhos, u)
+    value = float(probs.prod(axis=0).sum())
     for _ in range(_POLISH_ITERS):
+        counts.polish_iters += 1
         match = probs.argmin(axis=0)
         r0, jac = _matched_residual(factors, match, u, gens)
         delta, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
@@ -448,6 +496,7 @@ def _gauss_newton_polish(rhos: np.ndarray, u: np.ndarray, value: float):
             delta = delta / 2.0
         else:
             break
+        counts.polish_accepted += 1
         u, probs, value = candidate, candidate_probs, candidate_value
         if value < 1e-26:
             break
@@ -464,38 +513,44 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
     ``success_threshold`` is a result (``success`` is False), not an
     error: the search can only ever *confirm* incompatibility.  Results
     are deterministic for a fixed config; restarts are independent, so
-    the winner does not depend on evaluation order.  The returned basis
-    has its kets as rows.
+    the winner does not depend on evaluation order.  The winner is the
+    lowest-index restart whose final value lies within a relative 1e-12
+    of the lowest one and on the same side of ``success_threshold``, so
+    rounding at a flat floor cannot pick it.  The returned basis has its
+    kets as rows.
     """
     if cfg is None:
         cfg = WitnessSearchConfig()
     d = states.dim
     rhos = np.asarray(states.rhos)
+    factors = _state_factors(rhos)
     stop_value = cfg.success_threshold if cfg.stop_at_success else 0.0
-    best_value = math.inf
-    best_u = None
-    best_restart = -1
+    bases: list[np.ndarray] = []
     history: list[RestartRecord] = []
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
-        u = _haar_unitary(rng, d)
-        value, u, start_value, cycles, probes = _descend(rhos, u, cfg, stop_value)
+        counts = _RestartCounts()
+        value, u, start_value, polished = _descend(rhos, factors, _haar_unitary(rng, d), cfg, stop_value, counts)
         if value > stop_value:
-            value, u = _gauss_newton_polish(rhos, u, value)
+            accepted = counts.polish_accepted
+            value, u = _gauss_newton_polish(rhos, factors, u, counts)
+            polished = counts.polish_accepted > accepted
+        phase = "polish" if polished else "descent" if value < start_value else "none"
         history.append(
-            RestartRecord(restart=restart, start_value=start_value, final_value=value, cycles=cycles, probes=probes)
+            RestartRecord(restart=restart, start_value=start_value, final_value=value, phase=phase, **asdict(counts))
         )
-        if value < best_value:
-            best_value = value
-            best_u = u.copy()
-            best_restart = restart
-        if cfg.stop_at_success and best_value < cfg.success_threshold:
+        bases.append(u)
+        if cfg.stop_at_success and value < cfg.success_threshold:
             break
+    floor = min(r.final_value for r in history)
+    success = floor < cfg.success_threshold
+    tied = floor + _TIE_REL * abs(floor)
+    best = next(r for r in history if r.final_value <= tied and (r.final_value < cfg.success_threshold) == success)
     return WitnessSearchResult(
-        basis=frozen_array(best_u.T),
-        value=best_value,
-        success=best_value < cfg.success_threshold,
-        best_restart=best_restart,
+        basis=frozen_array(bases[best.restart].T),
+        value=best.final_value,
+        success=success,
+        best_restart=best.restart,
         history=tuple(history),
         config=cfg,
     )

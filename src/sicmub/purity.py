@@ -59,9 +59,6 @@ class TripleProductTable:
             raise ValueError(f"expected table of shape ({n}, {n}, {n}), got {arr.shape}")
         object.__setattr__(self, "values", frozen_array(arr, dtype=float))
 
-    def __getitem__(self, jkl) -> float:
-        return float(self.values[jkl])
-
 
 def triple_product(s: SicSet, j: int, k: int, l: int) -> float:
     """``Re tr(P_j P_k P_l)`` for one index triple."""

@@ -66,7 +66,7 @@ class SicSet:
     ``gram_residual`` records the worst overlap residual observed when
     the set was generated; hand-built sets leave it ``None``.  Equality
     of SIC sets is meaningful only at the projector level (global ket
-    phases cancel), so compare with :meth:`same_projectors`.
+    phases cancel), so compare ``projectors``.
     """
 
     dim: int
@@ -88,12 +88,6 @@ class SicSet:
                 f"herm={herm:.3e}, trace={np.max(np.abs(traces - 1)):.3e}, idem={idem:.3e}"
             )
         object.__setattr__(self, "projectors", frozen_array(p))
-
-    def same_projectors(self, other: "SicSet", tol: float = DEFAULT_TOL) -> bool:
-        """Entrywise equality of the projector lists within ``tol``."""
-        if self.dim != other.dim:
-            return False
-        return bool(np.max(np.abs(self.projectors - other.projectors)) <= tol)
 
 
 @dataclass(frozen=True)

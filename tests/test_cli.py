@@ -122,6 +122,10 @@ class TestCompatSearch:
         assert doc["results"]["value"] < 1e-9
         assert doc["seed"] == 5
         assert len(doc["results"]["basis_kets"]) == 3
+        history = doc["results"]["history"]
+        assert history[-1]["phase"] == "polish" and history[-1]["polish_accepted"] > 0
+        for key in ("cycles", "probes", "polish_iters"):
+            assert doc["results"][key] == sum(record[key] for record in history)
 
     def test_reports_are_byte_identical_across_runs(self, capsys):
         args = ("compat", "search", "--states", "cfs-example", "--restarts", "4", "--seed", "9", "--format", "json")

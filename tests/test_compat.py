@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -286,6 +287,62 @@ class TestWitnessSearch:
         for record in first.history:
             # two probes per move plus at most one vertex probe, six moves per cycle
             assert 12 * (record.cycles - 1) < record.probes <= 18 * record.cycles
+
+    def test_every_hesse_triple_certifies_on_restart_zero_through_an_early_polish(self, kets):
+        cfg = WitnessSearchConfig(restarts=64, seed=2024, success_threshold=1e-8)
+        for triple in combinations(range(9), 3):
+            result = witness_search(StateSet.from_kets(kets[list(triple)]), cfg)
+            assert result.success and result.best_restart == 0 and len(result.history) == 1, triple
+            (record,) = result.history
+            assert record.cycles <= 4 and record.phase == "polish" and record.polish_accepted > 0, (triple, record)
+            assert 12 * (record.cycles - 1) < record.probes <= 18 * record.cycles
+
+    def test_cfs_example_certifies_within_two_cycles(self):
+        result = witness_search(cfs_example_states())
+        assert result.success
+        assert result.history[result.best_restart].cycles <= 2
+        assert result.history[result.best_restart].phase == "polish"
+
+    def test_failed_polish_trials_leave_the_descent_untouched(self):
+        rng = np.random.default_rng(8)
+        while True:
+            triple = np.array([random_ket(3, rng) for _ in range(3)])
+            verdict = qutrit_triple_criterion(triple[0], triple[1], triple[2])
+            # compatible with margin > 0.05, as in the agreement test below
+            margin = verdict.boundary_rhs - verdict.boundary_lhs
+            if not verdict.incompatible and verdict.overlap_sum < 1.0 and margin > 0.05:
+                break
+        states = StateSet.from_kets(triple)
+        early, full = (
+            witness_search(states, WitnessSearchConfig(restarts=4, seed=2024, stop_at_success=stop))
+            for stop in (True, False)
+        )
+        assert len(early.history) == len(full.history) == 4
+        for a, b in zip(early.history, full.history):
+            assert (a.cycles, a.probes, a.final_value) == (b.cycles, b.probes, b.final_value)
+            # the early-stop search tried the polish on the way (after cycles 1, 2, 4, ...)
+            assert a.polish_iters > b.polish_iters
+            assert 12 * (a.cycles - 1) < a.probes <= 18 * a.cycles
+        assert early.value == full.value and early.best_restart == full.best_restart
+
+    def test_ties_at_a_flat_floor_go_to_the_lowest_restart(self):
+        rng = np.random.default_rng(0)
+        cfg = WitnessSearchConfig(restarts=8, seed=2024, stop_at_success=False)
+        inexact_ties = 0
+        for _ in range(6):
+            rhos = []
+            for _ in range(3):
+                kets = np.array([random_ket(3, rng) for _ in range(2)])
+                rhos.append(np.einsum("r,ra,rb->ab", rng.dirichlet(np.ones(2)), kets, kets.conj()))
+            result = witness_search(StateSet(dim=3, rhos=np.array(rhos)), cfg)
+            values = [r.final_value for r in result.history]
+            floor = min(values)
+            tied = [i for i, v in enumerate(values) if v <= floor + 1e-12 * abs(floor)]
+            assert result.best_restart == tied[0]
+            assert result.value == values[tied[0]]
+            inexact_ties += values[tied[0]] != floor
+        # rounding, not the search, would pick the winner under a strict minimum
+        assert inexact_ties >= 2
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1e-10])
     def test_config_rejects_non_positive_or_non_finite_threshold(self, threshold):
