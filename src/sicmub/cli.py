@@ -390,7 +390,7 @@ def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport, None]:
     if dim != 3:
         raise UsageError(f"the ternary criterion applies to qutrits, got dimension {dim}")
     kets = [_principal_ket(rho, tol) for rho in rhos]
-    verdict = qutrit_triple_criterion(*kets, tol=tol, saturation_tol=SATURATION_TOL)
+    verdict = qutrit_triple_criterion(*kets, tol=tol)
     label = verdict.verdict + (" (saturated)" if verdict.saturated else "")
     report = RunReport(
         command="compat triple",
@@ -460,7 +460,7 @@ def _cmd_mubs_build(args, tol: float) -> tuple[int, RunReport, None]:
         },
         residuals=check.residuals(),
     )
-    return 0, report, None
+    return (0 if check.passed else 1), report, None
 
 
 def _cmd_mubs_verify(args, tol: float) -> tuple[int, RunReport, None]:

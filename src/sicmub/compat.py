@@ -105,13 +105,7 @@ def pp_functional(states: StateSet, effects) -> float:
     return float(probs.prod(axis=0).sum())
 
 
-def qutrit_triple_criterion(
-    a,
-    b,
-    c,
-    tol: float = SEARCH_TOL,
-    saturation_tol: float = SATURATION_TOL,
-) -> CompatVerdict:
+def qutrit_triple_criterion(a, b, c, tol: float = SEARCH_TOL) -> CompatVerdict:
     """Exact PP-ODOP verdict for three qutrit pure states.
 
     With squared overlaps ``x1 = |<a|b>|**2``, ``x2 = |<b|c>|**2``,
@@ -123,7 +117,8 @@ def qutrit_triple_criterion(
     ``x_i <= tol``) short-circuits to incompatible: the inequalities are
     derived for strictly nonzero overlaps, and an orthonormal basis whose
     first two kets span the pair witnesses the incompatibility directly
-    (it is attached as ``witness``).
+    (it is attached as ``witness``).  ``saturated`` marks an incompatible
+    triple whose two boundary sides agree within ``SATURATION_TOL``.
 
     Raises ``ValueError`` for non-qutrit input, kets whose norm is off 1
     by more than ``tol``, or states identical as projectors.
@@ -144,7 +139,7 @@ def qutrit_triple_criterion(
     overlap_sum = x1 + x2 + x3
     boundary_lhs = (overlap_sum - 1.0) ** 2
     boundary_rhs = 4.0 * x1 * x2 * x3
-    saturated_eq = abs(boundary_lhs - boundary_rhs) <= saturation_tol
+    saturated_eq = abs(boundary_lhs - boundary_rhs) <= SATURATION_TOL
 
     witness = None
     ortho_pairs = [(i, j) for (i, j, x) in ((0, 1, x1), (1, 2, x2), (2, 0, x3)) if x <= tol]
@@ -213,9 +208,9 @@ class WitnessSearchConfig:
     over the elementary Hermitian-generator rotations of the unitary
     group (pair mixing only; pure phase generators do not move a basis
     of projectors), probing each rotation angle with a three-point
-    quadratic fit at the current step.  The step shrinks by
-    ``step_shrink`` after any cycle that fails to improve the value by
-    a relative 1e-3.  The descent stops below ``min_step``, at
+    quadratic fit at the current step.  The step starts at 0.5 and halves
+    after any cycle that fails to improve the value by a relative 1e-3.
+    The descent stops once the step falls below 1e-9, at
     ``max_iters`` cycles, or, with ``stop_at_success``, once the
     functional reaches ``success_threshold``; a Gauss-Newton polish then
     finishes any restart that has not reached it.  With
@@ -232,9 +227,6 @@ class WitnessSearchConfig:
     max_iters: int = 200
     seed: int = 0
     success_threshold: float = 1e-10
-    initial_step: float = 0.5
-    step_shrink: float = 0.5
-    min_step: float = 1e-9
     stop_at_success: bool = True
 
     def __post_init__(self):
@@ -242,9 +234,13 @@ class WitnessSearchConfig:
             raise ValueError("restarts and max_iters must be positive")
         if not (math.isfinite(self.success_threshold) and self.success_threshold > 0):
             raise ValueError(f"success_threshold must be finite and positive, got {self.success_threshold!r}")
-        if not (0 < self.step_shrink < 1):
-            raise ValueError("step_shrink must lie in (0, 1)")
 
+
+#: Descent step schedule: the first rotation step, the factor a failed cycle
+#: multiplies it by, and the step below which the descent stops.
+_INITIAL_STEP = 0.5
+_STEP_SHRINK = 0.5
+_MIN_STEP = 1e-9
 
 #: A cycle improving the value by less than this relative amount counts
 #: as failed and triggers a step shrink.
@@ -401,8 +397,8 @@ def _descend(
     moves = [(j, k, 1j * complex(g[k, j])) for j, k, g in _pair_generators(d)]
     col_products = _column_probs(rhos, u).prod(axis=0).tolist()
     value = start_value = float(sum(col_products))
-    step = cfg.initial_step
-    while counts.cycles < cfg.max_iters and step >= cfg.min_step and value > stop_value:
+    step = _INITIAL_STEP
+    while counts.cycles < cfg.max_iters and step >= _MIN_STEP and value > stop_value:
         if stop_value > 0.0 and counts.cycles and counts.cycles & (counts.cycles - 1) == 0:
             polished_value, polished = _gauss_newton_polish(rhos, factors, np.array(amps)[:, len(owners) :].T, counts)
             if polished_value <= stop_value:
@@ -437,7 +433,7 @@ def _descend(
                 break
         counts.cycles += 1
         if cycle_start - value <= _CYCLE_IMPROVEMENT_REL * cycle_start:
-            step *= cfg.step_shrink
+            step *= _STEP_SHRINK
     u = np.array(amps)[:, len(owners) :].T
     return float(_column_probs(rhos, u).prod(axis=0).sum()), u, start_value, False
 

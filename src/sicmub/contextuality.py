@@ -9,10 +9,10 @@ contextuality.  The 21 vertices formed by the nine Hesse SIC states
 and their twelve MUB states give a 48-edge graph with chromatic
 number 4 > 3.
 
-The chromatic number is computed exactly: a greedy clique supplies a
-lower bound, DSATUR an upper bound, and a backtracking k-colorability
-search closes the gap.  Exactness is guaranteed (and enforced) only up
-to 64 vertices.
+The chromatic number is computed exactly by one backtracking
+k-colorability search, run for k = 1, 2, ... until it finds a coloring:
+the search is exhaustive, so every smaller k has been refuted.  The
+solver accepts at most 64 vertices.
 """
 
 from __future__ import annotations
@@ -59,16 +59,13 @@ class OrthoGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in range(i + 1, self.n) if self.adjacency[i, j]]
 
-    def degree(self, vertex: int) -> int:
-        return int(self.adjacency[vertex].sum())
-
 
 @dataclass(frozen=True)
 class Coloring:
-    """Proper vertex coloring: color indices 0..num_colors-1 per vertex."""
+    """Proper vertex coloring: one color index per vertex, the colors
+    used being 0..k-1."""
 
     assignment: tuple[int, ...]
-    num_colors: int
 
 
 @dataclass(frozen=True)
@@ -113,45 +110,6 @@ def hesse_mub_graph(tol: float = ORTHOGONALITY_TOL) -> OrthoGraph:
     states = np.concatenate([sic.projectors, mubs.projectors.reshape(12, 3, 3)])
     labels = [str(i) for i in range(9)] + ["".join(map(str, line)) for line in LINES.tolist()]
     return build_orthogonality_graph(states, labels, tol=tol)
-
-
-def _greedy_clique(adjacency: np.ndarray) -> list[int]:
-    """Heuristic clique (chromatic lower bound), grown greedily from
-    each vertex in degree order."""
-    n = adjacency.shape[0]
-    degrees = adjacency.sum(axis=1)
-    best: list[int] = []
-    for start in sorted(range(n), key=lambda v: (-degrees[v], v)):
-        clique = [start]
-        candidates = set(np.flatnonzero(adjacency[start]))
-        while candidates:
-            pick = max(candidates, key=lambda v: (sum(adjacency[v, u] for u in candidates), -v))
-            clique.append(pick)
-            candidates &= set(np.flatnonzero(adjacency[pick]))
-        if len(clique) > len(best):
-            best = clique
-    return best
-
-
-def _dsatur(adjacency: np.ndarray) -> list[int]:
-    """DSATUR greedy coloring (chromatic upper bound); ties broken by
-    lowest vertex index for reproducible colorings."""
-    n = adjacency.shape[0]
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    degrees = adjacency.sum(axis=1)
-    uncolored = set(range(n))
-    while uncolored:
-        v = max(uncolored, key=lambda u: (len(neighbor_colors[u]), degrees[u], -u))
-        color = 0
-        while color in neighbor_colors[v]:
-            color += 1
-        colors[v] = color
-        uncolored.remove(v)
-        for u in np.flatnonzero(adjacency[v]):
-            if colors[u] == -1:
-                neighbor_colors[u].add(color)
-    return colors
 
 
 def _k_colorable(adjacency: np.ndarray, k: int) -> list[int] | None:
@@ -200,27 +158,22 @@ def _check_proper(adjacency: np.ndarray, colors: list[int]) -> None:
 def chromatic_number(g: OrthoGraph) -> tuple[int, Coloring]:
     """Exact chromatic number with an optimal proper coloring.
 
-    Clique lower bound, DSATUR upper bound, and backtracking search for
-    every k in between.  Graphs above 64 vertices are rejected, as the
-    exactness guarantee stops being practical there.
+    Runs the backtracking k-colorability search for k = 1, 2, ... and
+    returns the first coloring found.  The search is exhaustive, so each
+    failed k is a proof that the graph needs more colors, and the
+    returned k is the chromatic number.  Graphs above 64 vertices are
+    rejected, as the exhaustive search stops being practical there.
     """
     if g.n > MAX_VERTICES:
         raise ValueError(f"graph has {g.n} vertices; exact solver is capped at {MAX_VERTICES}")
     if g.n == 0:
-        return 0, Coloring(assignment=(), num_colors=0)
+        return 0, Coloring(assignment=())
     adjacency = np.asarray(g.adjacency)
-    lower = max(1, len(_greedy_clique(adjacency)))
-    upper_colors = _dsatur(adjacency)
-    upper = max(upper_colors) + 1
-    best = upper_colors
-    best_k = upper
-    for k in range(lower, upper):
-        solution = _k_colorable(adjacency, k)
-        if solution is not None:
-            best, best_k = solution, max(solution) + 1
-            break
-    _check_proper(adjacency, best)
-    return best_k, Coloring(assignment=tuple(best), num_colors=best_k)
+    k = 1
+    while (colors := _k_colorable(adjacency, k)) is None:
+        k += 1
+    _check_proper(adjacency, colors)
+    return k, Coloring(assignment=tuple(colors))
 
 
 def cabello_criterion(g: OrthoGraph, d: int) -> CabelloReport:

@@ -156,6 +156,12 @@ class TestMubs:
         assert code == 0
         assert json.loads(out)["results"]["passed"] is True
 
+    def test_build_exits_one_where_verify_fails(self, capsys):
+        # the within-basis residual (~9e-16) exceeds this tol: build and verify agree on the verdict
+        verify_code, _, _ = run_cli(capsys, "mubs", "verify", "--tol", "1e-16", "--format", "json")
+        build_code, _, _ = run_cli(capsys, "mubs", "build", "--tol", "1e-16", "--format", "json")
+        assert verify_code == build_code == 1
+
     def test_cover_single_triple(self, capsys):
         code, out, _ = run_cli(capsys, "mubs", "cover", "--triple", "0,1,4", "--format", "json")
         assert code == 0

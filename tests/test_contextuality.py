@@ -32,6 +32,34 @@ def brute_force_chromatic(adjacency):
     return n
 
 
+def cycle(n):
+    adjacency = np.zeros((n, n), dtype=bool)
+    for v in range(n):
+        adjacency[v, (v + 1) % n] = adjacency[(v + 1) % n, v] = True
+    return adjacency
+
+
+def grotzsch():
+    """Mycielskian of C5: 11 vertices, triangle-free, chromatic number 4."""
+    adjacency = np.zeros((11, 11), dtype=bool)
+    adjacency[:5, :5] = cycle(5)
+    for v in range(5):
+        for u in ((v + 1) % 5, (v - 1) % 5):
+            adjacency[5 + v, u] = adjacency[u, 5 + v] = True
+        adjacency[5 + v, 10] = adjacency[10, 5 + v] = True
+    return adjacency
+
+
+#: The coloring ``graph --chromatic`` reports for the built-in graph.
+HESSE_COLORING = {
+    "0": 1, "1": 2, "2": 3, "3": 2, "4": 0, "5": 3, "6": 1, "7": 3, "8": 0,
+    "012": 0, "345": 1, "678": 2,
+    "036": 0, "147": 1, "258": 2,
+    "048": 2, "156": 0, "237": 1,
+    "057": 0, "138": 1, "246": 2,
+}
+
+
 def random_graph(rng, n, p):
     adjacency = np.zeros((n, n), dtype=bool)
     for i in range(n):
@@ -53,11 +81,8 @@ class TestGraphConstruction:
         assert not adjacency[:9, :9].any()
 
     def test_degrees(self):
-        graph = hesse_mub_graph()
-        for v in range(9):
-            assert graph.degree(v) == 4
-        for v in range(9, 21):
-            assert graph.degree(v) == 5
+        degrees = np.asarray(hesse_mub_graph().adjacency).sum(axis=1)
+        np.testing.assert_array_equal(degrees, [4] * 9 + [5] * 12)
 
     def test_non_rank_one_rejected(self):
         states = np.array([np.eye(3) / 3.0, projector(basis_ket(3, 0))])
@@ -98,7 +123,24 @@ class TestChromaticNumber:
     def test_builtin_graph_needs_four_colors(self):
         chi, coloring = chromatic_number(hesse_mub_graph())
         assert chi == 4
-        assert coloring.num_colors == 4
+        assert max(coloring.assignment) + 1 == 4
+
+    def test_builtin_coloring_is_pinned(self):
+        graph = hesse_mub_graph()
+        _, coloring = chromatic_number(graph)
+        assert dict(zip(graph.labels, coloring.assignment)) == HESSE_COLORING
+
+    @pytest.mark.parametrize(
+        "adjacency, chi", [(cycle(5), 3), (cycle(7), 3), (grotzsch(), 4)], ids=["C5", "C7", "Grotzsch"]
+    )
+    def test_chromatic_number_above_clique_number(self, adjacency, chi):
+        # triangle-free graphs: the search itself must refute k = 2 (and 3 for Grötzsch)
+        graph = OrthoGraph(labels=tuple(str(v) for v in range(len(adjacency))), adjacency=adjacency)
+        got, coloring = chromatic_number(graph)
+        assert got == chi == brute_force_chromatic(adjacency)
+        assert max(coloring.assignment) + 1 == chi
+        for i, j in graph.edges():
+            assert coloring.assignment[i] != coloring.assignment[j]
 
     def test_triangle(self):
         adjacency = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=bool)

@@ -1,0 +1,40 @@
+"""The README's Python quickstart runs as printed and its comments hold."""
+
+import ast
+import re
+from pathlib import Path
+
+import numpy as np
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def run_quickstart():
+    """Execute the README's ``python`` block statement by statement and
+    return the namespace and the value of each bare expression, keyed by
+    its source text."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    namespace: dict = {}
+    values: dict = {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.get_source_segment(block, node)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    return namespace, values
+
+
+def test_quickstart_comments_hold():
+    namespace, values = run_quickstart()
+    check = values["sm.is_sic(sic)"]
+    assert check.passed and check.max_residual < 1e-12
+    verdict = values["sm.qutrit_triple_criterion(kets[0], kets[1], kets[4])"]
+    assert verdict.verdict == "incompatible" and verdict.saturated
+    np.testing.assert_allclose(verdict.overlaps, (0.25, 0.25, 0.25), atol=1e-12)
+    assert values["sm.covering_witness((0, 1, 4), mubs, sic)"] == [4]
+    assert values["result.value"] < 1e-10 and namespace["result"].success
+    assert values["sm.quadratic_purity_check(p).passed"]
+    np.testing.assert_allclose(namespace["w"], [-1 / 3] + [1 / 6] * 8, atol=1e-12)
+    assert abs(values["sm.negativity(w)"] - 1 / 3) < 1e-12
+    assert values["sm.cabello_criterion(graph, 3).contextual"]
