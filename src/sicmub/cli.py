@@ -343,6 +343,12 @@ def _emit(report: RunReport, args, csv_rows: list[list[Any]] | None) -> None:
         sys.stdout.write(payload)
 
 
+def _input_tol(source: str, tol: float) -> float:
+    """The tolerance --states is judged at: ``tol`` for a state file, ``SEARCH_TOL``
+    for the built-in, whose kets are exact up to rounding."""
+    return SEARCH_TOL if source == "cfs-example" else tol
+
+
 def _load_states_arg(source: str, tol: float) -> tuple[int, np.ndarray, str]:
     """Resolve --states: builtin name or file path."""
     if source == "cfs-example":
@@ -389,8 +395,9 @@ def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport, None]:
         raise UsageError(f"the ternary criterion needs exactly 3 states, got {len(rhos)}")
     if dim != 3:
         raise UsageError(f"the ternary criterion applies to qutrits, got dimension {dim}")
-    kets = [_principal_ket(rho, tol) for rho in rhos]
-    verdict = qutrit_triple_criterion(*kets, tol=tol)
+    input_tol = _input_tol(args.states, tol)
+    kets = [_principal_ket(rho, input_tol) for rho in rhos]
+    verdict = qutrit_triple_criterion(*kets, tol=tol, norm_tol=input_tol)
     label = verdict.verdict + (" (saturated)" if verdict.saturated else "")
     report = RunReport(
         command="compat triple",
@@ -420,10 +427,9 @@ def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport, None]:
         seed=args.seed,
         success_threshold=args.threshold,
     )
-    from_file = args.states != "cfs-example"  # a state file's kets and states are judged at tol
-    result = witness_search(StateSet(dim=dim, rhos=rhos, tol=tol if from_file else SEARCH_TOL), cfg)
+    result = witness_search(StateSet(dim=dim, rhos=rhos, tol=_input_tol(args.states, tol)), cfg)
     tolerances = {"success_threshold": args.threshold}
-    if from_file:
+    if args.states != "cfs-example":
         tolerances["tol"] = tol
     report = RunReport(
         command="compat search",
@@ -437,6 +443,7 @@ def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport, None]:
             "restarts_run": len(result.history),
             "cycles": sum(r.cycles for r in result.history),
             "probes": sum(r.probes for r in result.history),
+            "newton_iters": sum(r.newton_iters for r in result.history),
             "polish_iters": sum(r.polish_iters for r in result.history),
             "basis_kets": [encode_ket(v) for v in np.asarray(result.basis)],
             "history": [asdict(r) for r in result.history],

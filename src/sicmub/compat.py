@@ -9,8 +9,12 @@ zero, i.e. the product-sum functional
 vanishes.  Restricting the measurements to von Neumann bases (rank-1
 orthogonal projectors, "ODOP") gives PP-ODOP compatibility.  For three
 qutrit pure states there is an exact algebraic criterion on the three
-squared overlaps; for arbitrary inputs a seeded derivative-free search
-over bases provides a constructive certificate.
+squared overlaps; for arbitrary inputs a seeded search over bases
+provides a constructive certificate.  The search's descent moves to the
+exact minimum along each pair rotation: for N states the functional
+there is a trigonometric polynomial of degree N // 2 in 4t.  A damped
+Newton finisher closes positive floors, and a Gauss-Newton polish of
+the matched orthogonality residuals certifies zeros.
 
 The ternary criterion implemented here uses the non-strict inequality
 ``(x1 + x2 + x3 - 1)**2 >= 4 x1 x2 x3``: equality (saturation) counts
@@ -105,7 +109,7 @@ def pp_functional(states: StateSet, effects) -> float:
     return float(probs.prod(axis=0).sum())
 
 
-def qutrit_triple_criterion(a, b, c, tol: float = SEARCH_TOL) -> CompatVerdict:
+def qutrit_triple_criterion(a, b, c, tol: float = SEARCH_TOL, *, norm_tol: float | None = None) -> CompatVerdict:
     """Exact PP-ODOP verdict for three qutrit pure states.
 
     With squared overlaps ``x1 = |<a|b>|**2``, ``x2 = |<b|c>|**2``,
@@ -121,13 +125,14 @@ def qutrit_triple_criterion(a, b, c, tol: float = SEARCH_TOL) -> CompatVerdict:
     triple whose two boundary sides agree within ``SATURATION_TOL``.
 
     Raises ``ValueError`` for non-qutrit input, kets whose norm is off 1
-    by more than ``tol``, or states identical as projectors.
+    by more than ``norm_tol`` (default ``tol``), or states identical as
+    projectors.
     """
     kets = [np.asarray(v, dtype=complex).reshape(-1) for v in (a, b, c)]
     for v in kets:
         if v.shape[0] != 3:
             raise ValueError(f"criterion applies to qutrits only, got dimension {v.shape[0]}")
-        if abs(np.linalg.norm(v) - 1.0) > tol:
+        if abs(np.linalg.norm(v) - 1.0) > (tol if norm_tol is None else norm_tol):
             raise ValueError("states must be unit kets")
     x1 = overlap_squared(kets[0], kets[1])
     x2 = overlap_squared(kets[1], kets[2])
@@ -207,20 +212,22 @@ class WitnessSearchConfig:
     Each restart draws a Haar-random basis and refines it by cycling
     over the elementary Hermitian-generator rotations of the unitary
     group (pair mixing only; pure phase generators do not move a basis
-    of projectors), probing each rotation angle with a three-point
-    quadratic fit at the current step.  The step starts at 0.5 and halves
-    after any cycle that fails to improve the value by a relative 1e-3.
-    The descent stops once the step falls below 1e-9, at
-    ``max_iters`` cycles, or, with ``stop_at_success``, once the
-    functional reaches ``success_threshold``; a Gauss-Newton polish then
-    finishes any restart that has not reached it.  With
-    ``stop_at_success`` the descent also hands a copy of its basis to
-    the polish after cycles 1, 2, 4, 8, ...: a polish that reaches the
-    threshold ends the restart, any other is dropped, and the restart
-    loop itself exits on the first success.  Without it every restart
-    runs its full descent and polish.  The reported winner (lowest
-    value, ties within a relative 1e-12 to the lowest restart index) is
-    deterministic for a given ``seed`` either way.
+    of projectors).  Every move jumps to the exact minimum of the
+    functional along its rotation, and is taken only if that lowers the
+    value.  The descent hands over after the first cycle that improves
+    the value by less than a relative 1e-2, at ``max_iters`` cycles, or,
+    with ``stop_at_success``, once the functional reaches
+    ``success_threshold``.  A restart still above the threshold then
+    goes to a damped Newton finisher on the functional and to a
+    Gauss-Newton polish of the matched orthogonality residuals, which is
+    what certifies zeros.  With ``stop_at_success`` the descent also
+    hands a copy of its basis to the polish after cycles 1, 2, 4, 8,
+    ...: a polish that reaches the threshold ends the restart, any other
+    is dropped, and the restart loop itself exits on the first success.
+    Without it every restart runs its full descent, Newton and polish.
+    The reported winner (lowest value, ties within a relative 1e-12 to
+    the lowest restart index) is deterministic for a given ``seed``
+    either way.
     """
 
     restarts: int = 32
@@ -236,19 +243,21 @@ class WitnessSearchConfig:
             raise ValueError(f"success_threshold must be finite and positive, got {self.success_threshold!r}")
 
 
-#: Descent step schedule: the first rotation step, the factor a failed cycle
-#: multiplies it by, and the step below which the descent stops.
-_INITIAL_STEP = 0.5
-_STEP_SHRINK = 0.5
-_MIN_STEP = 1e-9
+#: The descent hands over to the finishers after the first cycle that
+#: improves the value by less than this relative amount.
+_CYCLE_IMPROVEMENT_REL = 1e-2
 
-#: A cycle improving the value by less than this relative amount counts
-#: as failed and triggers a step shrink.
-_CYCLE_IMPROVEMENT_REL = 1e-3
-
-#: Gauss-Newton polish limits: iteration cap and trust cap on one update's norm.
+#: Iteration cap and trust cap on one update's norm, for the Newton
+#: finisher and the Gauss-Newton polish alike.
 _POLISH_ITERS = 40
 _POLISH_MAX_STEP = 0.5
+
+#: The Newton finisher divides by no Hessian eigenvalue smaller in magnitude
+#: than this fraction of the largest one (or of the value, if that is larger),
+#: and stops once a step promises a relative decrease below ``_NEWTON_MIN_GAIN``:
+#: what is left there is rounding.
+_NEWTON_CURVATURE_FLOOR = 1e-8
+_NEWTON_MIN_GAIN = 1e-14
 
 #: Final values within this relative distance of the lowest one tie for the
 #: winner.  Restarts that end on one flat floor (mixed states) differ by
@@ -262,6 +271,7 @@ class _RestartCounts:
 
     cycles: int = 0
     probes: int = 0
+    newton_iters: int = 0
     polish_iters: int = 0
     polish_accepted: int = 0
 
@@ -269,17 +279,19 @@ class _RestartCounts:
 @dataclass(frozen=True)
 class RestartRecord:
     """One restart: the functional of its start and final basis, the descent's
-    ``cycles`` and ``probes``, the Gauss-Newton ``polish_iters`` and
+    ``cycles`` and ``probes`` (functional evaluations), the Newton finisher's
+    ``newton_iters``, the Gauss-Newton ``polish_iters`` and
     ``polish_accepted`` updates summed over every polish run (failed trials
     included), and ``phase``, the phase that produced ``final_value``:
-    ``"polish"``, ``"descent"``, or ``"none"`` when neither improved on
-    ``start_value``."""
+    ``"polish"``, ``"newton"``, ``"descent"``, or ``"none"`` when none
+    improved on ``start_value``."""
 
     restart: int
     start_value: float
     final_value: float
     cycles: int
     probes: int
+    newton_iters: int
     polish_iters: int
     polish_accepted: int
     phase: str
@@ -348,6 +360,38 @@ def _pair_products(coeffs: list[tuple[float, float, float]], angle: float) -> tu
     return plus, minus
 
 
+def _pair_minimum(coeffs: list[tuple[float, float, float]]) -> tuple[float, tuple[float, float], int]:
+    """The angle minimising ``sum(_pair_products(coeffs, angle))``, the products
+    there, and the number of angles evaluated.
+
+    The odd powers of ``h`` cancel, so the sum is a trigonometric polynomial
+    of degree ``len(coeffs) // 2`` in ``4t``.  Up to three states it is
+    ``a cos 4t + b sin 4t`` plus a constant, where ``a + ib`` sums ``z_m z_n``
+    (``z = beta + i gamma``) times the other state's ``alpha`` over pairs of
+    states, so the minimum is at ``4t = atan2(-b, -a)``.  For more states the
+    lowest root of the derivative's polynomial in ``exp(4it)`` wins.
+    """
+    n = len(coeffs)
+    if n <= 3:
+        alphas = [alpha for alpha, _, _ in coeffs] + [1.0] * (3 - n)
+        zs = [complex(beta, gamma) for _, beta, gamma in coeffs] + [0.0] * (3 - n)
+        a = alphas[2] * zs[0] * zs[1] + alphas[1] * zs[0] * zs[2] + alphas[0] * zs[1] * zs[2]
+        angle = 0.25 * math.atan2(-a.imag, -a.real)
+        return angle, _pair_products(coeffs, angle), 1
+    # prod(alpha + h) as a Laurent polynomial in w = exp(2it), h = (conj(z) w + z / w) / 2
+    laurent = np.ones(1, dtype=complex)
+    for alpha, beta, gamma in coeffs:
+        laurent = np.convolve(laurent, [0.5 * complex(beta, gamma), alpha, 0.5 * complex(beta, -gamma)])
+    # the even powers w**(2m), m = -n//2 .. n//2, differentiated in 4t and shifted to a polynomial
+    half = n // 2
+    derivative = (np.arange(-half, half + 1) * laurent[n % 2 :: 2])[::-1]
+    roots = np.roots(derivative) if derivative.any() else np.ones(1)
+    angles = (0.25 * np.angle(roots)).tolist()
+    pairs = [_pair_products(coeffs, angle) for angle in angles]
+    best = min(range(len(angles)), key=lambda i: pairs[i][0] + pairs[i][1])
+    return angles[best], pairs[best], len(angles)
+
+
 def _generator_exp(gens: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """``exp(i sum_g delta_g G_g)`` for a stack of Hermitian generators."""
     w, v = np.linalg.eigh(np.tensordot(delta, gens, axes=1))
@@ -370,19 +414,26 @@ def _descend(
     rhos: np.ndarray,
     factors: list[np.ndarray],
     u: np.ndarray,
+    moves: list[tuple[int, int, complex]],
+    gens: np.ndarray,
     cfg: WitnessSearchConfig,
     stop_value: float,
     counts: _RestartCounts,
 ):
-    """Refine a basis; returns (value, basis, start_value, polished).
+    """Refine a basis by exact pair rotations; returns (value, basis, start_value, polished).
 
-    A probe is scalar arithmetic: :func:`_pair_coefficients` reads each
-    state's ``(alpha, beta, gamma)`` off the amplitudes ``<w|u_j>``,
-    ``<w|u_k>`` of its factor columns once per move, and
-    :func:`_pair_products` evaluates the rotation at any angle from them.
-    Only an accepted move rotates columns j, k of the basis and their
-    amplitudes.  ``start_value`` and ``value`` are the functional of the
-    start and the returned basis, computed from ``rhos``.
+    Each move reads every state's ``(alpha, beta, gamma)`` off the
+    amplitudes ``<w|u_j>``, ``<w|u_k>`` of its factor columns with
+    :func:`_pair_coefficients` and jumps to the minimum of the functional
+    along the rotation, :func:`_pair_minimum`, a trigonometric polynomial of
+    degree ``N // 2`` in ``4t`` for ``N`` states.  ``counts.probes`` adds the
+    functional evaluations that took.  A move that lowers the value rotates
+    columns j, k of the basis and their amplitudes; any other leaves them.
+    The descent ends after ``cfg.max_iters`` cycles, at ``stop_value``, or
+    after the first cycle that improves the value by less than the relative
+    ``_CYCLE_IMPROVEMENT_REL``, and hands over to the finishers.
+    ``start_value`` and ``value`` are the functional of the start and the
+    returned basis, computed from ``rhos``.
 
     When the restart can stop at success (``stop_value > 0``), a copy of
     the basis is offered to :func:`_gauss_newton_polish` after cycles 1,
@@ -394,46 +445,28 @@ def _descend(
     owners = [n for n, w in enumerate(factors) for _ in range(w.shape[1])]
     # column m holds the amplitudes <w|u_m>, then the entries of u_m: one rotation moves both
     amps = (np.concatenate(factors + [np.eye(d)], axis=1).conj().T @ u).T.tolist()
-    moves = [(j, k, 1j * complex(g[k, j])) for j, k, g in _pair_generators(d)]
     col_products = _column_probs(rhos, u).prod(axis=0).tolist()
     value = start_value = float(sum(col_products))
-    step = _INITIAL_STEP
-    while counts.cycles < cfg.max_iters and step >= _MIN_STEP and value > stop_value:
+    while counts.cycles < cfg.max_iters and value > stop_value:
         if stop_value > 0.0 and counts.cycles and counts.cycles & (counts.cycles - 1) == 0:
-            polished_value, polished = _gauss_newton_polish(rhos, factors, np.array(amps)[:, len(owners) :].T, counts)
+            trial = np.array(amps)[:, len(owners) :].T
+            polished_value, polished = _gauss_newton_polish(rhos, factors, trial, gens, counts)
             if polished_value <= stop_value:
                 return polished_value, polished, start_value, True
         cycle_start = value
         for j, k, c in moves:
             coeffs = _pair_coefficients(amps[j], amps[k], c, owners, len(factors))
-            rest = value - col_products[j] - col_products[k]
-
-            def probe(angle: float):
-                pair = _pair_products(coeffs, angle)
-                return rest + pair[0] + pair[1], angle, pair
-
-            best = (value, 0.0, None)
-            minus, plus = probe(-step), probe(step)
-            counts.probes += 2
-            if minus[0] < best[0]:
-                best = minus
-            if plus[0] < best[0]:
-                best = plus
-            curvature = minus[0] - 2.0 * value + plus[0]
-            if curvature > 0.0:
-                angle = 0.5 * step * (minus[0] - plus[0]) / curvature
-                vertex = probe(min(max(angle, -2.0 * step), 2.0 * step))
-                counts.probes += 1
-                if vertex[0] < best[0]:
-                    best = vertex
-            if best[1] != 0.0:
-                value, angle, (col_products[j], col_products[k]) = best
+            angle, pair, evaluations = _pair_minimum(coeffs)
+            counts.probes += evaluations
+            moved = value - col_products[j] - col_products[k] + pair[0] + pair[1]
+            if moved < value:
+                value, (col_products[j], col_products[k]) = moved, pair
                 amps[j], amps[k] = _rotate_pair(amps[j], amps[k], c, angle)
             if value <= stop_value:
                 break
         counts.cycles += 1
         if cycle_start - value <= _CYCLE_IMPROVEMENT_REL * cycle_start:
-            step *= _STEP_SHRINK
+            break
     u = np.array(amps)[:, len(owners) :].T
     return float(_column_probs(rhos, u).prod(axis=0).sum()), u, start_value, False
 
@@ -459,7 +492,83 @@ def _matched_residual(factors: list[np.ndarray], match: np.ndarray, u: np.ndarra
     return flat[0], flat[1:].T
 
 
-def _gauss_newton_polish(rhos: np.ndarray, factors: list[np.ndarray], u: np.ndarray, counts: _RestartCounts):
+def _functional_derivatives(rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, probs: np.ndarray):
+    """Gradient and Hessian of the PP functional of ``u @ exp(i sum_g delta_g G_g)``
+    in ``delta`` at 0; ``probs`` is :func:`_column_probs` of ``u``.
+
+    With ``A_n = u† rho_n u`` the probabilities are the diagonal of
+    ``exp(-iX) A_n exp(iX)`` = ``A_n - i[X, A_n] - [X, [X, A_n]] / 2 + ...``,
+    so their first derivatives are the diagonal of ``B_g = -i[G_g, A_n]``
+    and their second ones that of ``-i([G_g, B_h] + [G_h, B_g]) / 2``.  The
+    diagonal of ``-i[G, B]`` is ``2 Im (G B)_mm`` for Hermitian ``G``, ``B``.
+    """
+    a = np.einsum("dm,nde,ek->nmk", u.conj(), rhos, u)
+    ga = np.einsum("gmk,nkl->ngml", gens, a)
+    b = -1j * (ga - ga.conj().swapaxes(-1, -2))
+    first = np.einsum("ngmm->ngm", b).real
+    second = np.einsum("gmk,nhkm->nghm", gens, b).imag
+    second = second + second.swapaxes(1, 2)
+    # products over the other states (one or two left out) of each column's probabilities
+    n = len(probs)
+    others = ~np.eye(n, dtype=bool)
+    rest1 = np.where(others[:, :, None], probs, 1.0).prod(axis=1)
+    keep2 = others[:, None, :] & others[None, :, :] & others[:, :, None]
+    rest2 = np.where(keep2[..., None], probs, 1.0).prod(axis=2) * others[..., None]
+    grad = np.einsum("ngm,nm->g", first, rest1)
+    hess = np.einsum("nghm,nm->gh", second, rest1) + np.einsum("agm,bhm,abm->gh", first, first, rest2)
+    return grad, hess
+
+
+def _damped_update(rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, delta: np.ndarray, value: float):
+    """The update ``u @ exp(i sum_g delta_g G_g)`` with ``delta`` capped at
+    ``_POLISH_MAX_STEP`` and halved up to six times until the functional falls
+    below ``value``; returns (basis, column probabilities, value), or None."""
+    norm = float(np.linalg.norm(delta))
+    if norm > _POLISH_MAX_STEP:
+        delta = delta * (_POLISH_MAX_STEP / norm)
+    for _ in range(6):
+        candidate = u @ _generator_exp(gens, delta)
+        probs = _column_probs(rhos, candidate)
+        candidate_value = float(probs.prod(axis=0).sum())
+        if candidate_value < value:
+            return candidate, probs, candidate_value
+        delta = delta / 2.0
+    return None
+
+
+def _newton_finish(rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, stop_value: float, counts: _RestartCounts):
+    """Damped Newton on the PP functional itself; returns (value, basis).
+
+    Each iteration steps by ``-H^-1 g`` from :func:`_functional_derivatives`,
+    with each Hessian eigenvalue replaced by its magnitude (so saddles are
+    left downhill) and floored at ``_NEWTON_CURVATURE_FLOOR`` times the
+    largest, through :func:`_damped_update`, as the polish does; it can
+    never worsen the functional of ``u``.  Stops at ``stop_value``, when no
+    halving improves, or once the step promises a relative decrease below
+    ``_NEWTON_MIN_GAIN``.  Adds its iterations to ``counts``.
+    """
+    probs = _column_probs(rhos, u)
+    value = float(probs.prod(axis=0).sum())
+    for _ in range(_POLISH_ITERS):
+        if value <= stop_value:
+            break
+        counts.newton_iters += 1
+        grad, hess = _functional_derivatives(rhos, u, gens, probs)
+        w, v = np.linalg.eigh(hess)
+        magnitude = np.abs(w)
+        delta = -v @ ((v.T @ grad) / np.maximum(magnitude, _NEWTON_CURVATURE_FLOOR * max(magnitude.max(), value)))
+        if -float(grad @ delta) <= _NEWTON_MIN_GAIN * value:
+            break
+        update = _damped_update(rhos, u, gens, delta, value)
+        if update is None:
+            break
+        u, probs, value = update
+    return value, u
+
+
+def _gauss_newton_polish(
+    rhos: np.ndarray, factors: list[np.ndarray], u: np.ndarray, gens: np.ndarray, counts: _RestartCounts
+):
     """Drive the matched-orthogonality residuals to zero; returns (value, basis).
 
     At a vanishing PP functional every outcome ket is orthogonal to the
@@ -468,11 +577,11 @@ def _gauss_newton_polish(rhos: np.ndarray, factors: list[np.ndarray], u: np.ndar
     saturated case), so finish the job on the root system instead: the
     residuals ``W_a(i)† e_i`` are linear in the basis and Gauss-Newton
     keeps converging where the functional itself is quartic-flat.
-    Every update is accepted only if the functional improves, so the
-    polish can never worsen the functional of ``u``.  Adds its
+    Every update goes through :func:`_damped_update`, so the polish can
+    never worsen the functional of ``u``.  ``gens`` stacks the
+    :func:`_pair_generators` of the basis's dimension.  Adds its
     iterations and accepted updates to ``counts``.
     """
-    gens = np.array([g for _, _, g in _pair_generators(u.shape[0])])
     probs = _column_probs(rhos, u)
     value = float(probs.prod(axis=0).sum())
     for _ in range(_POLISH_ITERS):
@@ -480,20 +589,11 @@ def _gauss_newton_polish(rhos: np.ndarray, factors: list[np.ndarray], u: np.ndar
         match = probs.argmin(axis=0)
         r0, jac = _matched_residual(factors, match, u, gens)
         delta, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
-        norm = float(np.linalg.norm(delta))
-        if norm > _POLISH_MAX_STEP:
-            delta *= _POLISH_MAX_STEP / norm
-        for _ in range(6):
-            candidate = u @ _generator_exp(gens, delta)
-            candidate_probs = _column_probs(rhos, candidate)
-            candidate_value = float(candidate_probs.prod(axis=0).sum())
-            if candidate_value < value:
-                break
-            delta = delta / 2.0
-        else:
+        update = _damped_update(rhos, u, gens, delta, value)
+        if update is None:
             break
         counts.polish_accepted += 1
-        u, probs, value = candidate, candidate_probs, candidate_value
+        u, probs, value = update
         if value < 1e-26:
             break
     return value, u
@@ -502,10 +602,12 @@ def _gauss_newton_polish(rhos: np.ndarray, factors: list[np.ndarray], u: np.ndar
 def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> WitnessSearchResult:
     """Minimize the PP functional over von Neumann bases.
 
-    Each restart runs the coordinate descent of the config and, if the
-    threshold was not reached, a Gauss-Newton polish of the matched
-    orthogonality residuals (which handles the quartic-flat landscapes
-    of exactly saturated triples).  Failure to reach
+    Each restart runs the exact-move coordinate descent of the config
+    and, if the threshold was not reached, a damped Newton finisher on the
+    functional (which closes positive floors) and a Gauss-Newton polish
+    of the matched orthogonality residuals (which handles the
+    quartic-flat landscapes of exactly saturated triples).  The generator
+    table they all move along is built once per call.  Failure to reach
     ``success_threshold`` is a result (``success`` is False), not an
     error: the search can only ever *confirm* incompatibility.  Results
     are deterministic for a fixed config; restarts are independent, so
@@ -520,18 +622,28 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
     d = states.dim
     rhos = np.asarray(states.rhos)
     factors = _state_factors(rhos)
+    table = _pair_generators(d)
+    moves = [(j, k, 1j * complex(g[k, j])) for j, k, g in table]
+    gens = np.array([g for _, _, g in table])
     stop_value = cfg.success_threshold if cfg.stop_at_success else 0.0
     bases: list[np.ndarray] = []
     history: list[RestartRecord] = []
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
         counts = _RestartCounts()
-        value, u, start_value, polished = _descend(rhos, factors, _haar_unitary(rng, d), cfg, stop_value, counts)
+        u = _haar_unitary(rng, d)
+        value, u, start_value, polished = _descend(rhos, factors, u, moves, gens, cfg, stop_value, counts)
+        phase = "polish" if polished else "descent" if value < start_value else "none"
+        if value > stop_value:
+            descent_value = value
+            value, u = _newton_finish(rhos, u, gens, stop_value, counts)
+            if value < descent_value:
+                phase = "newton"
         if value > stop_value:
             accepted = counts.polish_accepted
-            value, u = _gauss_newton_polish(rhos, factors, u, counts)
-            polished = counts.polish_accepted > accepted
-        phase = "polish" if polished else "descent" if value < start_value else "none"
+            value, u = _gauss_newton_polish(rhos, factors, u, gens, counts)
+            if counts.polish_accepted > accepted:
+                phase = "polish"
         history.append(
             RestartRecord(restart=restart, start_value=start_value, final_value=value, phase=phase, **asdict(counts))
         )

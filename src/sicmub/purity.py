@@ -79,7 +79,10 @@ def triple_product_table(s: SicSet) -> TripleProductTable:
 
 def quadratic_purity_check(p, tol: float = DEFAULT_TOL) -> PurityCheck:
     """Quadratic purity condition ``sum p**2 = 2/(d(d+1))``."""
-    vec = _as_prob_vector(p, tol)
+    return _quadratic_check(_as_prob_vector(p, tol), tol)
+
+
+def _quadratic_check(vec: np.ndarray, tol: float) -> PurityCheck:
     d = math.isqrt(vec.shape[0])
     value = float(np.dot(vec, vec))
     target = 2.0 / (d * (d + 1.0))
@@ -107,7 +110,10 @@ def qbic_check_hesse(p, tol: float = DEFAULT_TOL) -> PurityCheck:
     ``sum_i p(i)**3 - 3 * sum_{lines} p(i) p(j) p(k)`` must vanish for
     pure states (qutrit only).
     """
-    vec = _as_prob_vector(p, tol)
+    return _qbic_hesse_check(_as_prob_vector(p, tol), tol)
+
+
+def _qbic_hesse_check(vec: np.ndarray, tol: float) -> PurityCheck:
     if vec.shape[0] != 9:
         raise ValueError(f"the grid form applies to qutrits (9 outcomes), got {vec.shape[0]}")
     # left-to-right, as the formula reads (numpy's pairwise sum would move the last bit)
@@ -157,15 +163,16 @@ def enumerate_min_entropy_pure_states(tol: float = DEFAULT_TOL) -> list[tuple[tu
     """Pure states of minimal Shannon entropy among three-zero vectors.
 
     Scans all C(9,3) = 84 vectors with three zeros and 1/6 elsewhere,
-    keeping those passing both purity checks.  Exactly the 12 Steiner
-    lines survive; the survivors are returned with their zero triples in
-    lexicographic order.
+    keeping those passing both purity conditions at ``tol``.  Exactly the
+    12 Steiner lines survive; the survivors are returned with their zero
+    triples in lexicographic order.  The candidates sum to 1 only up to
+    rounding, so their sum is not held to ``tol``.
     """
     survivors = []
     for triple in combinations(range(9), 3):
         p = np.full(9, 1.0 / 6.0)
         p[list(triple)] = 0.0
-        if quadratic_purity_check(p, tol=tol).passed and qbic_check_hesse(p, tol=tol).passed:
+        if _quadratic_check(p, tol).passed and _qbic_hesse_check(p, tol).passed:
             survivors.append((triple, p))
     return survivors
 

@@ -124,7 +124,7 @@ class TestCompatSearch:
         assert len(doc["results"]["basis_kets"]) == 3
         history = doc["results"]["history"]
         assert history[-1]["phase"] == "polish" and history[-1]["polish_accepted"] > 0
-        for key in ("cycles", "probes", "polish_iters"):
+        for key in ("cycles", "probes", "newton_iters", "polish_iters"):
             assert doc["results"][key] == sum(record[key] for record in history)
 
     def test_reports_are_byte_identical_across_runs(self, capsys):
@@ -412,6 +412,22 @@ class TestToleranceHonesty:
         code, _, err = run_cli(capsys, "compat", "triple", "--states", states, "--tol", "1e-8")
         assert code == 2
         assert "not normalized" in err
+
+    @pytest.mark.parametrize(
+        "argv, count_key, expected",
+        [
+            (("min-entropy", "enumerate"), "count", 12),
+            (("compat", "triple", "--states", "cfs-example"), "verdict", "incompatible (saturated)"),
+        ],
+        ids=["min-entropy", "compat-triple"],
+    )
+    def test_builtins_are_not_held_to_a_tol_below_rounding(self, capsys, argv, count_key, expected):
+        # built-in inputs are exact up to rounding: only a state file's input checks apply --tol
+        code, out, err = run_cli(capsys, *argv, "--tol", "1e-16", "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["results"][count_key] == expected
+        assert doc["tolerances"]["tol"] == 1e-16
 
     def test_graph_honours_env_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("SICMUB_TOL", "0.3")

@@ -26,11 +26,13 @@ from sicmub import (
 from sicmub.compat import (
     _SATURATION_CUBIC,
     _column_probs,
+    _functional_derivatives,
     _generator_exp,
     _haar_unitary,
     _matched_residual,
     _pair_coefficients,
     _pair_generators,
+    _pair_minimum,
     _pair_products,
     _rotate_pair,
     _state_factors,
@@ -39,6 +41,31 @@ from sicmub.compat import (
 
 def computational_effects():
     return np.array([projector(basis_ket(3, j)) for j in range(3)])
+
+
+def random_mixtures(rng, ranks, d=3):
+    """One random density matrix of each given rank, a Dirichlet mixture of random kets."""
+    rhos = []
+    for rank in ranks:
+        kets = np.array([random_ket(d, rng) for _ in range(rank)])
+        rhos.append(np.einsum("r,ra,rb->ab", rng.dirichlet(np.ones(rank)), kets, kets.conj()))
+    return np.array(rhos)
+
+
+def compatible_triple(rng):
+    """The first random pure triple compatible with margin > 0.05, as in the agreement test."""
+    while True:
+        triple = np.array([random_ket(3, rng) for _ in range(3)])
+        verdict = qutrit_triple_criterion(triple[0], triple[1], triple[2])
+        margin = verdict.boundary_rhs - verdict.boundary_lhs
+        if not verdict.incompatible and verdict.overlap_sum < 1.0 and margin > 0.05:
+            return triple
+
+
+def pp_floor(states, result):
+    """The PP functional of the search's basis, recomputed from the states."""
+    effects = np.array([np.outer(b, b.conj()) for b in np.asarray(result.basis)])
+    return pp_functional(states, effects)
 
 
 class TestPpFunctional:
@@ -285,8 +312,8 @@ class TestWitnessSearch:
         first, second = witness_search(states, cfg), witness_search(states, cfg)
         assert [r.probes for r in first.history] == [r.probes for r in second.history]
         for record in first.history:
-            # two probes per move plus at most one vertex probe, six moves per cycle
-            assert 12 * (record.cycles - 1) < record.probes <= 18 * record.cycles
+            # one evaluation per exact move (three states), six moves per cycle
+            assert record.probes == 6 * record.cycles
 
     def test_every_hesse_triple_certifies_on_restart_zero_through_an_early_polish(self, kets):
         cfg = WitnessSearchConfig(restarts=64, seed=2024, success_threshold=1e-8)
@@ -295,7 +322,8 @@ class TestWitnessSearch:
             assert result.success and result.best_restart == 0 and len(result.history) == 1, triple
             (record,) = result.history
             assert record.cycles <= 4 and record.phase == "polish" and record.polish_accepted > 0, (triple, record)
-            assert 12 * (record.cycles - 1) < record.probes <= 18 * record.cycles
+            # one evaluation per exact move; a move that reaches the threshold ends the last cycle early
+            assert 6 * (record.cycles - 1) < record.probes <= 6 * record.cycles
 
     def test_cfs_example_certifies_within_two_cycles(self):
         result = witness_search(cfs_example_states())
@@ -304,15 +332,7 @@ class TestWitnessSearch:
         assert result.history[result.best_restart].phase == "polish"
 
     def test_failed_polish_trials_leave_the_descent_untouched(self):
-        rng = np.random.default_rng(8)
-        while True:
-            triple = np.array([random_ket(3, rng) for _ in range(3)])
-            verdict = qutrit_triple_criterion(triple[0], triple[1], triple[2])
-            # compatible with margin > 0.05, as in the agreement test below
-            margin = verdict.boundary_rhs - verdict.boundary_lhs
-            if not verdict.incompatible and verdict.overlap_sum < 1.0 and margin > 0.05:
-                break
-        states = StateSet.from_kets(triple)
+        states = StateSet.from_kets(compatible_triple(np.random.default_rng(8)))
         early, full = (
             witness_search(states, WitnessSearchConfig(restarts=4, seed=2024, stop_at_success=stop))
             for stop in (True, False)
@@ -322,8 +342,53 @@ class TestWitnessSearch:
             assert (a.cycles, a.probes, a.final_value) == (b.cycles, b.probes, b.final_value)
             # the early-stop search tried the polish on the way (after cycles 1, 2, 4, ...)
             assert a.polish_iters > b.polish_iters
-            assert 12 * (a.cycles - 1) < a.probes <= 18 * a.cycles
+            assert a.probes == 6 * a.cycles
         assert early.value == full.value and early.best_restart == full.best_restart
+
+    def test_four_states_take_the_root_finding_moves(self):
+        # cfs-example plus any fourth state keeps the cfs witness: every outcome still has a zero factor
+        rng = np.random.default_rng(23)
+        states = StateSet.from_kets(np.vstack([cfs_example_kets(), random_ket(3, rng)[None]]))
+        result = witness_search(states, WitnessSearchConfig(restarts=8, seed=3))
+        assert result.success and result.value < 1e-10
+        assert validate_orthonormal_basis(result.basis, tol=1e-10).passed
+        assert pp_floor(states, result) == pytest.approx(result.value, abs=1e-15)
+        for record in result.history:
+            # at most 2 * (4 // 2) critical points tried per move, six moves per cycle
+            assert 6 * (record.cycles - 1) < record.probes <= 24 * record.cycles
+
+    def test_four_identical_states_floor_is_one_twenty_seventh(self):
+        rho = projector(basis_ket(3, 0))
+        states = StateSet(dim=3, rhos=np.array([rho] * 4))
+        result = witness_search(states, WitnessSearchConfig(restarts=4, seed=3, stop_at_success=False))
+        # sum_m p_m**4 with sum_m p_m = 1 is lowest at p = 1/3
+        assert result.value == pytest.approx(1.0 / 27.0, abs=1e-9)
+        assert not result.success
+
+    def test_dimension_four_certifies_an_embedded_triple_and_floors_a_pair(self):
+        kets = np.hstack([cfs_example_kets(), np.zeros((3, 1))])
+        states = StateSet.from_kets(kets)
+        result = witness_search(states, WitnessSearchConfig(restarts=8, seed=3))
+        assert result.success and np.asarray(result.basis).shape == (4, 4)
+        assert validate_orthonormal_basis(result.basis, tol=1e-10).passed
+        assert pp_floor(states, result) < 1e-10
+        twice = StateSet.from_kets(np.array([basis_ket(4, 0)] * 2))
+        result = witness_search(twice, WitnessSearchConfig(restarts=3, seed=3, stop_at_success=False))
+        # sum_m p_m**2 is lowest at p = 1/4; twelve one-evaluation moves per cycle
+        assert result.value == pytest.approx(0.25, abs=1e-9)
+        assert all(record.probes == 12 * record.cycles for record in result.history)
+
+    def test_newton_ends_every_restart_at_a_minimum(self):
+        states = StateSet.from_kets(compatible_triple(np.random.default_rng(8)))
+        rhos = np.asarray(states.rhos)
+        gens = np.array([g for _, _, g in _pair_generators(3)])
+        result = witness_search(states, WitnessSearchConfig(restarts=4, seed=2024, stop_at_success=False))
+        for record in result.history:
+            assert record.phase == "newton" and record.newton_iters > 0, record
+        # the winner's gradient vanishes and its Hessian is positive definite: a strict local minimum
+        u = np.asarray(result.basis).T
+        grad, hess = _functional_derivatives(rhos, u, gens, _column_probs(rhos, u))
+        assert np.linalg.norm(grad) < 1e-10 and np.linalg.eigvalsh(hess).min() > 1e-4
 
     def test_ties_at_a_flat_floor_go_to_the_lowest_restart(self):
         rng = np.random.default_rng(0)
@@ -380,12 +445,7 @@ class TestPairGenerators:
     )
     def test_closed_form_probe_is_the_functional_of_the_rotated_basis(self, ranks, seed, angles):
         rng = np.random.default_rng(seed)
-        rhos = []
-        for rank in ranks:
-            kets = np.array([random_ket(3, rng) for _ in range(rank)])
-            weights = rng.dirichlet(np.ones(rank))
-            rhos.append(np.einsum("r,ra,rb->ab", weights, kets, kets.conj()))
-        rhos = np.array(rhos)
+        rhos = random_mixtures(rng, ranks)
         u = _haar_unitary(rng, 3)
         factors = _state_factors(rhos)
         assert [w.shape[1] for w in factors] == ranks
@@ -398,6 +458,52 @@ class TestPairGenerators:
             for angle in angles:
                 expected = _column_probs(rhos, u @ _generator_exp(g[None], np.array([angle]))).prod(axis=0).sum()
                 assert rest + sum(_pair_products(coeffs, angle)) == pytest.approx(expected, abs=1e-12)
+
+    @settings(deadline=None)
+    @given(ranks=st.lists(st.integers(1, 3), min_size=2, max_size=6), seed=st.integers(0, 2**32 - 1))
+    def test_move_reaches_the_minimum_of_its_rotation(self, ranks, seed):
+        rng = np.random.default_rng(seed)
+        rhos = random_mixtures(rng, ranks)
+        u = _haar_unitary(rng, 3)
+        factors = _state_factors(rhos)
+        owners = [n for n, w in enumerate(factors) for _ in range(w.shape[1])]
+        amps = (np.concatenate(factors, axis=1).conj().T @ u).T
+        products = _column_probs(rhos, u).prod(axis=0)
+        grid = np.linspace(-np.pi / 4.0, np.pi / 4.0, 2001)
+        for j, k, g in _pair_generators(3):
+            coeffs = _pair_coefficients(amps[j].tolist(), amps[k].tolist(), 1j * g[k, j], owners, len(ranks))
+            rest = products.sum() - products[j] - products[k]
+            angle, pair, evaluations = _pair_minimum(coeffs)
+            assert pair == _pair_products(coeffs, angle)
+            # one closed-form angle up to three states, else the derivative's roots in exp(4it)
+            assert evaluations == (1 if len(ranks) <= 3 else 2 * (len(ranks) // 2))
+            alpha, beta, gamma = np.array(coeffs).T[:, :, None]
+            h = beta * np.cos(2.0 * grid) + gamma * np.sin(2.0 * grid)
+            on_grid = rest + (alpha + h).prod(axis=0) + (alpha - h).prod(axis=0)
+            assert rest + pair[0] + pair[1] <= on_grid.min() + 1e-12
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_newton_derivatives_match_central_differences(self, d):
+        rng = np.random.default_rng(37 + d)
+        gens = np.array([g for _, _, g in _pair_generators(d)])
+        eps = 1e-4
+        steps = np.eye(len(gens)) * eps
+        for _ in range(4):
+            # four states of ranks 1, 1, 2 and d, so the two-state products of the Hessian see every rank
+            rhos = random_mixtures(rng, [1, 1, 2, d], d)
+            u = _haar_unitary(rng, d)
+
+            def functional(delta):
+                return _column_probs(rhos, u @ _generator_exp(gens, delta)).prod(axis=0).sum()
+
+            grad, hess = _functional_derivatives(rhos, u, gens, _column_probs(rhos, u))
+            np.testing.assert_allclose(hess, hess.T, atol=1e-15)
+            for g, step in enumerate(steps):
+                assert grad[g] == pytest.approx((functional(step) - functional(-step)) / (2.0 * eps), abs=1e-8)
+                for h, other in enumerate(steps):
+                    second = functional(step + other) - functional(step - other) - functional(other - step)
+                    second += functional(-step - other)
+                    assert hess[g, h] == pytest.approx(second / (4.0 * eps**2), abs=1e-6)
 
     def test_polish_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(31)
