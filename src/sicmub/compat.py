@@ -12,9 +12,9 @@ qutrit pure states there is an exact algebraic criterion on the three
 squared overlaps; for arbitrary inputs a seeded search over bases
 provides a constructive certificate.  The search's descent moves to the
 exact minimum along each pair rotation: for N states the functional
-there is a trigonometric polynomial of degree N // 2 in 4t.  A damped
-Newton finisher closes positive floors, and a Gauss-Newton polish of
-the matched orthogonality residuals certifies zeros.
+there is a trigonometric polynomial of degree N // 2 in 4t.  A
+Gauss-Newton polish of the matched orthogonality residuals then
+certifies zeros, and a damped Newton finisher closes positive floors.
 
 The ternary criterion implemented here uses the non-strict inequality
 ``(x1 + x2 + x3 - 1)**2 >= 4 x1 x2 x3``: equality (saturation) counts
@@ -41,14 +41,19 @@ INCOMPATIBLE = "incompatible"
 
 @dataclass(frozen=True, eq=False)
 class StateSet:
-    """Two or more density matrices on a common space, each validated within ``tol``."""
+    """Two or more density matrices on a common space of dimension at least 2,
+    with finite entries, each validated within ``tol``."""
 
     dim: int
     rhos: np.ndarray
     tol: float = SEARCH_TOL
 
     def __post_init__(self):
+        if self.dim < 2:
+            raise ValueError(f"states need dimension at least 2, got dim {self.dim}")
         arr = np.asarray(self.rhos, dtype=complex)
+        if not np.isfinite(arr).all():
+            raise ValueError("state entries must be finite, got NaN or infinity")
         if arr.ndim != 3 or arr.shape[1:] != (self.dim, self.dim):
             raise ValueError(f"expected states of shape (N, {self.dim}, {self.dim}), got {arr.shape}")
         if arr.shape[0] < 2:
@@ -124,14 +129,16 @@ def qutrit_triple_criterion(a, b, c, tol: float = SEARCH_TOL, *, norm_tol: float
     (it is attached as ``witness``).  ``saturated`` marks an incompatible
     triple whose two boundary sides agree within ``SATURATION_TOL``.
 
-    Raises ``ValueError`` for non-qutrit input, kets whose norm is off 1
-    by more than ``norm_tol`` (default ``tol``), or states identical as
-    projectors.
+    Raises ``ValueError`` for non-qutrit or non-finite input, kets whose
+    norm is off 1 by more than ``norm_tol`` (default ``tol``), or states
+    identical as projectors.
     """
     kets = [np.asarray(v, dtype=complex).reshape(-1) for v in (a, b, c)]
     for v in kets:
         if v.shape[0] != 3:
             raise ValueError(f"criterion applies to qutrits only, got dimension {v.shape[0]}")
+        if not np.isfinite(v).all():
+            raise ValueError("ket entries must be finite, got NaN or infinity")
         if abs(np.linalg.norm(v) - 1.0) > (tol if norm_tol is None else norm_tol):
             raise ValueError("states must be unit kets")
     x1 = overlap_squared(kets[0], kets[1])
@@ -215,19 +222,16 @@ class WitnessSearchConfig:
     of projectors).  Every move jumps to the exact minimum of the
     functional along its rotation, and is taken only if that lowers the
     value.  The descent hands over after the first cycle that improves
-    the value by less than a relative 1e-2, at ``max_iters`` cycles, or,
-    with ``stop_at_success``, once the functional reaches
-    ``success_threshold``.  A restart still above the threshold then
-    goes to a damped Newton finisher on the functional and to a
-    Gauss-Newton polish of the matched orthogonality residuals, which is
-    what certifies zeros.  With ``stop_at_success`` the descent also
-    hands a copy of its basis to the polish after cycles 1, 2, 4, 8,
-    ...: a polish that reaches the threshold ends the restart, any other
-    is dropped, and the restart loop itself exits on the first success.
-    Without it every restart runs its full descent, Newton and polish.
-    The reported winner (lowest value, ties within a relative 1e-12 to
-    the lowest restart index) is deterministic for a given ``seed``
-    either way.
+    the value by less than a relative 20 %, or at ``max_iters`` cycles.
+    A restart still above its stop value then goes to a Gauss-Newton
+    polish of the matched orthogonality residuals, which is what
+    certifies zeros, and, if still above it, to a damped Newton finisher
+    on the functional, which closes positive floors.  With
+    ``stop_at_success`` the stop value is ``success_threshold`` and the
+    restart loop exits on the first success; without it the stop value
+    is 0, so every restart runs its whole pipeline.  The reported winner
+    (lowest value, ties within a relative 1e-12 to the lowest restart
+    index) is deterministic for a given ``seed`` either way.
     """
 
     restarts: int = 32
@@ -245,7 +249,10 @@ class WitnessSearchConfig:
 
 #: The descent hands over to the finishers after the first cycle that
 #: improves the value by less than this relative amount.
-_CYCLE_IMPROVEMENT_REL = 1e-2
+_CYCLE_IMPROVEMENT_REL = 0.2
+
+#: A state's factor keeps the eigenvectors of eigenvalues above this.
+_SUPPORT_TOL = 1e-12
 
 #: Iteration cap and trust cap on one update's norm, for the Newton
 #: finisher and the Gauss-Newton polish alike.
@@ -279,11 +286,10 @@ class _RestartCounts:
 @dataclass(frozen=True)
 class RestartRecord:
     """One restart: the functional of its start and final basis, the descent's
-    ``cycles`` and ``probes`` (functional evaluations), the Newton finisher's
-    ``newton_iters``, the Gauss-Newton ``polish_iters`` and
-    ``polish_accepted`` updates summed over every polish run (failed trials
-    included), and ``phase``, the phase that produced ``final_value``:
-    ``"polish"``, ``"newton"``, ``"descent"``, or ``"none"`` when none
+    ``cycles`` and ``probes`` (functional evaluations), the Gauss-Newton
+    ``polish_iters`` and ``polish_accepted`` updates, the Newton finisher's
+    ``newton_iters``, and ``phase``, the last phase that lowered the value:
+    ``"descent"``, ``"polish"``, ``"newton"``, or ``"none"`` when none
     improved on ``start_value``."""
 
     restart: int
@@ -415,12 +421,11 @@ def _descend(
     factors: list[np.ndarray],
     u: np.ndarray,
     moves: list[tuple[int, int, complex]],
-    gens: np.ndarray,
     cfg: WitnessSearchConfig,
     stop_value: float,
     counts: _RestartCounts,
 ):
-    """Refine a basis by exact pair rotations; returns (value, basis, start_value, polished).
+    """Refine a basis by exact pair rotations; returns (value, basis, start_value).
 
     Each move reads every state's ``(alpha, beta, gamma)`` off the
     amplitudes ``<w|u_j>``, ``<w|u_k>`` of its factor columns with
@@ -434,12 +439,6 @@ def _descend(
     ``_CYCLE_IMPROVEMENT_REL``, and hands over to the finishers.
     ``start_value`` and ``value`` are the functional of the start and the
     returned basis, computed from ``rhos``.
-
-    When the restart can stop at success (``stop_value > 0``), a copy of
-    the basis is offered to :func:`_gauss_newton_polish` after cycles 1,
-    2, 4, 8, ... whenever the descent goes on.  A polish that reaches
-    ``stop_value`` ends the restart with its basis (``polished`` is True);
-    any other is dropped, and the descent continues from its own amplitudes.
     """
     d = u.shape[0]
     owners = [n for n, w in enumerate(factors) for _ in range(w.shape[1])]
@@ -448,11 +447,6 @@ def _descend(
     col_products = _column_probs(rhos, u).prod(axis=0).tolist()
     value = start_value = float(sum(col_products))
     while counts.cycles < cfg.max_iters and value > stop_value:
-        if stop_value > 0.0 and counts.cycles and counts.cycles & (counts.cycles - 1) == 0:
-            trial = np.array(amps)[:, len(owners) :].T
-            polished_value, polished = _gauss_newton_polish(rhos, factors, trial, gens, counts)
-            if polished_value <= stop_value:
-                return polished_value, polished, start_value, True
         cycle_start = value
         for j, k, c in moves:
             coeffs = _pair_coefficients(amps[j], amps[k], c, owners, len(factors))
@@ -468,15 +462,15 @@ def _descend(
         if cycle_start - value <= _CYCLE_IMPROVEMENT_REL * cycle_start:
             break
     u = np.array(amps)[:, len(owners) :].T
-    return float(_column_probs(rhos, u).prod(axis=0).sum()), u, start_value, False
+    return float(_column_probs(rhos, u).prod(axis=0).sum()), u, start_value
 
 
-def _state_factors(rhos: np.ndarray, tol: float = 1e-12) -> list[np.ndarray]:
+def _state_factors(rhos: np.ndarray) -> list[np.ndarray]:
     """Factor each state as ``rho = W W†`` (columns of W span the support)."""
     factors = []
     for rho in rhos:
         w, v = np.linalg.eigh(rho)
-        keep = w > tol
+        keep = w > _SUPPORT_TOL
         factors.append(v[:, keep] * np.sqrt(w[keep]))
     return factors
 
@@ -602,20 +596,20 @@ def _gauss_newton_polish(
 def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> WitnessSearchResult:
     """Minimize the PP functional over von Neumann bases.
 
-    Each restart runs the exact-move coordinate descent of the config
-    and, if the threshold was not reached, a damped Newton finisher on the
-    functional (which closes positive floors) and a Gauss-Newton polish
-    of the matched orthogonality residuals (which handles the
-    quartic-flat landscapes of exactly saturated triples).  The generator
-    table they all move along is built once per call.  Failure to reach
-    ``success_threshold`` is a result (``success`` is False), not an
-    error: the search can only ever *confirm* incompatibility.  Results
-    are deterministic for a fixed config; restarts are independent, so
-    the winner does not depend on evaluation order.  The winner is the
-    lowest-index restart whose final value lies within a relative 1e-12
-    of the lowest one and on the same side of ``success_threshold``, so
-    rounding at a flat floor cannot pick it.  The returned basis has its
-    kets as rows.
+    Each restart runs one pipeline: the exact-move coordinate descent of
+    the config, then, while the value is above the stop value, a
+    Gauss-Newton polish of the matched orthogonality residuals (which
+    handles the quartic-flat landscapes of exactly saturated triples) and
+    a damped Newton finisher on the functional (which closes positive
+    floors).  The generator table they all move along is built once per
+    call.  Failure to reach ``success_threshold`` is a result
+    (``success`` is False), not an error: the search can only ever
+    *confirm* incompatibility.  Results are deterministic for a fixed
+    config; restarts are independent, so the winner does not depend on
+    evaluation order.  The winner is the lowest-index restart whose final
+    value lies within a relative 1e-12 of the lowest one and on the same
+    side of ``success_threshold``, so rounding at a flat floor cannot
+    pick it.  The returned basis has its kets as rows.
     """
     if cfg is None:
         cfg = WitnessSearchConfig()
@@ -632,18 +626,18 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
         rng = np.random.default_rng([cfg.seed, restart])
         counts = _RestartCounts()
         u = _haar_unitary(rng, d)
-        value, u, start_value, polished = _descend(rhos, factors, u, moves, gens, cfg, stop_value, counts)
-        phase = "polish" if polished else "descent" if value < start_value else "none"
+        value, u, start_value = _descend(rhos, factors, u, moves, cfg, stop_value, counts)
+        phase = "descent" if value < start_value else "none"
         if value > stop_value:
-            descent_value = value
-            value, u = _newton_finish(rhos, u, gens, stop_value, counts)
-            if value < descent_value:
-                phase = "newton"
-        if value > stop_value:
-            accepted = counts.polish_accepted
+            before = value
             value, u = _gauss_newton_polish(rhos, factors, u, gens, counts)
-            if counts.polish_accepted > accepted:
+            if value < before:
                 phase = "polish"
+        if value > stop_value:
+            before = value
+            value, u = _newton_finish(rhos, u, gens, stop_value, counts)
+            if value < before:
+                phase = "newton"
         history.append(
             RestartRecord(restart=restart, start_value=start_value, final_value=value, phase=phase, **asdict(counts))
         )

@@ -338,6 +338,8 @@ CFS_DOC = {"dim": 3, "kets": [encode_ket(k) for k in cfs_example_kets()]}
 ONE_KET_DOC = {"dim": 3, "kets": [encode_ket(cfs_example_kets()[0])]}
 #: One ket of norm 1 + 3e-9: off by more than the default tolerance 1e-10, within 1e-8.
 LONG_KET_DOC = {"dim": 3, "kets": [encode_ket(cfs_example_kets()[0] * (1.0 + 3e-9))]}
+#: Two valid one-dimensional kets: well-formed, but no search runs below dimension 2.
+DIM_ONE_DOC = {"dim": 1, "kets": [[[1.0, 0.0]], [[0.0, 1.0]]]}
 PURE_PROBS_DOC = {"dim": 3, "probabilities": [0.0, 0.0, 0.0] + [1.0 / 6.0] * 6}
 #: A pure-state vector scaled to sum 1 + 5e-9: not a probability vector at the default tolerance.
 HEAVY_PROBS_DOC = {"dim": 3, "probabilities": [0.0, 0.0, 0.0] + [(1.0 + 5e-9) / 6.0] * 6}
@@ -345,6 +347,7 @@ TRIPLE = ("compat", "triple", "--states", "{file}")
 PURITY = ("purity", "--probs", "{file}")
 HESSE = ("verify-sic", "--builtin", "hesse")
 SEARCH = ("compat", "search", "--states", "cfs-example", "--restarts", "2")
+SEARCH_FILE = ("compat", "search", "--states", "{file}", "--restarts", "2")
 
 #: (id, argv with "{file}" for the input path, input file text or None for no file, environment)
 MALFORMED = [
@@ -368,6 +371,7 @@ MALFORMED = [
     ("threshold-nan", SEARCH + ("--threshold", "nan"), None, {}),
     ("restarts-zero", SEARCH + ("--restarts", "0"), None, {}),
     ("max-iters-zero", SEARCH + ("--max-iters", "0"), None, {}),
+    ("search-dim-one", SEARCH_FILE, json.dumps(DIM_ONE_DOC), {}),
 ]
 
 

@@ -68,6 +68,19 @@ def pp_floor(states, result):
     return pp_functional(states, effects)
 
 
+class TestStateSet:
+    def test_dimension_one_rejected(self):
+        with pytest.raises(ValueError, match="dimension at least 2, got dim 1"):
+            StateSet(dim=1, rhos=np.ones((2, 1, 1)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        rhos = np.array(cfs_example_states().rhos)
+        rhos[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="finite, got NaN or infinity"):
+            StateSet(dim=3, rhos=rhos)
+
+
 class TestPpFunctional:
     def test_cfs_triple_vanishes_in_computational_basis(self):
         assert pp_functional(cfs_example_states(), computational_effects()) == pytest.approx(0.0, abs=1e-14)
@@ -156,6 +169,14 @@ class TestTripleCriterion:
         kets = cfs_example_kets() * math.sqrt(1.0 + 1e-7)
         assert qutrit_triple_criterion(*kets, tol=1e-6).incompatible
         with pytest.raises(ValueError, match="unit kets"):
+            qutrit_triple_criterion(*kets)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_non_finite_kets_rejected(self, which, bad):
+        kets = cfs_example_kets()
+        kets[which, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
             qutrit_triple_criterion(*kets)
 
     def test_identical_states_rejected(self):
@@ -315,35 +336,33 @@ class TestWitnessSearch:
             # one evaluation per exact move (three states), six moves per cycle
             assert record.probes == 6 * record.cycles
 
-    def test_every_hesse_triple_certifies_on_restart_zero_through_an_early_polish(self, kets):
+    def test_hesse_triples_certify_on_restart_zero_without_newton(self, kets):
         cfg = WitnessSearchConfig(restarts=64, seed=2024, success_threshold=1e-8)
         for triple in combinations(range(9), 3):
             result = witness_search(StateSet.from_kets(kets[list(triple)]), cfg)
             assert result.success and result.best_restart == 0 and len(result.history) == 1, triple
             (record,) = result.history
-            assert record.cycles <= 4 and record.phase == "polish" and record.polish_accepted > 0, (triple, record)
+            assert record.newton_iters == 0 and record.phase in ("polish", "descent"), (triple, record)
+            assert record.cycles <= 12, (triple, record)
             # one evaluation per exact move; a move that reaches the threshold ends the last cycle early
             assert 6 * (record.cycles - 1) < record.probes <= 6 * record.cycles
 
-    def test_cfs_example_certifies_within_two_cycles(self):
+    def test_cfs_example_certifies_through_the_polish(self):
         result = witness_search(cfs_example_states())
-        assert result.success
-        assert result.history[result.best_restart].cycles <= 2
-        assert result.history[result.best_restart].phase == "polish"
+        record = result.history[result.best_restart]
+        assert result.success and record.phase == "polish" and record.newton_iters == 0, record
+        assert record.final_value < 1e-20
 
-    def test_failed_polish_trials_leave_the_descent_untouched(self):
+    def test_early_stop_leaves_a_compatible_search_unchanged(self):
+        # no restart of a compatible triple reaches the threshold, so stopping at success changes nothing
         states = StateSet.from_kets(compatible_triple(np.random.default_rng(8)))
         early, full = (
             witness_search(states, WitnessSearchConfig(restarts=4, seed=2024, stop_at_success=stop))
             for stop in (True, False)
         )
-        assert len(early.history) == len(full.history) == 4
-        for a, b in zip(early.history, full.history):
-            assert (a.cycles, a.probes, a.final_value) == (b.cycles, b.probes, b.final_value)
-            # the early-stop search tried the polish on the way (after cycles 1, 2, 4, ...)
-            assert a.polish_iters > b.polish_iters
-            assert a.probes == 6 * a.cycles
-        assert early.value == full.value and early.best_restart == full.best_restart
+        assert len(early.history) == 4 and early.history == full.history
+        assert (early.value, early.best_restart, early.success) == (full.value, full.best_restart, False)
+        np.testing.assert_array_equal(np.asarray(early.basis), np.asarray(full.basis))
 
     def test_four_states_take_the_root_finding_moves(self):
         # cfs-example plus any fourth state keeps the cfs witness: every outcome still has a zero factor
