@@ -16,7 +16,8 @@ passed as.
 Exit codes: 0 for success or a positive verdict, 1 for a mathematically
 valid negative verdict (state set compatible, set is not a SIC, purity
 checks fail), 2 for usage or input errors, including malformed or
-non-finite input and any input the library rejects.
+non-finite input, any input the library rejects and an ``--output``
+file that cannot be written.
 
 JSON schemas (complex numbers are ``[re, im]`` pairs; every number must
 be finite):
@@ -82,16 +83,10 @@ class UsageError(Exception):
     """Bad input or usage; maps to exit code 2."""
 
 
-def encode_complex(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def encode_ket(v) -> list[list[float]]:
-    return [encode_complex(z) for z in np.asarray(v, dtype=complex)]
-
-
-def encode_matrix(m) -> list[list[list[float]]]:
-    return [[encode_complex(z) for z in row] for row in np.asarray(m, dtype=complex)]
+def encode_complex(array) -> list:
+    """``array`` as nested lists of any shape, each complex entry an ``[re, im]`` pair."""
+    array = np.asarray(array, dtype=complex)
+    return np.stack([array.real, array.imag], axis=-1).tolist()
 
 
 def decode_array(value: Any, shape: tuple[int | None, ...], what: str, *, pairs: bool = True) -> np.ndarray:
@@ -174,16 +169,24 @@ def _digest(*parts: bytes) -> str:
     return h.hexdigest()
 
 
+#: Digest of every report whose only input is the built-in Hesse SIC.
+HESSE_DIGEST = _digest(b"builtin:hesse")
+
+
 @dataclass
 class RunReport:
-    """Deterministic report body plus wall time (text output only)."""
+    """Deterministic report body plus wall time (text output only).
 
-    command: str
-    inputs_digest: str
-    tolerances: dict[str, float]
+    Handlers fill in their results; ``_run`` stamps ``command`` and, unless
+    the handler set them, ``tolerances = {"tol": tol}``."""
+
     results: dict[str, Any]
     residuals: dict[str, float] = field(default_factory=dict)
+    inputs_digest: str = HESSE_DIGEST
+    tolerances: dict[str, float] | None = None
     seed: int | None = None
+    csv_rows: list[list[Any]] | None = None
+    command: str = ""
     wall_time_s: float | None = None
 
     def json_body(self) -> dict[str, Any]:
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", default=None, help="write the report to a file instead of stdout")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, report_command=p.prog.removeprefix(f"{parser.prog} "))
 
     p = sub.add_parser("verify-sic", help="check a projector set against the SIC overlap condition")
     p.add_argument("--builtin", default=None, help="built-in SIC id (hesse)")
@@ -326,39 +329,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: RunReport, args, csv_rows: list[list[Any]] | None) -> None:
+def _emit(report: RunReport, args) -> None:
     if args.format == "json":
         payload = report.to_json()
     elif args.format == "csv":
-        payload = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
+        payload = "\n".join(",".join(str(c) for c in row) for row in report.csv_rows) + "\n"
     elif args.format == "edges":
         # plain edge-list export: one "label label" line per edge
         payload = "\n".join(f"{a} {b}" for a, b in report.results["edges"]) + "\n"
     else:
         payload = report.to_text()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 
 
-def _input_tol(source: str, tol: float) -> float:
-    """The tolerance --states is judged at: ``tol`` for a state file, ``SEARCH_TOL``
-    for the built-in, whose kets are exact up to rounding."""
-    return SEARCH_TOL if source == "cfs-example" else tol
-
-
-def _load_states_arg(source: str, tol: float) -> tuple[int, np.ndarray, str]:
-    """Resolve --states: builtin name or file path."""
+def _load_states_arg(source: str, tol: float) -> tuple[int, np.ndarray, str, float]:
+    """Resolve --states, a built-in name or a file path, to (dim, density
+    matrices, digest, input tolerance).  The states are judged at ``tol``
+    from a file and at ``SEARCH_TOL`` from the built-in, whose kets are
+    exact up to rounding."""
     if source == "cfs-example":
         kets = cfs_example_kets()
-        return 3, np.einsum("na,nb->nab", kets, kets.conj()), _digest(b"builtin:cfs-example")
+        return 3, np.einsum("na,nb->nab", kets, kets.conj()), _digest(b"builtin:cfs-example"), SEARCH_TOL
     dim, rhos, raw = load_state_file(source, tol)
-    return dim, rhos, _digest(raw)
+    return dim, rhos, _digest(raw), tol
 
 
-def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
+def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport]:
     if (args.builtin is None) == (args.input is None):
         raise UsageError("verify-sic needs exactly one of --builtin or --input")
     if args.builtin is not None:
@@ -369,38 +372,30 @@ def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
         digest = _digest(f"builtin:{args.builtin}".encode())
     else:
         dim, rhos, raw = load_state_file(args.input, tol)
-        if rhos.shape[0] != dim * dim:
-            raise UsageError(f"a SIC in dimension {dim} needs {dim * dim} states, got {rhos.shape[0]}")
         sic = SicSet(dim=dim, projectors=rhos)
         digest = _digest(raw)
     check = is_sic(sic, tol=tol)
     gram = np.einsum("iab,jba->ij", np.asarray(sic.projectors), np.asarray(sic.projectors)).real
     results: dict[str, Any] = {"dim": sic.dim, "is_sic": check.passed, "max_gram_residual": check.max_residual}
     if args.emit_states:
-        results["sic"] = {"dim": sic.dim, "matrices": [encode_matrix(p) for p in np.asarray(sic.projectors)]}
+        results["sic"] = {"dim": sic.dim, "matrices": encode_complex(sic.projectors)}
     report = RunReport(
-        command="verify-sic",
         inputs_digest=digest,
-        tolerances={"tol": tol},
         results=results,
         residuals={"max_gram_residual": check.max_residual},
+        csv_rows=[[f"{x:.17g}" for x in row] for row in gram],
     )
-    csv_rows = [[f"{x:.17g}" for x in row] for row in gram]
-    return (0 if check.passed else 1), report, csv_rows
+    return (0 if check.passed else 1), report
 
 
-def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport, None]:
-    dim, rhos, digest = _load_states_arg(args.states, tol)
+def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport]:
+    _, rhos, digest, input_tol = _load_states_arg(args.states, tol)
     if len(rhos) != 3:
         raise UsageError(f"the ternary criterion needs exactly 3 states, got {len(rhos)}")
-    if dim != 3:
-        raise UsageError(f"the ternary criterion applies to qutrits, got dimension {dim}")
-    input_tol = _input_tol(args.states, tol)
     kets = [_principal_ket(rho, input_tol) for rho in rhos]
     verdict = qutrit_triple_criterion(*kets, tol=tol, norm_tol=input_tol)
     label = verdict.verdict + (" (saturated)" if verdict.saturated else "")
     report = RunReport(
-        command="compat triple",
         inputs_digest=digest,
         tolerances={"tol": tol, "saturation_tol": SATURATION_TOL},
         results={
@@ -414,25 +409,22 @@ def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport, None]:
         },
         residuals={"saturation_gap": abs(verdict.boundary_lhs - verdict.boundary_rhs)},
     )
-    return (0 if verdict.incompatible else 1), report, None
+    return (0 if verdict.incompatible else 1), report
 
 
-def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport, None]:
-    dim, rhos, digest = _load_states_arg(args.states, tol)
-    if len(rhos) < 2:
-        raise UsageError("the witness search needs at least 2 states")
+def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport]:
+    dim, rhos, digest, input_tol = _load_states_arg(args.states, tol)
     cfg = WitnessSearchConfig(
         restarts=args.restarts,
         max_iters=args.max_iters,
         seed=args.seed,
         success_threshold=args.threshold,
     )
-    result = witness_search(StateSet(dim=dim, rhos=rhos, tol=_input_tol(args.states, tol)), cfg)
+    result = witness_search(StateSet(dim=dim, rhos=rhos, tol=input_tol), cfg)
     tolerances = {"success_threshold": args.threshold}
     if args.states != "cfs-example":
         tolerances["tol"] = tol
     report = RunReport(
-        command="compat search",
         inputs_digest=digest,
         tolerances=tolerances,
         seed=args.seed,
@@ -445,44 +437,34 @@ def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport, None]:
             "probes": sum(r.probes for r in result.history),
             "newton_iters": sum(r.newton_iters for r in result.history),
             "polish_iters": sum(r.polish_iters for r in result.history),
-            "basis_kets": [encode_ket(v) for v in np.asarray(result.basis)],
+            "basis_kets": encode_complex(result.basis),
             "history": [asdict(r) for r in result.history],
         },
         residuals={"pp_functional": result.value},
     )
-    return (0 if result.success else 1), report, None
+    return (0 if result.success else 1), report
 
 
-def _cmd_mubs_build(args, tol: float) -> tuple[int, RunReport, None]:
+def _cmd_mubs_build(args, tol: float) -> tuple[int, RunReport]:
     mubs = build_mub_set(hesse_sic())
     check = verify_mub_set(mubs, tol=tol)
     report = RunReport(
-        command="mubs build",
-        inputs_digest=_digest(b"builtin:hesse"),
-        tolerances={"tol": tol},
         results={
             "striations": [["".join(map(str, t)) for t in striation] for striation in LINES.reshape(4, 3, 3).tolist()],
             "prob_vectors": [[list(map(float, v)) for v in block] for block in np.asarray(mubs.prob_vectors)],
-            "projectors": [[encode_matrix(p) for p in block] for block in np.asarray(mubs.projectors)],
+            "projectors": encode_complex(mubs.projectors),
         },
         residuals=check.residuals(),
     )
-    return (0 if check.passed else 1), report, None
+    return (0 if check.passed else 1), report
 
 
-def _cmd_mubs_verify(args, tol: float) -> tuple[int, RunReport, None]:
+def _cmd_mubs_verify(args, tol: float) -> tuple[int, RunReport]:
     check = verify_mub_set(build_mub_set(hesse_sic()), tol=tol)
-    report = RunReport(
-        command="mubs verify",
-        inputs_digest=_digest(b"builtin:hesse"),
-        tolerances={"tol": tol},
-        results={"passed": check.passed},
-        residuals=check.residuals(),
-    )
-    return (0 if check.passed else 1), report, None
+    return (0 if check.passed else 1), RunReport(results={"passed": check.passed}, residuals=check.residuals())
 
 
-def _cmd_mubs_cover(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
+def _cmd_mubs_cover(args, tol: float) -> tuple[int, RunReport]:
     sic = hesse_sic()
     mubs = build_mub_set(sic)
     if args.triple is not None:
@@ -490,10 +472,8 @@ def _cmd_mubs_cover(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
             triple = tuple(int(x) for x in args.triple.split(","))
         except ValueError as exc:
             raise UsageError(f"--triple must be comma-separated integers, got {args.triple!r}") from exc
-        striations = covering_witness(triple, mubs, sic, tol=tol)
-        results = {"triple": list(triple), "witnessing_striations": striations}
-        rows = [["triple", "witnessing_striations"], ["".join(map(str, triple)), " ".join(map(str, striations))]]
-        exit_code = 0 if striations else 1
+        table = [(triple, covering_witness(triple, mubs, sic, tol=tol))]
+        results = {"triple": list(triple), "witnessing_striations": table[0][1]}
     else:
         table = covering_table(mubs, sic, tol=tol)
         results = {
@@ -502,25 +482,14 @@ def _cmd_mubs_cover(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
             ],
             "all_covered": all(w for _, w in table),
         }
-        rows = [["triple", "witnessing_striations"]] + [
-            ["".join(map(str, t)), " ".join(map(str, w))] for t, w in table
-        ]
-        exit_code = 0 if results["all_covered"] else 1
-    report = RunReport(
-        command="mubs cover",
-        inputs_digest=_digest(b"builtin:hesse"),
-        tolerances={"tol": tol},
-        results=results,
-    )
-    return exit_code, report, rows
+    rows = [["triple", "witnessing_striations"]] + [["".join(map(str, t)), " ".join(map(str, w))] for t, w in table]
+    return (0 if all(w for _, w in table) else 1), RunReport(results=results, csv_rows=rows)
 
 
-def _cmd_wigner(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
-    dim, rhos, raw = load_state_file(args.state, tol)
+def _cmd_wigner(args, tol: float) -> tuple[int, RunReport]:
+    _, rhos, raw = load_state_file(args.state, tol)
     if len(rhos) != 1:
         raise UsageError(f"wigner expects exactly one state, got {len(rhos)}")
-    if dim != 3:
-        raise UsageError(f"the discrete Wigner function is implemented for qutrits, got dimension {dim}")
     rho = rhos[0]
     check = validate_density_matrix(rho, tol=tol)
     if not check.passed:
@@ -534,9 +503,7 @@ def _cmd_wigner(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
     cross_residual = float(np.max(np.abs(w - w_ops)))
     marginals = line_marginals(w)
     report = RunReport(
-        command="wigner",
         inputs_digest=_digest(raw),
-        tolerances={"tol": tol},
         results={
             "wigner": [float(x) for x in w],
             "grid": [[float(x) for x in w[3 * r : 3 * r + 3]] for r in range(3)],
@@ -545,12 +512,12 @@ def _cmd_wigner(args, tol: float) -> tuple[int, RunReport, list[list[Any]]]:
             "sic_probabilities": [float(x) for x in probs],
         },
         residuals={"phase_point_cross_check": cross_residual},
+        csv_rows=[[f"{w[3 * r + c]:.17g}" for c in range(3)] for r in range(3)],
     )
-    csv_rows = [[f"{w[3 * r + c]:.17g}" for c in range(3)] for r in range(3)]
-    return 0, report, csv_rows
+    return 0, report
 
 
-def _cmd_purity(args, tol: float) -> tuple[int, RunReport, None]:
+def _cmd_purity(args, tol: float) -> tuple[int, RunReport]:
     doc, raw = _load_json(args.probs)
     if not isinstance(doc, dict) or "probabilities" not in doc:
         raise UsageError(f"{args.probs}: expected an object with a 'probabilities' field")
@@ -582,22 +549,12 @@ def _cmd_purity(args, tol: float) -> tuple[int, RunReport, None]:
         "zero_bound_satisfied": indices.zero_bound_satisfied,
     }
     results["pure"] = pure
-    report = RunReport(
-        command="purity",
-        inputs_digest=_digest(raw),
-        tolerances={"tol": tol},
-        results=results,
-        residuals=residuals,
-    )
-    return (0 if pure else 1), report, None
+    return (0 if pure else 1), RunReport(inputs_digest=_digest(raw), results=results, residuals=residuals)
 
 
-def _cmd_min_entropy(args, tol: float) -> tuple[int, RunReport, None]:
+def _cmd_min_entropy(args, tol: float) -> tuple[int, RunReport]:
     survivors = enumerate_min_entropy_pure_states(tol=tol)
     report = RunReport(
-        command="min-entropy enumerate",
-        inputs_digest=_digest(b"builtin:hesse"),
-        tolerances={"tol": tol},
         results={
             "count": len(survivors),
             "states": [
@@ -605,10 +562,10 @@ def _cmd_min_entropy(args, tol: float) -> tuple[int, RunReport, None]:
             ],
         },
     )
-    return 0, report, None
+    return 0, report
 
 
-def _cmd_graph(args, tol: float) -> tuple[int, RunReport, None]:
+def _cmd_graph(args, tol: float) -> tuple[int, RunReport]:
     if args.builtin != "hesse-mub":
         raise UsageError(f"unknown built-in graph {args.builtin!r}; available: hesse-mub")
     graph = hesse_mub_graph(tol=tol)
@@ -627,21 +584,19 @@ def _cmd_graph(args, tol: float) -> tuple[int, RunReport, None]:
         results["contextual"] = verdict.contextual
         results["coloring"] = {graph.labels[i]: c for i, c in enumerate(verdict.coloring.assignment)}
         exit_code = 0 if verdict.contextual else 1
-    report = RunReport(
-        command="graph",
-        inputs_digest=_digest(f"builtin:{args.builtin}".encode()),
-        tolerances={"tol": tol},
-        results=results,
-    )
-    return exit_code, report, None
+    return exit_code, RunReport(inputs_digest=_digest(f"builtin:{args.builtin}".encode()), results=results)
 
 
 def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
-    code, report, csv_rows = args.handler(args, _resolve_tol(args.tol))
+    tol = _resolve_tol(args.tol)
+    code, report = args.handler(args, tol)
     report.wall_time_s = time.perf_counter() - start
-    _emit(report, args, csv_rows)
+    report.command = args.report_command
+    if report.tolerances is None:
+        report.tolerances = {"tol": tol}
+    _emit(report, args)
     return code
 
 

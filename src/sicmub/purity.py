@@ -147,7 +147,7 @@ def distribution_indices(p, zero_tol: float = 1e-9) -> DistributionIndices:
     d_sq = vec.shape[0]
     effective = 1.0 / float(np.dot(vec, vec))
     positive = vec[vec > 0]
-    entropy = float(-np.sum(positive * np.log(positive)))
+    entropy = 0.0 - float(np.sum(positive * np.log(positive)))  # unlike -x, 0.0 - x gives +0.0 for a point mass
     zeros = int(np.count_nonzero(vec < zero_tol))
     bound = d_sq - effective
     return DistributionIndices(

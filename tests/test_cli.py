@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sicmub import cfs_example_kets
-from sicmub.cli import UsageError, _load_json, decode_array, encode_ket, encode_matrix, main
+from sicmub import cfs_example_kets, hesse_kets
+from sicmub.cli import UsageError, _load_json, decode_array, encode_complex, main
 
 
 def run_cli(capsys, *argv):
@@ -20,9 +21,9 @@ def run_cli(capsys, *argv):
 def write_states(path, dim, kets=None, matrices=None):
     doc = {"dim": dim}
     if kets is not None:
-        doc["kets"] = [encode_ket(k) for k in kets]
+        doc["kets"] = encode_complex(kets)
     if matrices is not None:
-        doc["matrices"] = [encode_matrix(m) for m in matrices]
+        doc["matrices"] = encode_complex(matrices)
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -244,6 +245,14 @@ class TestPurity:
             _, out, _ = run_cli(capsys, "purity", "--probs", str(path), "--tol", tol, "--format", "json")
             assert json.loads(out)["results"]["indices"]["zero_count"] == zeros
 
+    def test_point_mass_entropy_is_positive_zero(self, capsys, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"dim": 3, "probabilities": [1.0] + [0.0] * 8}))
+        for flags, key in (((), "shannon_entropy_nats"), (("--bits",), "shannon_entropy_bits")):
+            code, out, _ = run_cli(capsys, "purity", "--probs", str(path), *flags, "--format", "json")
+            assert code == 1
+            assert f'"{key}": 0.0,' in out
+
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -334,13 +343,23 @@ def replaced(doc, path, value):
     return doc
 
 
-CFS_DOC = {"dim": 3, "kets": [encode_ket(k) for k in cfs_example_kets()]}
-ONE_KET_DOC = {"dim": 3, "kets": [encode_ket(cfs_example_kets()[0])]}
+CFS_DOC = {"dim": 3, "kets": encode_complex(cfs_example_kets())}
+ONE_KET_DOC = {"dim": 3, "kets": encode_complex(cfs_example_kets()[:1])}
 #: One ket of norm 1 + 3e-9: off by more than the default tolerance 1e-10, within 1e-8.
-LONG_KET_DOC = {"dim": 3, "kets": [encode_ket(cfs_example_kets()[0] * (1.0 + 3e-9))]}
+LONG_KET_DOC = {"dim": 3, "kets": encode_complex(cfs_example_kets()[:1] * (1.0 + 3e-9))}
 #: Two valid one-dimensional kets: well-formed, but no search runs below dimension 2.
 DIM_ONE_DOC = {"dim": 1, "kets": [[[1.0, 0.0]], [[0.0, 1.0]]]}
+#: Well-formed, but the ternary criterion needs pure states.
+MIXED_TRIPLE_DOC = {"dim": 3, "matrices": encode_complex([np.eye(3) / 3.0] * 3)}
+#: Three orthonormal kets in dimension 4: well-formed, but the ternary criterion is for qutrits.
+DIM_FOUR_DOC = {"dim": 4, "kets": encode_complex(np.eye(4)[:3])}
+#: One short of a qutrit SIC.
+EIGHT_KETS_DOC = {"dim": 3, "kets": encode_complex(hesse_kets()[:8])}
+#: A valid qubit state: the discrete Wigner function is for qutrits.
+QUBIT_DOC = {"dim": 2, "kets": [[[1.0, 0.0], [0.0, 0.0]]]}
 PURE_PROBS_DOC = {"dim": 3, "probabilities": [0.0, 0.0, 0.0] + [1.0 / 6.0] * 6}
+#: Sums to 1, but one entry is far below -tol.
+NEGATIVE_PROBS_DOC = {"dim": 3, "probabilities": [-0.1, 0.1] + [1.0 / 7.0] * 7}
 #: A pure-state vector scaled to sum 1 + 5e-9: not a probability vector at the default tolerance.
 HEAVY_PROBS_DOC = {"dim": 3, "probabilities": [0.0, 0.0, 0.0] + [(1.0 + 5e-9) / 6.0] * 6}
 TRIPLE = ("compat", "triple", "--states", "{file}")
@@ -348,6 +367,7 @@ PURITY = ("purity", "--probs", "{file}")
 HESSE = ("verify-sic", "--builtin", "hesse")
 SEARCH = ("compat", "search", "--states", "cfs-example", "--restarts", "2")
 SEARCH_FILE = ("compat", "search", "--states", "{file}", "--restarts", "2")
+WIGNER = ("wigner", "--state", "{file}")
 
 #: (id, argv with "{file}" for the input path, input file text or None for no file, environment)
 MALFORMED = [
@@ -355,8 +375,8 @@ MALFORMED = [
     ("nan-prob", PURITY, json.dumps(replaced(PURE_PROBS_DOC, ("probabilities", 4), math.nan)), {}),
     ("infinity-prob", PURITY, json.dumps(replaced(PURE_PROBS_DOC, ("probabilities", 4), math.inf)), {}),
     ("overflow-prob", PURITY, json.dumps(replaced(PURE_PROBS_DOC, ("probabilities", 4), "BIG")).replace('"BIG"', "1e400"), {}),
-    ("nan-wigner-ket", ("wigner", "--state", "{file}"), json.dumps(replaced(ONE_KET_DOC, ("kets", 0, 2, 1), math.nan)), {}),
-    ("wigner-ket-off-norm", ("wigner", "--state", "{file}"), json.dumps(LONG_KET_DOC), {}),
+    ("nan-wigner-ket", WIGNER, json.dumps(replaced(ONE_KET_DOC, ("kets", 0, 2, 1), math.nan)), {}),
+    ("wigner-ket-off-norm", WIGNER, json.dumps(LONG_KET_DOC), {}),
     ("non-numeric-ket-entry", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets", 1, 0, 0), "abc")), {}),
     ("boolean-ket-entry", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets", 1, 0, 0), True)), {}),
     ("kets-not-an-array", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets",), 5)), {}),
@@ -372,6 +392,21 @@ MALFORMED = [
     ("restarts-zero", SEARCH + ("--restarts", "0"), None, {}),
     ("max-iters-zero", SEARCH + ("--max-iters", "0"), None, {}),
     ("search-dim-one", SEARCH_FILE, json.dumps(DIM_ONE_DOC), {}),
+    ("search-one-state", SEARCH_FILE, json.dumps(ONE_KET_DOC), {}),
+    ("states-no-dim", TRIPLE, json.dumps({"kets": CFS_DOC["kets"]}), {}),
+    ("states-no-kets-or-matrices", TRIPLE, json.dumps({"dim": 3}), {}),
+    ("triple-mixed-state", TRIPLE, json.dumps(MIXED_TRIPLE_DOC), {}),
+    ("triple-dim-four", TRIPLE, json.dumps(DIM_FOUR_DOC), {}),
+    ("env-tol-not-a-number", HESSE, None, {"SICMUB_TOL": "abc"}),
+    ("verify-sic-eight-kets", ("verify-sic", "--input", "{file}"), json.dumps(EIGHT_KETS_DOC), {}),
+    ("cover-triple-not-integers", ("mubs", "cover", "--triple", "0,x,4"), None, {}),
+    ("wigner-two-states", WIGNER, json.dumps({"dim": 3, "kets": CFS_DOC["kets"][:2]}), {}),
+    ("wigner-dim-two", WIGNER, json.dumps(QUBIT_DOC), {}),
+    ("purity-no-probabilities", PURITY, json.dumps({"dim": 3}), {}),
+    ("purity-negative-entry", PURITY, json.dumps(NEGATIVE_PROBS_DOC), {}),
+    ("graph-unknown-builtin", ("graph", "--builtin", "wat"), None, {}),
+    # the input file exists, so no directory of that name can be created beneath it
+    ("output-unwritable", HESSE + ("--output", "{file}/report.json"), "{}", {}),
 ]
 
 
@@ -388,6 +423,44 @@ class TestMalformedInput:
         assert code == 2
         assert any(line.startswith("error:") for line in err.splitlines())
         assert "Traceback" not in err
+
+
+#: (argv with "{file}" for the input path, input file text or None, the report's tolerances at --tol 1e-9)
+LEAF_COMMANDS = [
+    (HESSE, None, {"tol": 1e-9}),
+    (("compat", "triple", "--states", "cfs-example"), None, {"tol": 1e-9, "saturation_tol": 1e-9}),
+    (SEARCH, None, {"success_threshold": 1e-10}),
+    (SEARCH_FILE, json.dumps(CFS_DOC), {"success_threshold": 1e-10, "tol": 1e-9}),
+    (("mubs", "build"), None, {"tol": 1e-9}),
+    (("mubs", "verify"), None, {"tol": 1e-9}),
+    (("mubs", "cover", "--triple", "0,1,4"), None, {"tol": 1e-9}),
+    (WIGNER, json.dumps(ONE_KET_DOC), {"tol": 1e-9}),
+    (PURITY, json.dumps(PURE_PROBS_DOC), {"tol": 1e-9}),
+    (("min-entropy", "enumerate"), None, {"tol": 1e-9}),
+    (("graph",), None, {"tol": 1e-9}),
+]
+
+
+def command_words(argv):
+    return list(itertools.takewhile(lambda arg: not arg.startswith("--"), argv))
+
+
+class TestReportPlumbing:
+    @pytest.mark.parametrize(
+        "argv, text, tolerances",
+        LEAF_COMMANDS,
+        ids=["-".join(command_words(argv)) + ("-file" if text else "") for argv, text, _ in LEAF_COMMANDS],
+    )
+    def test_command_is_the_subcommand_words_and_tolerances_are_documented(self, capsys, monkeypatch, tmp_path, argv, text, tolerances):
+        monkeypatch.delenv("SICMUB_TOL", raising=False)
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_cli(capsys, *(arg.format(file=path) for arg in argv), "--tol", "1e-9", "--format", "json")
+        assert code in (0, 1) and err == ""
+        doc = json.loads(out)
+        assert doc["command"] == " ".join(command_words(argv))
+        assert doc["tolerances"] == tolerances
 
 
 def near_saturated_kets(eps):
@@ -512,8 +585,8 @@ class TestCodecProperties:
     @settings(deadline=None)
     @given(arr=state_arrays(), bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
     def test_round_trip_and_non_finite_rejection(self, tmp_path_factory, arr, bad, data):
-        field, encode = ("kets", encode_ket) if arr.ndim == 2 else ("matrices", encode_matrix)
-        encoded = [encode(x) for x in arr]
+        field = "kets" if arr.ndim == 2 else "matrices"
+        encoded = encode_complex(arr)
         path = tmp_path_factory.mktemp("codec") / "doc.json"
         path.write_text(json.dumps({"dim": arr.shape[1], field: encoded}))
         doc, _ = _load_json(str(path))

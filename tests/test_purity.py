@@ -187,6 +187,10 @@ class TestDistributionIndices:
     def test_uniform_effective_number_is_nine(self):
         assert distribution_indices(np.full(9, 1.0 / 9.0)).effective_number == pytest.approx(9.0)
 
+    def test_point_mass_entropy_is_positive_zero(self):
+        entropy = distribution_indices(np.eye(9)[0]).shannon_entropy_nats
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+
 
 class TestMinEntropyEnumeration:
     def test_exactly_the_twelve_lines_survive(self):
