@@ -372,7 +372,7 @@ def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport]:
         digest = _digest(f"builtin:{args.builtin}".encode())
     else:
         dim, rhos, raw = load_state_file(args.input, tol)
-        sic = SicSet(dim=dim, projectors=rhos)
+        sic = SicSet(dim=dim, projectors=rhos, tol=tol)
         digest = _digest(raw)
     check = is_sic(sic, tol=tol)
     gram = np.einsum("iab,jba->ij", np.asarray(sic.projectors), np.asarray(sic.projectors)).real
@@ -437,6 +437,7 @@ def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport]:
             "probes": sum(r.probes for r in result.history),
             "newton_iters": sum(r.newton_iters for r in result.history),
             "polish_iters": sum(r.polish_iters for r in result.history),
+            "polish_accepted": sum(r.polish_accepted for r in result.history),
             "basis_kets": encode_complex(result.basis),
             "history": [asdict(r) for r in result.history],
         },

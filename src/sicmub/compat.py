@@ -14,7 +14,11 @@ provides a constructive certificate.  The search's descent moves to the
 exact minimum along each pair rotation: for N states the functional
 there is a trigonometric polynomial of degree N // 2 in 4t.  A
 Gauss-Newton polish of the matched orthogonality residuals then
-certifies zeros, and a damped Newton finisher closes positive floors.
+certifies zeros; it is abandoned after the first accepted update that
+cuts the value by less than 4x, where a positive floor makes it converge
+only linearly, and a damped Newton finisher closes positive floors.
+Both finishers halve a rejected step with one eigendecomposition of its
+generator.
 
 The ternary criterion implemented here uses the non-strict inequality
 ``(x1 + x2 + x3 - 1)**2 >= 4 x1 x2 x3``: equality (saturation) counts
@@ -225,8 +229,11 @@ class WitnessSearchConfig:
     the value by less than a relative 20 %, or at ``max_iters`` cycles.
     A restart still above its stop value then goes to a Gauss-Newton
     polish of the matched orthogonality residuals, which is what
-    certifies zeros, and, if still above it, to a damped Newton finisher
-    on the functional, which closes positive floors.  With
+    certifies zeros and which ends after the first accepted update that
+    cuts the value by less than 4x, and, if still above it, to a damped
+    Newton finisher on the functional, which closes positive floors.
+    Both finishers halve a rejected step up to six times on one
+    eigendecomposition of its generator.  With
     ``stop_at_success`` the stop value is ``success_threshold`` and the
     restart loop exits on the first success; without it the stop value
     is 0, so every restart runs its whole pipeline.  The reported winner
@@ -398,9 +405,16 @@ def _pair_minimum(coeffs: list[tuple[float, float, float]]) -> tuple[float, tupl
     return angles[best], pairs[best], len(angles)
 
 
+def _generator_eigh(gens: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors ``(w, v)`` of ``sum_g delta_g G_g``, so that
+    ``exp(i s sum_g delta_g G_g) = v diag(exp(i s w)) v†`` for every ``s``."""
+    g, d, _ = gens.shape
+    return np.linalg.eigh((delta @ gens.reshape(g, d * d)).reshape(d, d))
+
+
 def _generator_exp(gens: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """``exp(i sum_g delta_g G_g)`` for a stack of Hermitian generators."""
-    w, v = np.linalg.eigh(np.tensordot(delta, gens, axes=1))
+    w, v = _generator_eigh(gens, delta)
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
@@ -516,17 +530,23 @@ def _functional_derivatives(rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, p
 def _damped_update(rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, delta: np.ndarray, value: float):
     """The update ``u @ exp(i sum_g delta_g G_g)`` with ``delta`` capped at
     ``_POLISH_MAX_STEP`` and halved up to six times until the functional falls
-    below ``value``; returns (basis, column probabilities, value), or None."""
+    below ``value``; returns (basis, column probabilities, value), or None.
+
+    One eigendecomposition ``(w, v)`` of the capped step's generator serves
+    every halving: the candidate for ``delta / 2**k`` is
+    ``(u v) diag(exp(i w / 2**k)) v†``, so a halving only rescales ``w``."""
     norm = float(np.linalg.norm(delta))
     if norm > _POLISH_MAX_STEP:
         delta = delta * (_POLISH_MAX_STEP / norm)
+    w, v = _generator_eigh(gens, delta)
+    uv, vh = u @ v, v.conj().T
     for _ in range(6):
-        candidate = u @ _generator_exp(gens, delta)
+        candidate = (uv * np.exp(1j * w)) @ vh
         probs = _column_probs(rhos, candidate)
         candidate_value = float(probs.prod(axis=0).sum())
         if candidate_value < value:
             return candidate, probs, candidate_value
-        delta = delta / 2.0
+        w = w / 2.0
     return None
 
 
@@ -572,9 +592,14 @@ def _gauss_newton_polish(
     residuals ``W_a(i)† e_i`` are linear in the basis and Gauss-Newton
     keeps converging where the functional itself is quartic-flat.
     Every update goes through :func:`_damped_update`, so the polish can
-    never worsen the functional of ``u``.  ``gens`` stacks the
-    :func:`_pair_generators` of the basis's dimension.  Adds its
-    iterations and accepted updates to ``counts``.
+    never worsen the functional of ``u``.  Where the residuals have a
+    zero, Gauss-Newton converges quadratically; where they do not (a
+    positive floor) it converges only linearly, so the polish ends after
+    the first accepted update that cuts the value by less than 4x and
+    leaves the rest to Newton.  It also ends below 1e-26, at
+    ``_POLISH_ITERS`` iterations, or when no halving improves.  ``gens``
+    stacks the :func:`_pair_generators` of the basis's dimension.  Adds
+    its iterations and accepted updates to ``counts``.
     """
     probs = _column_probs(rhos, u)
     value = float(probs.prod(axis=0).sum())
@@ -587,8 +612,9 @@ def _gauss_newton_polish(
         if update is None:
             break
         counts.polish_accepted += 1
+        before = value
         u, probs, value = update
-        if value < 1e-26:
+        if value < 1e-26 or value > before / 4.0:
             break
     return value, u
 

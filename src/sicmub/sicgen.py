@@ -28,7 +28,7 @@ import numpy as np
 
 from .qmath import DEFAULT_TOL, frozen_array
 
-#: Structural sanity tolerance applied when a SicSet is constructed.
+#: Default structural sanity tolerance applied when a SicSet is constructed.
 _STRUCTURE_TOL = 1e-8
 
 
@@ -64,15 +64,17 @@ class SicSet:
     """``d**2`` rank-1 projectors satisfying the SIC overlap condition.
 
     ``gram_residual`` records the worst overlap residual observed when
-    the set was generated; hand-built sets leave it ``None``.  Equality
-    of SIC sets is meaningful only at the projector level (global ket
-    phases cancel), so compare ``projectors``.
+    the set was generated; hand-built sets leave it ``None``.  The
+    projectors must be Hermitian, trace-1 and idempotent within ``tol``.
+    Equality of SIC sets is meaningful only at the projector level
+    (global ket phases cancel), so compare ``projectors``.
     """
 
     dim: int
     projectors: np.ndarray
     fiducial_index: int | None = None
     gram_residual: float | None = None
+    tol: float = _STRUCTURE_TOL
 
     def __post_init__(self):
         p = np.asarray(self.projectors, dtype=complex)
@@ -82,7 +84,7 @@ class SicSet:
         herm = np.max(np.abs(p - p.conj().transpose(0, 2, 1)))
         traces = np.einsum("iaa->i", p)
         idem = np.max(np.abs(np.einsum("iab,ibc->iac", p, p) - p))
-        if herm > _STRUCTURE_TOL or np.max(np.abs(traces - 1)) > _STRUCTURE_TOL or idem > _STRUCTURE_TOL:
+        if herm > self.tol or np.max(np.abs(traces - 1)) > self.tol or idem > self.tol:
             raise ValueError(
                 "projectors must be Hermitian, trace-1 and idempotent: residuals "
                 f"herm={herm:.3e}, trace={np.max(np.abs(traces - 1)):.3e}, idem={idem:.3e}"

@@ -73,6 +73,16 @@ class TestVerifySic:
         code, _, err = run_cli(capsys, "verify-sic")
         assert code == 2
 
+    def test_projector_structure_is_checked_at_tol(self, capsys, tmp_path, kets):
+        # trace residual 1e-7: within --tol 1e-6, outside the default 1e-10
+        path = write_states(tmp_path / "long.json", 3, kets=np.asarray(kets) * (1.0 + 5e-8))
+        code, out, _ = run_cli(capsys, "verify-sic", "--input", path, "--tol", "1e-6", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"]["is_sic"] is True and doc["tolerances"] == {"tol": 1e-6}
+        code, _, err = run_cli(capsys, "verify-sic", "--input", path)
+        assert code == 2 and err.startswith("error:")
+
 
 class TestCompatTriple:
     def test_cfs_example_is_saturated_incompatible(self, capsys):
@@ -125,7 +135,7 @@ class TestCompatSearch:
         assert len(doc["results"]["basis_kets"]) == 3
         history = doc["results"]["history"]
         assert history[-1]["phase"] == "polish" and history[-1]["polish_accepted"] > 0
-        for key in ("cycles", "probes", "newton_iters", "polish_iters"):
+        for key in ("cycles", "probes", "newton_iters", "polish_iters", "polish_accepted"):
             assert doc["results"][key] == sum(record[key] for record in history)
 
     def test_reports_are_byte_identical_across_runs(self, capsys):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sicmub import (
@@ -23,9 +23,12 @@ from sicmub import (
     validate_orthonormal_basis,
     witness_search,
 )
+import sicmub.compat as compat
 from sicmub.compat import (
+    _POLISH_MAX_STEP,
     _SATURATION_CUBIC,
     _column_probs,
+    _damped_update,
     _functional_derivatives,
     _generator_exp,
     _haar_unitary,
@@ -60,6 +63,33 @@ def compatible_triple(rng):
         margin = verdict.boundary_rhs - verdict.boundary_lhs
         if not verdict.incompatible and verdict.overlap_sum < 1.0 and margin > 0.05:
             return triple
+
+
+def polish_runs(states, cfg):
+    """The search's result and, per polish run, the value it starts from and
+    the value after each accepted update."""
+    polish, update = compat._gauss_newton_polish, compat._damped_update
+    runs, active = [], []
+
+    def recording_polish(rhos, factors, u, gens, counts):
+        active.append([float(_column_probs(rhos, u).prod(axis=0).sum())])
+        runs.append(active[-1])
+        try:
+            return polish(rhos, factors, u, gens, counts)
+        finally:
+            active.pop()
+
+    def recording_update(*args):
+        accepted = update(*args)
+        if active and accepted is not None:
+            active[-1].append(accepted[2])
+        return accepted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compat, "_gauss_newton_polish", recording_polish)
+        mp.setattr(compat, "_damped_update", recording_update)
+        result = witness_search(states, cfg)
+    return result, runs
 
 
 def pp_floor(states, result):
@@ -428,6 +458,36 @@ class TestWitnessSearch:
         # rounding, not the search, would pick the winner under a strict minimum
         assert inexact_ties >= 2
 
+    def test_polish_is_abandoned_on_compatible_triples(self):
+        # without a zero to converge to, the polish stops after its first update that cuts less than 4x;
+        # over these twelve triples no restart took more than 3 polish iterations (17 without the rule)
+        cfg = WitnessSearchConfig(restarts=8, seed=2024, stop_at_success=False)
+        for seed in range(12):
+            result = witness_search(StateSet.from_kets(compatible_triple(np.random.default_rng(seed))), cfg)
+            assert all(1 <= record.polish_iters <= 3 for record in result.history), (seed, result.history)
+
+    def test_every_polish_update_but_the_last_cuts_the_value_fourfold(self, kets):
+        certify = WitnessSearchConfig(restarts=64, seed=2024, success_threshold=1e-8)
+        exhaust = WitnessSearchConfig(restarts=8, seed=2024, stop_at_success=False)
+        searches = [(cfs_example_states(), WitnessSearchConfig())]
+        searches += [(StateSet.from_kets(kets[list(t)]), certify) for t in ((0, 1, 4), (0, 2, 7), (3, 5, 6))]
+        searches += [(StateSet.from_kets(compatible_triple(np.random.default_rng(s))), exhaust) for s in (0, 4, 11)]
+        long_runs = 0
+        for states, cfg in searches:
+            result, runs = polish_runs(states, cfg)
+            polished = [record for record in result.history if record.polish_iters > 0]
+            assert len(runs) == len(polished)
+            for record, values in zip(polished, runs):
+                assert record.polish_accepted == len(values) - 1, (record, values)
+                cuts = [after / before for before, after in zip(values, values[1:])]
+                assert all(cut <= 0.25 for cut in cuts[:-1]), (record, values)
+                if cuts and 0.25 < cuts[-1] and values[-1] >= 1e-26:
+                    # abandoned: the update that fell short was the polish's last iteration
+                    assert record.polish_iters == record.polish_accepted, (record, values)
+                long_runs += len(cuts) >= 3
+        # the saturated inputs converge quadratically, so the rule lets their polish run on
+        assert long_runs >= 4
+
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1e-10])
     def test_config_rejects_non_positive_or_non_finite_threshold(self, threshold):
         with pytest.raises(ValueError, match="success_threshold"):
@@ -455,6 +515,36 @@ class TestPairGenerators:
             moved[:, j], moved[:, k] = _rotate_pair(u[:, j].tolist(), u[:, k].tolist(), 1j * g[k, j], angle)
             np.testing.assert_allclose(moved, expected, atol=1e-12)
             np.testing.assert_allclose(u @ _generator_exp(g[None], np.array([angle])), expected, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), length=st.floats(1e-3, 3.0))
+    @example(d=3, seed=0, length=0.1)
+    @example(d=3, seed=0, length=2.0)
+    def test_each_halving_is_the_generator_exponential_of_the_capped_step(self, d, seed, length):
+        rng = np.random.default_rng(seed)
+        rhos = random_mixtures(rng, [1, 2, d], d)
+        u = _haar_unitary(rng, d)
+        gens = np.array([g for _, _, g in _pair_generators(d)])
+        direction = rng.standard_normal(len(gens))
+        delta = length * direction / np.linalg.norm(direction)
+        capped = delta * min(1.0, _POLISH_MAX_STEP / length)
+        candidates = []
+
+        def recording(rhos_arg, basis):
+            candidates.append(basis)
+            return _column_probs(rhos_arg, basis)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compat, "_column_probs", recording)
+            # no candidate beats -inf, so all six halvings are tried and none is taken
+            assert _damped_update(rhos, u, gens, delta, -math.inf) is None
+        assert len(candidates) == 6
+        for k, candidate in enumerate(candidates):
+            np.testing.assert_allclose(candidate, u @ _generator_exp(gens, capped / 2**k), atol=1e-12)
+        basis, probs, value = _damped_update(rhos, u, gens, delta, math.inf)
+        np.testing.assert_array_equal(basis, candidates[0])
+        np.testing.assert_array_equal(probs, _column_probs(rhos, basis))
+        assert value == probs.prod(axis=0).sum()
 
     @settings(deadline=None)
     @given(
