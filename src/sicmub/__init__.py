@@ -19,7 +19,6 @@ from .sicgen import (
     GramCheck,
     NotSicError,
     SicSet,
-    builtin_sic,
     generate_sic_orbit,
     hesse_kets,
     hesse_sic,

@@ -63,7 +63,7 @@ from .purity import (
     triple_product_table,
 )
 from .qmath import DEFAULT_TOL, SEARCH_TOL, validate_density_matrix
-from .sicgen import SicSet, builtin_sic, hesse_sic, is_sic, sic_probabilities
+from .sicgen import SicSet, hesse_sic, is_sic, sic_probabilities
 from .wigner import (
     line_marginals,
     negativity,
@@ -81,6 +81,14 @@ GRAPH_DIM = 3
 
 class UsageError(Exception):
     """Bad input or usage; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, subparsers included, whose usage errors raise
+    ``UsageError`` and so print one ``error:`` line like any bad input."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def encode_complex(array) -> list:
@@ -263,7 +271,7 @@ def _resolve_tol(cli_tol: float | None) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sicmub",
         description="Qutrit SIC-POVM geometry: compatibility certificates, MUBs, Wigner functions, contextuality.",
     )
@@ -289,15 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = csub.add_parser("triple", help="exact PP-ODOP criterion for three pure qutrit states")
     pt.add_argument("--states", required=True, help="'cfs-example' or a JSON state file")
-    pt.add_argument("--criterion", action="store_true", help="accepted and ignored: the ternary criterion always applies")
     leaf(pt, _cmd_compat_triple)
 
     ps = csub.add_parser("search", help="seeded witness search over von Neumann bases")
     ps.add_argument("--states", required=True, help="'cfs-example' or a JSON state file")
-    ps.add_argument("--restarts", type=int, default=32)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--threshold", type=float, default=1e-10, help="success threshold on the PP functional")
-    ps.add_argument("--max-iters", type=int, default=200)
+    defaults = WitnessSearchConfig()
+    ps.add_argument("--restarts", type=int, default=defaults.restarts)
+    ps.add_argument("--seed", type=int, default=defaults.seed)
+    ps.add_argument("--threshold", type=float, default=defaults.success_threshold, help="success threshold on the PP functional")
     leaf(ps, _cmd_compat_search)
 
     p = sub.add_parser("mubs", help="mutually unbiased bases from the Hesse SIC")
@@ -365,11 +372,10 @@ def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport]:
     if (args.builtin is None) == (args.input is None):
         raise UsageError("verify-sic needs exactly one of --builtin or --input")
     if args.builtin is not None:
-        try:
-            sic = builtin_sic(args.builtin)
-        except KeyError as exc:
-            raise UsageError(exc.args[0]) from exc
-        digest = _digest(f"builtin:{args.builtin}".encode())
+        if args.builtin != "hesse":
+            raise UsageError(f"unknown built-in SIC {args.builtin!r}; available: hesse")
+        sic = hesse_sic()
+        digest = HESSE_DIGEST
     else:
         dim, rhos, raw = load_state_file(args.input, tol)
         sic = SicSet(dim=dim, projectors=rhos, tol=tol)
@@ -414,12 +420,7 @@ def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport]:
 
 def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport]:
     dim, rhos, digest, input_tol = _load_states_arg(args.states, tol)
-    cfg = WitnessSearchConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        success_threshold=args.threshold,
-    )
+    cfg = WitnessSearchConfig(restarts=args.restarts, seed=args.seed, success_threshold=args.threshold)
     result = witness_search(StateSet(dim=dim, rhos=rhos, tol=input_tol), cfg)
     tolerances = {"success_threshold": args.threshold}
     if args.states != "cfs-example":
@@ -534,7 +535,7 @@ def _cmd_purity(args, tol: float) -> tuple[int, RunReport]:
     pure = quadratic.passed
     if dim == 3:
         hesse_form = qbic_check_hesse(probs, tol=tol)
-        general = qbic_check_general(probs, triple_product_table(builtin_sic("hesse")), tol=tol)
+        general = qbic_check_general(probs, triple_product_table(hesse_sic()), tol=tol)
         results["qbic_hesse"] = {"passed": hesse_form.passed, "value": hesse_form.value}
         results["qbic_general"] = {"passed": general.passed, "value": general.value, "target": general.target}
         residuals["qbic_hesse"] = hesse_form.residual
@@ -613,11 +614,8 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # --help and --version
+        return exc.code or 0
     except BrokenPipeError:  # pragma: no cover
         return 1
 

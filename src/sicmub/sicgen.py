@@ -61,19 +61,15 @@ def wh_displacement(d: int, a: int, b: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SicSet:
-    """``d**2`` rank-1 projectors satisfying the SIC overlap condition.
+    """``d**2`` rank-1 projectors, Hermitian, trace-1 and idempotent within
+    ``tol``; :func:`is_sic` tests the SIC overlap condition.
 
-    ``gram_residual`` records the worst overlap residual observed when
-    the set was generated; hand-built sets leave it ``None``.  The
-    projectors must be Hermitian, trace-1 and idempotent within ``tol``.
     Equality of SIC sets is meaningful only at the projector level
     (global ket phases cancel), so compare ``projectors``.
     """
 
     dim: int
     projectors: np.ndarray
-    fiducial_index: int | None = None
-    gram_residual: float | None = None
     tol: float = _STRUCTURE_TOL
 
     def __post_init__(self):
@@ -120,8 +116,7 @@ def generate_sic_orbit(fiducial, tol: float = DEFAULT_TOL) -> SicSet:
     The resulting projectors are ordered ``i = d*b + a``.  If the orbit
     violates the SIC overlap condition beyond ``tol`` the fiducial is
     not a SIC fiducial and :class:`NotSicError` is raised with the
-    observed residual; otherwise the residual is recorded on the
-    returned set.
+    observed residual.
     """
     fid = np.asarray(fiducial, dtype=complex).reshape(-1)
     d = fid.shape[0]
@@ -136,7 +131,7 @@ def generate_sic_orbit(fiducial, tol: float = DEFAULT_TOL) -> SicSet:
     residual = _gram_residual(projectors, d)
     if residual > tol:
         raise NotSicError(residual)
-    return SicSet(dim=d, projectors=projectors, fiducial_index=0, gram_residual=residual)
+    return SicSet(dim=d, projectors=projectors)
 
 
 def hesse_kets() -> np.ndarray:
@@ -166,26 +161,9 @@ def hesse_kets() -> np.ndarray:
 
 
 def hesse_sic() -> SicSet:
-    """The Hesse SIC: the standard qutrit SIC with fiducial index 0."""
+    """The Hesse SIC: the standard qutrit SIC, fiducial first."""
     kets = hesse_kets()
-    projectors = np.einsum("ia,ib->iab", kets, kets.conj())
-    return SicSet(
-        dim=3,
-        projectors=projectors,
-        fiducial_index=0,
-        gram_residual=_gram_residual(projectors, 3),
-    )
-
-
-#: Built-in SIC constructions addressable by string id.
-BUILTIN_SICS = ("hesse",)
-
-
-def builtin_sic(name: str) -> SicSet:
-    """Look up a built-in SIC by id (currently only ``"hesse"``)."""
-    if name == "hesse":
-        return hesse_sic()
-    raise KeyError(f"unknown built-in SIC {name!r}; available: {', '.join(BUILTIN_SICS)}")
+    return SicSet(dim=3, projectors=np.einsum("ia,ib->iab", kets, kets.conj()))
 
 
 def sic_probabilities(rho, s: SicSet, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -86,7 +86,7 @@ class TestVerifySic:
 
 class TestCompatTriple:
     def test_cfs_example_is_saturated_incompatible(self, capsys):
-        code, out, _ = run_cli(capsys, "compat", "triple", "--states", "cfs-example", "--criterion", "--format", "json")
+        code, out, _ = run_cli(capsys, "compat", "triple", "--states", "cfs-example", "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["results"]["verdict"] == "incompatible (saturated)"
@@ -401,6 +401,11 @@ MALFORMED = [
     ("threshold-nan", SEARCH + ("--threshold", "nan"), None, {}),
     ("restarts-zero", SEARCH + ("--restarts", "0"), None, {}),
     ("max-iters-zero", SEARCH + ("--max-iters", "0"), None, {}),
+    ("restarts-not-an-integer", SEARCH + ("--restarts", "abc"), None, {}),
+    ("tol-not-a-number", HESSE + ("--tol", "abc"), None, {}),
+    ("graph-format-csv", ("graph", "--format", "csv"), None, {}),
+    ("unknown-flag", HESSE + ("--frobnicate",), None, {}),
+    ("triple-criterion-flag", ("compat", "triple", "--states", "cfs-example", "--criterion"), None, {}),
     ("search-dim-one", SEARCH_FILE, json.dumps(DIM_ONE_DOC), {}),
     ("search-one-state", SEARCH_FILE, json.dumps(ONE_KET_DOC), {}),
     ("states-no-dim", TRIPLE, json.dumps({"kets": CFS_DOC["kets"]}), {}),
@@ -431,8 +436,8 @@ class TestMalformedInput:
             path.write_text(text)
         code, _, err = run_cli(capsys, *(arg.format(file=path) for arg in argv), "--format", "json")
         assert code == 2
-        assert any(line.startswith("error:") for line in err.splitlines())
-        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error:")
 
 
 #: (argv with "{file}" for the input path, input file text or None, the report's tolerances at --tol 1e-9)

@@ -458,6 +458,22 @@ class TestWitnessSearch:
         # rounding, not the search, would pick the winner under a strict minimum
         assert inexact_ties >= 2
 
+    @pytest.mark.parametrize("excess, phase", [(4e-5, 0.0), (1e-4, 0.3)])
+    def test_ties_within_rounding_at_a_small_floor_go_to_the_lowest_restart(self, excess, phase):
+        # equal overlaps just above the saturated 1/4: compatible, margin 9e-5 and 2.3e-4,
+        # floors 6e-10 and 4.6e-9, where a relative 1e-12 is far below the functional's rounding
+        c = math.sqrt(0.25 + excess) * np.exp(1j * phase)
+        gram = np.array([[1, c, c.conjugate()], [c.conjugate(), 1, c], [c, c.conjugate(), 1]])
+        w, v = np.linalg.eigh(gram)
+        kets = (v * np.sqrt(w)) @ v.conj().T  # rows: unit kets, each pair at |<a|b>|**2 = 1/4 + excess
+        assert not qutrit_triple_criterion(*kets).incompatible
+        result = witness_search(StateSet.from_kets(kets), WitnessSearchConfig(restarts=8, seed=2024, stop_at_success=False))
+        values = [r.final_value for r in result.history]
+        floor = min(values)
+        # every restart ends on the one floor, yet rounding spreads them beyond the relative tie
+        assert floor * (1 + 1e-12) < max(values) <= floor + 1e-15
+        assert result.best_restart == 0 and result.value == values[0]
+
     def test_polish_is_abandoned_on_compatible_triples(self):
         # without a zero to converge to, the polish stops after its first update that cuts less than 4x;
         # over these twelve triples no restart took more than 3 polish iterations (17 without the rule)

@@ -4,7 +4,6 @@ import pytest
 from sicmub import (
     NotSicError,
     SicSet,
-    builtin_sic,
     generate_sic_orbit,
     hesse_kets,
     is_sic,
@@ -52,7 +51,7 @@ class TestOrbit:
     def test_orbit_of_standard_fiducial_reproduces_printed_set(self, sic):
         orbit = generate_sic_orbit(hesse_kets()[0])
         np.testing.assert_allclose(orbit.projectors, sic.projectors, rtol=0, atol=1e-12)
-        assert orbit.gram_residual < 1e-12
+        assert is_sic(orbit, tol=1e-12).passed
 
     def test_basis_ket_is_not_a_fiducial(self):
         with pytest.raises(NotSicError) as excinfo:
@@ -87,11 +86,6 @@ class TestHesseSic:
     def test_second_projector_is_shift_conjugate_of_first(self, projectors):
         x = wh_displacement(3, 1, 0)
         np.testing.assert_allclose(projectors[1], x @ projectors[0] @ x.conj().T, atol=1e-14)
-
-    def test_builtin_lookup(self, sic):
-        np.testing.assert_allclose(builtin_sic("hesse").projectors, sic.projectors, rtol=0, atol=1e-10)
-        with pytest.raises(KeyError):
-            builtin_sic("nope")
 
 
 class TestIsSic:
