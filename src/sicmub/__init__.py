@@ -5,7 +5,7 @@ functions, and an exact chromatic-number contextuality check."""
 from .qmath import (
     DEFAULT_TOL,
     SEARCH_TOL,
-    ValidationReport,
+    Check,
     basis_ket,
     overlap_squared,
     projector,
@@ -16,7 +16,6 @@ from .qmath import (
     validate_orthonormal_basis,
 )
 from .sicgen import (
-    GramCheck,
     NotSicError,
     SicSet,
     generate_sic_orbit,
@@ -41,7 +40,6 @@ from .compat import (
     witness_search,
 )
 from .mub import (
-    MubReport,
     MubSet,
     build_mub_set,
     covering_table,

@@ -48,7 +48,7 @@ from .compat import (
     SATURATION_TOL,
     StateSet,
     WitnessSearchConfig,
-    cfs_example_kets,
+    cfs_example_states,
     qutrit_triple_criterion,
     witness_search,
 )
@@ -62,7 +62,7 @@ from .purity import (
     quadratic_purity_check,
     triple_product_table,
 )
-from .qmath import DEFAULT_TOL, SEARCH_TOL, validate_density_matrix
+from .qmath import DEFAULT_TOL, validate_density_matrix
 from .sicgen import SicSet, hesse_sic, is_sic, sic_probabilities
 from .wigner import (
     line_marginals,
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Qutrit SIC-POVM geometry: compatibility certificates, MUBs, Wigner functions, contextuality.",
     )
     parser.add_argument("--version", action="version", version=f"sicmub {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
     def leaf(p: argparse.ArgumentParser, handler, formats=("text", "json")) -> None:
         p.add_argument(
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(p, _cmd_verify_sic, formats=("text", "json", "csv"))
 
     p = sub.add_parser("compat", help="post-Peierls compatibility")
-    csub = p.add_subparsers(dest="compat_command", required=True)
+    csub = p.add_subparsers(required=True)
 
     pt = csub.add_parser("triple", help="exact PP-ODOP criterion for three pure qutrit states")
     pt.add_argument("--states", required=True, help="'cfs-example' or a JSON state file")
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(ps, _cmd_compat_search)
 
     p = sub.add_parser("mubs", help="mutually unbiased bases from the Hesse SIC")
-    msub = p.add_subparsers(dest="mubs_command", required=True)
+    msub = p.add_subparsers(required=True)
     leaf(msub.add_parser("build", help="construct the four MUBs"), _cmd_mubs_build)
     leaf(msub.add_parser("verify", help="verify the MUB conditions"), _cmd_mubs_verify)
     pc = msub.add_parser("cover", help="witnessing striations for SIC triples")
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(p, _cmd_purity)
 
     p = sub.add_parser("min-entropy", help="minimal-entropy pure states")
-    esub = p.add_subparsers(dest="min_entropy_command", required=True)
+    esub = p.add_subparsers(required=True)
     leaf(esub.add_parser("enumerate", help="enumerate the 12 three-zero pure states"), _cmd_min_entropy)
 
     p = sub.add_parser("graph", help="orthogonality graph and chromatic contextuality test")
@@ -356,16 +356,14 @@ def _emit(report: RunReport, args) -> None:
         sys.stdout.write(payload)
 
 
-def _load_states_arg(source: str, tol: float) -> tuple[int, np.ndarray, str, float]:
-    """Resolve --states, a built-in name or a file path, to (dim, density
-    matrices, digest, input tolerance).  The states are judged at ``tol``
-    from a file and at ``SEARCH_TOL`` from the built-in, whose kets are
-    exact up to rounding."""
+def _load_states_arg(source: str, tol: float) -> tuple[StateSet, str]:
+    """Resolve --states, a built-in name or a file path, to (state set,
+    digest).  A file's states are judged at ``tol``; the built-in keeps
+    the ``StateSet`` default, since its kets are exact up to rounding."""
     if source == "cfs-example":
-        kets = cfs_example_kets()
-        return 3, np.einsum("na,nb->nab", kets, kets.conj()), _digest(b"builtin:cfs-example"), SEARCH_TOL
+        return cfs_example_states(), _digest(b"builtin:cfs-example")
     dim, rhos, raw = load_state_file(source, tol)
-    return dim, rhos, _digest(raw), tol
+    return StateSet(dim=dim, rhos=rhos, tol=tol), _digest(raw)
 
 
 def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport]:
@@ -382,24 +380,24 @@ def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport]:
         digest = _digest(raw)
     check = is_sic(sic, tol=tol)
     gram = np.einsum("iab,jba->ij", np.asarray(sic.projectors), np.asarray(sic.projectors)).real
-    results: dict[str, Any] = {"dim": sic.dim, "is_sic": check.passed, "max_gram_residual": check.max_residual}
+    results: dict[str, Any] = {"dim": sic.dim, "is_sic": check.passed, "max_gram_residual": check.residuals["max_gram_residual"]}
     if args.emit_states:
         results["sic"] = {"dim": sic.dim, "matrices": encode_complex(sic.projectors)}
     report = RunReport(
         inputs_digest=digest,
         results=results,
-        residuals={"max_gram_residual": check.max_residual},
+        residuals=check.residuals,
         csv_rows=[[f"{x:.17g}" for x in row] for row in gram],
     )
     return (0 if check.passed else 1), report
 
 
 def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport]:
-    _, rhos, digest, input_tol = _load_states_arg(args.states, tol)
-    if len(rhos) != 3:
-        raise UsageError(f"the ternary criterion needs exactly 3 states, got {len(rhos)}")
-    kets = [_principal_ket(rho, input_tol) for rho in rhos]
-    verdict = qutrit_triple_criterion(*kets, tol=tol, norm_tol=input_tol)
+    states, digest = _load_states_arg(args.states, tol)
+    if len(states) != 3:
+        raise UsageError(f"the ternary criterion needs exactly 3 states, got {len(states)}")
+    kets = [_principal_ket(rho, states.tol) for rho in states.rhos]
+    verdict = qutrit_triple_criterion(*kets, tol=tol, norm_tol=states.tol)
     label = verdict.verdict + (" (saturated)" if verdict.saturated else "")
     report = RunReport(
         inputs_digest=digest,
@@ -419,9 +417,9 @@ def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport]:
-    dim, rhos, digest, input_tol = _load_states_arg(args.states, tol)
+    states, digest = _load_states_arg(args.states, tol)
     cfg = WitnessSearchConfig(restarts=args.restarts, seed=args.seed, success_threshold=args.threshold)
-    result = witness_search(StateSet(dim=dim, rhos=rhos, tol=input_tol), cfg)
+    result = witness_search(states, cfg)
     tolerances = {"success_threshold": args.threshold}
     if args.states != "cfs-example":
         tolerances["tol"] = tol
@@ -456,14 +454,14 @@ def _cmd_mubs_build(args, tol: float) -> tuple[int, RunReport]:
             "prob_vectors": [[list(map(float, v)) for v in block] for block in np.asarray(mubs.prob_vectors)],
             "projectors": encode_complex(mubs.projectors),
         },
-        residuals=check.residuals(),
+        residuals=check.residuals,
     )
     return (0 if check.passed else 1), report
 
 
 def _cmd_mubs_verify(args, tol: float) -> tuple[int, RunReport]:
     check = verify_mub_set(build_mub_set(hesse_sic()), tol=tol)
-    return (0 if check.passed else 1), RunReport(results={"passed": check.passed}, residuals=check.residuals())
+    return (0 if check.passed else 1), RunReport(results={"passed": check.passed}, residuals=check.residuals)
 
 
 def _cmd_mubs_cover(args, tol: float) -> tuple[int, RunReport]:
@@ -495,7 +493,7 @@ def _cmd_wigner(args, tol: float) -> tuple[int, RunReport]:
     rho = rhos[0]
     check = validate_density_matrix(rho, tol=tol)
     if not check.passed:
-        raise UsageError(f"input is not a valid density matrix: {check.residuals()}")
+        raise UsageError(f"input is not a valid density matrix: {check.residuals}")
     sic = hesse_sic()
     mubs = build_mub_set(sic)
     probs = sic_probabilities(rho, sic, tol=tol)
@@ -582,7 +580,7 @@ def _cmd_graph(args, tol: float) -> tuple[int, RunReport]:
     if args.chromatic:
         verdict = cabello_criterion(graph, GRAPH_DIM)
         results["chromatic_number"] = verdict.chromatic_number
-        results["dim"] = verdict.dim
+        results["dim"] = GRAPH_DIM
         results["contextual"] = verdict.contextual
         results["coloring"] = {graph.labels[i]: c for i, c in enumerate(verdict.coloring.assignment)}
         exit_code = 0 if verdict.contextual else 1

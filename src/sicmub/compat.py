@@ -63,9 +63,9 @@ class StateSet:
         if arr.shape[0] < 2:
             raise ValueError("a StateSet needs at least two states")
         for i, rho in enumerate(arr):
-            report = validate_density_matrix(rho, tol=self.tol)
-            if not report.passed:
-                raise ValueError(f"state {i} is not a valid density matrix: {report.residuals()}")
+            check = validate_density_matrix(rho, tol=self.tol)
+            if not check.passed:
+                raise ValueError(f"state {i} is not a valid density matrix: {check.residuals}")
         object.__setattr__(self, "rhos", frozen_array(arr))
 
     @classmethod
@@ -318,7 +318,6 @@ class WitnessSearchResult:
     success: bool
     best_restart: int
     history: tuple[RestartRecord, ...]
-    config: WitnessSearchConfig
 
 
 def _pair_generators(d: int) -> list[tuple[int, int, np.ndarray]]:
@@ -682,5 +681,4 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
         success=success,
         best_restart=best.restart,
         history=tuple(history),
-        config=cfg,
     )

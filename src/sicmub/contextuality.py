@@ -74,7 +74,6 @@ class CabelloReport:
 
     contextual: bool
     chromatic_number: int
-    dim: int
     coloring: Coloring
 
 
@@ -179,4 +178,4 @@ def chromatic_number(g: OrthoGraph) -> tuple[int, Coloring]:
 def cabello_criterion(g: OrthoGraph, d: int) -> CabelloReport:
     """Chromatic-number contextuality test: true iff chi(graph) > d."""
     chi, coloring = chromatic_number(g)
-    return CabelloReport(contextual=chi > d, chromatic_number=chi, dim=d, coloring=coloring)
+    return CabelloReport(contextual=chi > d, chromatic_number=chi, coloring=coloring)

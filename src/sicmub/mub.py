@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .qmath import DEFAULT_TOL, basis_ket, frozen_array, projector
+from .qmath import DEFAULT_TOL, Check, basis_ket, frozen_array, projector
 from .sicgen import SicSet, reconstruct_from_probabilities
 
 Triple = tuple[int, int, int]
@@ -95,27 +95,13 @@ class MubSet:
         object.__setattr__(self, "prob_vectors", frozen_array(self.prob_vectors, dtype=float))
 
 
-@dataclass(frozen=True)
-class MubReport:
-    """Residuals from verifying a MubSet."""
-
-    passed: bool
-    tol: float
-    max_within_basis_residual: float
-    max_completeness_residual: float
-    max_cross_basis_residual: float
-
-    def residuals(self) -> dict[str, float]:
-        return {
-            "max_within_basis_residual": self.max_within_basis_residual,
-            "max_completeness_residual": self.max_completeness_residual,
-            "max_cross_basis_residual": self.max_cross_basis_residual,
-        }
-
-
-def verify_mub_set(m: MubSet, tol: float = DEFAULT_TOL) -> MubReport:
+def verify_mub_set(m: MubSet, tol: float = DEFAULT_TOL) -> Check:
     """Check orthonormality within each basis, completeness of each
-    basis, and cross-basis overlap 1/3 for all 54 cross pairs."""
+    basis, and cross-basis overlap 1/3 for all 54 cross pairs.
+
+    Passes iff ``max_within_basis_residual``, ``max_completeness_residual``
+    and ``max_cross_basis_residual`` are all at most ``tol``.
+    """
     p = np.asarray(m.projectors)
     n_striations, n_states = p.shape[:2]
     gram = np.einsum("siab,tjba->sitj", p, p).real.reshape(n_striations * n_states, -1)
@@ -123,13 +109,13 @@ def verify_mub_set(m: MubSet, tol: float = DEFAULT_TOL) -> MubReport:
     within = float(np.max(np.abs(gram - np.eye(len(gram)))[same_basis]))
     cross = float(np.max(np.abs(gram - 1.0 / 3.0)[~same_basis], initial=0.0))
     completeness = float(np.max(np.abs(p.sum(axis=1) - np.eye(p.shape[-1]))))
-    passed = within <= tol and completeness <= tol and cross <= tol
-    return MubReport(
-        passed=passed,
-        tol=tol,
-        max_within_basis_residual=within,
-        max_completeness_residual=completeness,
-        max_cross_basis_residual=cross,
+    return Check(
+        passed=within <= tol and completeness <= tol and cross <= tol,
+        residuals={
+            "max_within_basis_residual": within,
+            "max_completeness_residual": completeness,
+            "max_cross_basis_residual": cross,
+        },
     )
 
 
@@ -142,9 +128,9 @@ def build_mub_set(s: SicSet, tol: float = DEFAULT_TOL) -> MubSet:
     """
     prob_vectors, projectors = _line_states(LINES, s, tol)
     mubs = MubSet(projectors=projectors.reshape(4, 3, 3, 3), prob_vectors=prob_vectors.reshape(4, 3, 9))
-    report = verify_mub_set(mubs, tol=tol)
-    if not report.passed:
-        raise ValueError(f"MUB validation failed: {report.residuals()}")
+    check = verify_mub_set(mubs, tol=tol)
+    if not check.passed:
+        raise ValueError(f"MUB validation failed: {check.residuals}")
     computational = np.array([projector(basis_ket(3, j)) for j in range(3)])
     comp_residual = float(np.max(np.abs(mubs.projectors[1] - computational)))
     if comp_residual > tol:

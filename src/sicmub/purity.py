@@ -34,7 +34,6 @@ class PurityCheck:
     passed: bool
     value: float
     target: float
-    tol: float
 
     @property
     def residual(self) -> float:
@@ -86,7 +85,7 @@ def _quadratic_check(vec: np.ndarray, tol: float) -> PurityCheck:
     d = math.isqrt(vec.shape[0])
     value = float(np.dot(vec, vec))
     target = 2.0 / (d * (d + 1.0))
-    return PurityCheck(passed=abs(value - target) <= tol, value=value, target=target, tol=tol)
+    return PurityCheck(passed=abs(value - target) <= tol, value=value, target=target)
 
 
 def qbic_check_general(p, table: TripleProductTable, tol: float = DEFAULT_TOL) -> PurityCheck:
@@ -101,7 +100,7 @@ def qbic_check_general(p, table: TripleProductTable, tol: float = DEFAULT_TOL) -
         raise ValueError(f"probability vector has length {vec.shape[0]}, table expects {n}")
     value = float(np.einsum("ijk,i,j,k->", table.values, vec, vec, vec))
     target = (table.dim + 7.0) / (table.dim + 1.0) ** 3
-    return PurityCheck(passed=abs(value - target) <= tol, value=value, target=target, tol=tol)
+    return PurityCheck(passed=abs(value - target) <= tol, value=value, target=target)
 
 
 def qbic_check_hesse(p, tol: float = DEFAULT_TOL) -> PurityCheck:
@@ -119,7 +118,7 @@ def _qbic_hesse_check(vec: np.ndarray, tol: float) -> PurityCheck:
     # left-to-right, as the formula reads (numpy's pairwise sum would move the last bit)
     line_sum = sum(vec[LINES].prod(axis=1).tolist())
     value = float(np.sum(vec**3) - 3.0 * line_sum)
-    return PurityCheck(passed=abs(value) <= tol, value=value, target=0.0, tol=tol)
+    return PurityCheck(passed=abs(value) <= tol, value=value, target=0.0)
 
 
 @dataclass(frozen=True)

@@ -103,29 +103,15 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    """Structured diagnostics from one of the ``validate_*`` functions.
+class Check:
+    """Verdict of a validator and the residuals it computed, by name.
 
-    Fields not applicable to the validated kind are ``None``.  ``passed``
-    is the verdict at the tolerance recorded in ``tol``.
+    ``residuals`` holds exactly the residuals the validator computed, in an
+    order fixed per validator; reports print the dict as it is.
     """
 
-    tol: float
     passed: bool
-    max_hermiticity_residual: float
-    trace_residual: float | None = None
-    min_eigenvalue: float | None = None
-    completeness_residual: float | None = None
-    orthonormality_residual: float | None = None
-
-    def residuals(self) -> dict[str, float]:
-        """All non-None residual fields, for reports and CLI output."""
-        out = {"max_hermiticity_residual": self.max_hermiticity_residual}
-        for name in ("trace_residual", "min_eigenvalue", "completeness_residual", "orthonormality_residual"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+    residuals: dict[str, float]
 
 
 def _hermiticity_residual(m: np.ndarray) -> float:
@@ -138,35 +124,39 @@ def _min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def validate_density_matrix(rho, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Diagnostics for a density matrix: Hermiticity, unit trace, positivity."""
+def validate_density_matrix(rho, tol: float = DEFAULT_TOL) -> Check:
+    """Check a density matrix: Hermiticity, unit trace, positivity.
+
+    Passes iff ``max_hermiticity_residual`` and ``trace_residual`` are at
+    most ``tol`` and ``min_eigenvalue`` is at least ``-tol``.
+    """
     m = _as_square(rho, "state")
     herm = _hermiticity_residual(m)
     trace_res = float(abs(np.trace(m) - 1.0))
     min_eig = _min_eigenvalue(m)
     passed = herm <= tol and trace_res <= tol and min_eig >= -tol
-    return ValidationReport(
-        tol=tol,
+    return Check(
         passed=passed,
-        max_hermiticity_residual=herm,
-        trace_residual=trace_res,
-        min_eigenvalue=min_eig,
+        residuals={"max_hermiticity_residual": herm, "trace_residual": trace_res, "min_eigenvalue": min_eig},
     )
 
 
-def validate_orthonormal_basis(kets, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Diagnostics for a complete orthonormal basis given as rows of kets."""
+def validate_orthonormal_basis(kets, tol: float = DEFAULT_TOL) -> Check:
+    """Check a complete orthonormal basis given as rows of kets.
+
+    Passes iff there are as many kets as entries and the Gram matrix is
+    the identity within ``tol`` (``orthonormality_residual``).  A set of
+    ``k != d`` kets of dimension ``d`` never passes; only its residuals
+    carry ``completeness_residual = d - k``.
+    """
     arr = np.asarray(kets, dtype=complex)
     if arr.ndim != 2:
         raise ValueError(f"basis must have shape (k, d), got {arr.shape}")
     gram = arr.conj() @ arr.T
     ortho = float(np.max(np.abs(gram - np.eye(arr.shape[0]))))
     complete = arr.shape[0] == arr.shape[1]
-    passed = complete and ortho <= tol
-    return ValidationReport(
-        tol=tol,
-        passed=passed,
-        max_hermiticity_residual=float(np.max(np.abs(gram - gram.conj().T))),
-        completeness_residual=None if complete else float(arr.shape[1] - arr.shape[0]),
-        orthonormality_residual=ortho,
-    )
+    residuals = {"max_hermiticity_residual": float(np.max(np.abs(gram - gram.conj().T)))}
+    if not complete:
+        residuals["completeness_residual"] = float(arr.shape[1] - arr.shape[0])
+    residuals["orthonormality_residual"] = ortho
+    return Check(passed=complete and ortho <= tol, residuals=residuals)

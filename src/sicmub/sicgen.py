@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DEFAULT_TOL, frozen_array
+from .qmath import DEFAULT_TOL, Check, frozen_array
 
 #: Default structural sanity tolerance applied when a SicSet is constructed.
 _STRUCTURE_TOL = 1e-8
@@ -88,15 +88,6 @@ class SicSet:
         object.__setattr__(self, "projectors", frozen_array(p))
 
 
-@dataclass(frozen=True)
-class GramCheck:
-    """Outcome of the SIC overlap test: verdict plus worst residual."""
-
-    passed: bool
-    max_residual: float
-    tol: float = DEFAULT_TOL
-
-
 def _gram_residual(projectors: np.ndarray, d: int) -> float:
     gram = np.einsum("iab,jba->ij", projectors, projectors).real
     n = d * d
@@ -104,10 +95,13 @@ def _gram_residual(projectors: np.ndarray, d: int) -> float:
     return float(np.max(np.abs(gram - target)))
 
 
-def is_sic(s: SicSet, tol: float = DEFAULT_TOL) -> GramCheck:
-    """Test every pairwise overlap against ``(d*delta + 1)/(d + 1)``."""
+def is_sic(s: SicSet, tol: float = DEFAULT_TOL) -> Check:
+    """Test every pairwise overlap against ``(d*delta + 1)/(d + 1)``.
+
+    Passes iff the worst deviation, ``max_gram_residual``, is at most ``tol``.
+    """
     residual = _gram_residual(np.asarray(s.projectors), s.dim)
-    return GramCheck(passed=residual <= tol, max_residual=residual, tol=tol)
+    return Check(passed=residual <= tol, residuals={"max_gram_residual": residual})
 
 
 def generate_sic_orbit(fiducial, tol: float = DEFAULT_TOL) -> SicSet:

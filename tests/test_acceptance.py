@@ -54,8 +54,8 @@ def _report(number, text):
 
 def test_criterion_01_sic_verification(sic):
     check = is_sic(sic, tol=1e-12)
-    assert check.passed and check.max_residual < 1e-12
-    _report(1, f"Hesse set satisfies the SIC overlap condition, max residual {check.max_residual:.2e} < 1e-12")
+    assert check.passed and check.residuals["max_gram_residual"] < 1e-12
+    _report(1, f"Hesse set satisfies the SIC overlap condition, max residual {check.residuals['max_gram_residual']:.2e} < 1e-12")
 
 
 def test_criterion_02_all_hesse_triples_saturated(kets):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sicmub import cfs_example_kets, hesse_kets
+from sicmub import build_mub_set, cfs_example_kets, hesse_kets, hesse_sic, is_sic, verify_mub_set
 from sicmub.cli import UsageError, _load_json, decode_array, encode_complex, main
 
 
@@ -342,6 +342,40 @@ class TestPlumbing:
         assert code == 0
         assert "sicmub" in out
 
+    @pytest.mark.parametrize(
+        "argv, choices",
+        [
+            ((), "{verify-sic,compat,mubs,wigner,purity,min-entropy,graph}"),
+            (("compat",), "{triple,search}"),
+            (("mubs",), "{build,verify,cover}"),
+            (("min-entropy",), "{enumerate}"),
+        ],
+        ids=["sicmub", "compat", "mubs", "min-entropy"],
+    )
+    def test_missing_subcommand_error_names_the_choices(self, capsys, argv, choices):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line == f"error: {' '.join(('sicmub',) + argv)}: the following arguments are required: {choices}"
+
+
+#: (argv, the library check a command reports, called with the run's tolerance)
+CHECK_COMMANDS = [
+    (("verify-sic", "--builtin", "hesse"), lambda tol: is_sic(hesse_sic(), tol=tol)),
+    (("mubs", "verify"), lambda tol: verify_mub_set(build_mub_set(hesse_sic()), tol=tol)),
+]
+
+
+class TestReportsPrintTheCheck:
+    # at 1e-16 both checks fail on rounding, so both verdicts are covered
+    @pytest.mark.parametrize("tol", [1e-10, 1e-16])
+    @pytest.mark.parametrize("argv, check", CHECK_COMMANDS, ids=["verify-sic", "mubs-verify"])
+    def test_residuals_are_the_library_check_residuals(self, capsys, argv, check, tol):
+        code, out, _ = run_cli(capsys, *argv, "--tol", repr(tol), "--format", "json")
+        expected = check(tol)
+        assert code == (0 if expected.passed else 1)
+        assert json.loads(out)["residuals"] == expected.residuals
+
 
 def replaced(doc, path, value):
     """Copy of ``doc`` with the entry at ``path`` (keys and indices) set to ``value``."""
@@ -365,6 +399,22 @@ MIXED_TRIPLE_DOC = {"dim": 3, "matrices": encode_complex([np.eye(3) / 3.0] * 3)}
 DIM_FOUR_DOC = {"dim": 4, "kets": encode_complex(np.eye(4)[:3])}
 #: One short of a qutrit SIC.
 EIGHT_KETS_DOC = {"dim": 3, "kets": encode_complex(hesse_kets()[:8])}
+#: The Hermitian part of each matrix has largest eigenvalue 1 with eigenvector |0>,
+#: orthogonal to the first cfs-example state: only the density-matrix check keeps
+#: ``compat triple`` from calling a triple holding one of them incompatible.
+NOT_PSD = np.diag([1.0, 0.5, -0.5])
+NOT_HERMITIAN = np.array([[1.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+TRACE_TWO = np.diag([1.0, 1.0, 0.0])
+
+
+def cfs_with_second_state(matrix):
+    """cfs-example as density matrices, its second state replaced by ``matrix``."""
+    kets = cfs_example_kets()
+    rhos = np.einsum("na,nb->nab", kets, kets.conj())
+    rhos[1] = matrix
+    return {"dim": 3, "matrices": encode_complex(rhos)}
+
+
 #: A valid qubit state: the discrete Wigner function is for qutrits.
 QUBIT_DOC = {"dim": 2, "kets": [[[1.0, 0.0], [0.0, 0.0]]]}
 PURE_PROBS_DOC = {"dim": 3, "probabilities": [0.0, 0.0, 0.0] + [1.0 / 6.0] * 6}
@@ -412,6 +462,9 @@ MALFORMED = [
     ("states-no-kets-or-matrices", TRIPLE, json.dumps({"dim": 3}), {}),
     ("triple-mixed-state", TRIPLE, json.dumps(MIXED_TRIPLE_DOC), {}),
     ("triple-dim-four", TRIPLE, json.dumps(DIM_FOUR_DOC), {}),
+    ("triple-state-not-psd", TRIPLE, json.dumps(cfs_with_second_state(NOT_PSD)), {}),
+    ("triple-state-not-hermitian", TRIPLE, json.dumps(cfs_with_second_state(NOT_HERMITIAN)), {}),
+    ("triple-state-trace-two", TRIPLE, json.dumps(cfs_with_second_state(TRACE_TWO)), {}),
     ("env-tol-not-a-number", HESSE, None, {"SICMUB_TOL": "abc"}),
     ("verify-sic-eight-kets", ("verify-sic", "--input", "{file}"), json.dumps(EIGHT_KETS_DOC), {}),
     ("cover-triple-not-integers", ("mubs", "cover", "--triple", "0,x,4"), None, {}),

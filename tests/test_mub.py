@@ -105,8 +105,8 @@ class TestBuildAndVerify:
     def test_construction_verifies_at_tight_tolerance(self, mubs):
         report = verify_mub_set(mubs, tol=1e-10)
         assert report.passed
-        assert report.max_within_basis_residual < 1e-12
-        assert report.max_cross_basis_residual < 1e-12
+        assert report.residuals["max_within_basis_residual"] < 1e-12
+        assert report.residuals["max_cross_basis_residual"] < 1e-12
 
     def test_four_bases_of_three_states(self, mubs):
         assert np.asarray(mubs.projectors).shape == (4, 3, 3, 3)
@@ -132,7 +132,7 @@ class TestBuildAndVerify:
         broken = MubSet(projectors=proj, prob_vectors=vectors)
         report = verify_mub_set(broken, tol=1e-10)
         assert not report.passed
-        assert report.max_cross_basis_residual > 0.5
+        assert report.residuals["max_cross_basis_residual"] > 0.5
 
     def test_small_rotation_fails_at_moderate_tolerance(self, mubs):
         h = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex)

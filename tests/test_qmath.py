@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sicmub import (
     overlap_squared,
@@ -40,14 +42,14 @@ class TestValidation:
     def test_wellformed_projector_passes(self, projectors):
         report = validate_density_matrix(projectors[0], tol=1e-10)
         assert report.passed
-        assert report.max_hermiticity_residual < 1e-12
-        assert report.trace_residual < 1e-12
-        assert report.min_eigenvalue > -1e-12
+        assert report.residuals["max_hermiticity_residual"] < 1e-12
+        assert report.residuals["trace_residual"] < 1e-12
+        assert report.residuals["min_eigenvalue"] > -1e-12
 
     def test_trace_excess_reported(self):
         report = validate_density_matrix(np.eye(3) * 1.1 / 3.0, tol=1e-10)
         assert not report.passed
-        assert report.trace_residual == pytest.approx(0.1, abs=1e-12)
+        assert report.residuals["trace_residual"] == pytest.approx(0.1, abs=1e-12)
 
     def test_orthonormal_basis(self):
         rng = np.random.default_rng(3)
@@ -55,6 +57,33 @@ class TestValidation:
         q, _ = np.linalg.qr(g)
         assert validate_orthonormal_basis(q.T, tol=1e-10).passed
         assert not validate_orthonormal_basis(q.T[:2], tol=1e-10).passed
+
+    def test_completeness_residual_only_for_an_incomplete_basis(self):
+        complete = validate_orthonormal_basis(np.eye(3), tol=1e-10)
+        assert list(complete.residuals) == ["max_hermiticity_residual", "orthonormality_residual"]
+        partial = validate_orthonormal_basis(np.eye(3)[:2], tol=1e-10)
+        assert not partial.passed
+        assert partial.residuals["completeness_residual"] == 1.0
+
+    @settings(deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        rank=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        kick=st.floats(0.0, 1e-3),
+        tol=st.floats(-14.0, -2.0).map(lambda e: 10.0**e),
+    )
+    def test_verdict_is_the_three_residual_comparisons(self, dim, rank, seed, kick, tol):
+        # a Ginibre state of rank <= dim, kicked off Hermiticity, unit trace and positivity
+        rng = np.random.default_rng(seed)
+        shape = (dim, min(rank, dim))
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rho = g @ g.conj().T / np.linalg.norm(g) ** 2
+        rho = rho + kick * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        check = validate_density_matrix(rho, tol)
+        r = check.residuals
+        assert list(r) == ["max_hermiticity_residual", "trace_residual", "min_eigenvalue"]
+        assert check.passed == (r["max_hermiticity_residual"] <= tol and r["trace_residual"] <= tol and r["min_eigenvalue"] >= -tol)
 
 
 class TestKetHelpers:

@@ -33,7 +33,7 @@ def run_quickstart():
 def test_quickstart_comments_hold():
     namespace, values = run_quickstart()
     check = values["sm.is_sic(sic)"]
-    assert check.passed and check.max_residual < 1e-12
+    assert check.passed and check.residuals["max_gram_residual"] < 1e-12
     verdict = values["sm.qutrit_triple_criterion(kets[0], kets[1], kets[4])"]
     assert verdict.verdict == "incompatible" and verdict.saturated
     np.testing.assert_allclose(verdict.overlaps, (0.25, 0.25, 0.25), atol=1e-12)

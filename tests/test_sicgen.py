@@ -75,7 +75,7 @@ class TestHesseSic:
     def test_satisfies_overlap_condition(self, sic):
         check = is_sic(sic, tol=1e-12)
         assert check.passed
-        assert check.max_residual < 1e-12
+        assert check.residuals["max_gram_residual"] < 1e-12
 
     def test_first_and_fourth_ket_overlap(self, kets):
         # <psi0|psi3> = (omega + conj(omega))/2 = -1/2
