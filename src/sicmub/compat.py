@@ -18,7 +18,9 @@ certifies zeros; it is abandoned after the first accepted update that
 cuts the value by less than 4x, where a positive floor makes it converge
 only linearly, and a damped Newton finisher closes positive floors.
 Both finishers halve a rejected step with one eigendecomposition of its
-generator.
+generator.  Without early stop the Newton finisher runs all restarts as
+one stack, with per-restart arithmetic, so each restart's record and the
+winner are those of restarts run one by one.
 
 The ternary criterion implemented here uses the non-strict inequality
 ``(x1 + x2 + x3 - 1)**2 >= 4 x1 x2 x3``: equality (saturation) counts
@@ -405,9 +407,10 @@ def _pair_minimum(coeffs: list[tuple[float, float, float]]) -> tuple[float, tupl
 
 def _generator_eigh(gens: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors ``(w, v)`` of ``sum_g delta_g G_g``, so that
-    ``exp(i s sum_g delta_g G_g) = v diag(exp(i s w)) v†`` for every ``s``."""
+    ``exp(i s sum_g delta_g G_g) = v diag(exp(i s w)) v†`` for every ``s``;
+    for a stack of steps ``delta`` (leading axis r), one pair per step."""
     g, d, _ = gens.shape
-    return np.linalg.eigh((delta @ gens.reshape(g, d * d)).reshape(d, d))
+    return np.linalg.eigh((delta @ gens.reshape(g, d * d)).reshape(delta.shape[:-1] + (d, d)))
 
 
 def _generator_exp(gens: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -417,8 +420,10 @@ def _generator_exp(gens: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 
 def _column_probs(rhos: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``<u_m| rho_n |u_m>`` per state n and column m; the PP functional is ``.prod(axis=0).sum()``."""
-    return np.einsum("nde,dm,em->nm", rhos, u.conj(), u).real
+    """``<u_m| rho_n |u_m>`` per state n and column m, for a basis ``u`` or a
+    stack of bases (leading axis r); the PP functional of one basis is
+    ``.prod(axis=0).sum()``."""
+    return np.einsum("nde,...dm,...em->...nm", rhos, u.conj(), u).real
 
 
 def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -499,7 +504,8 @@ def _matched_residual(factors: list[np.ndarray], match: np.ndarray, u: np.ndarra
 
 def _functional_derivatives(rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, probs: np.ndarray):
     """Gradient and Hessian of the PP functional of ``u @ exp(i sum_g delta_g G_g)``
-    in ``delta`` at 0; ``probs`` is :func:`_column_probs` of ``u``.
+    in ``delta`` at 0; ``probs`` is :func:`_column_probs` of ``u``.  For a
+    stack of bases ``u`` (leading axis r) they are stacked the same way.
 
     With ``A_n = u† rho_n u`` the probabilities are the diagonal of
     ``exp(-iX) A_n exp(iX)`` = ``A_n - i[X, A_n] - [X, [X, A_n]] / 2 + ...``,
@@ -507,74 +513,110 @@ def _functional_derivatives(rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, p
     and their second ones that of ``-i([G_g, B_h] + [G_h, B_g]) / 2``.  The
     diagonal of ``-i[G, B]`` is ``2 Im (G B)_mm`` for Hermitian ``G``, ``B``.
     """
-    a = np.einsum("dm,nde,ek->nmk", u.conj(), rhos, u)
-    ga = np.einsum("gmk,nkl->ngml", gens, a)
+    a = np.einsum("...dm,nde,...ek->...nmk", u.conj(), rhos, u)
+    ga = np.einsum("gmk,...nkl->...ngml", gens, a)
     b = -1j * (ga - ga.conj().swapaxes(-1, -2))
-    first = np.einsum("ngmm->ngm", b).real
-    second = np.einsum("gmk,nhkm->nghm", gens, b).imag
-    second = second + second.swapaxes(1, 2)
+    first = np.einsum("...ngmm->...ngm", b).real
+    second = np.einsum("gmk,...nhkm->...nghm", gens, b).imag
+    second = second + second.swapaxes(-3, -2)
     # products over the other states (one or two left out) of each column's probabilities
-    n = len(probs)
+    n = probs.shape[-2]
     others = ~np.eye(n, dtype=bool)
-    rest1 = np.where(others[:, :, None], probs, 1.0).prod(axis=1)
+    rest1 = np.where(others[:, :, None], probs[..., None, :, :], 1.0).prod(axis=-2)
     keep2 = others[:, None, :] & others[None, :, :] & others[:, :, None]
-    rest2 = np.where(keep2[..., None], probs, 1.0).prod(axis=2) * others[..., None]
-    grad = np.einsum("ngm,nm->g", first, rest1)
-    hess = np.einsum("nghm,nm->gh", second, rest1) + np.einsum("agm,bhm,abm->gh", first, first, rest2)
+    rest2 = np.where(keep2[..., None], probs[..., None, None, :, :], 1.0).prod(axis=-2) * others[..., None]
+    grad = np.einsum("...ngm,...nm->...g", first, rest1)
+    hess = np.einsum("...nghm,...nm->...gh", second, rest1)
+    hess = hess + np.einsum("...agm,...bhm,...abm->...gh", first, first, rest2)
     return grad, hess
 
 
-def _damped_update(rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, delta: np.ndarray, value: float):
-    """The update ``u @ exp(i sum_g delta_g G_g)`` with ``delta`` capped at
-    ``_POLISH_MAX_STEP`` and halved up to six times until the functional falls
-    below ``value``; returns (basis, column probabilities, value), or None.
+def _damped_update(rhos: np.ndarray, us: np.ndarray, gens: np.ndarray, deltas: list[np.ndarray], values: list[float]):
+    """Per restart r of a stack, the update ``us[r] @ exp(i sum_g deltas[r]_g G_g)``
+    with ``deltas[r]`` capped at ``_POLISH_MAX_STEP`` and halved up to six
+    times until the functional falls below ``values[r]``; returns one
+    (basis, column probabilities, value) or None per restart.
 
-    One eigendecomposition ``(w, v)`` of the capped step's generator serves
+    One eigendecomposition ``(w, v)`` of each capped step's generator serves
     every halving: the candidate for ``delta / 2**k`` is
-    ``(u v) diag(exp(i w / 2**k)) v†``, so a halving only rescales ``w``."""
-    norm = float(np.linalg.norm(delta))
-    if norm > _POLISH_MAX_STEP:
-        delta = delta * (_POLISH_MAX_STEP / norm)
-    w, v = _generator_eigh(gens, delta)
-    uv, vh = u @ v, v.conj().T
+    ``(u v) diag(exp(i w / 2**k)) v†``, so a halving only rescales ``w``.
+    Each halving runs on the restarts that have no accepted candidate yet.
+    The step norm is taken per restart, so every restart's arithmetic is
+    that of a stack of one."""
+    capped = np.array(deltas)
+    for delta in capped:
+        norm = math.sqrt(delta.dot(delta))  # np.linalg.norm of a real vector, without its dispatch
+        if norm > _POLISH_MAX_STEP:
+            delta *= _POLISH_MAX_STEP / norm
+    w, v = _generator_eigh(gens, capped)
+    w, uv, vh = w[:, None, :], us @ v, v.conj().swapaxes(-1, -2)
+    updates = [None] * len(us)
+    pending = list(range(len(us)))
     for _ in range(6):
-        candidate = (uv * np.exp(1j * w)) @ vh
-        probs = _column_probs(rhos, candidate)
-        candidate_value = float(probs.prod(axis=0).sum())
-        if candidate_value < value:
-            return candidate, probs, candidate_value
+        candidates = (uv * np.exp(1j * w)) @ vh
+        probs = _column_probs(rhos, candidates)
+        rejected = []
+        for i, value in enumerate(probs.prod(axis=1).sum(axis=1).tolist()):
+            if value < values[i]:
+                updates[pending[i]] = candidates[i], probs[i], value
+            else:
+                rejected.append(i)
+        if not rejected:
+            break
+        if len(rejected) < len(pending):
+            pending, values = [pending[i] for i in rejected], [values[i] for i in rejected]
+            uv, vh, w = uv[rejected], vh[rejected], w[rejected]
         w = w / 2.0
-    return None
+    return updates
 
 
-def _newton_finish(rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, stop_value: float, counts: _RestartCounts):
-    """Damped Newton on the PP functional itself; returns (value, basis).
+def _newton_finish(
+    rhos: np.ndarray, bases: list[np.ndarray], gens: np.ndarray, stop_value: float, counts: list[_RestartCounts]
+):
+    """Damped Newton on the PP functional, run on the restarts' ``bases`` as
+    one stack; returns each restart's final (value, basis).
 
-    Each iteration steps by ``-H^-1 g`` from :func:`_functional_derivatives`,
-    with each Hessian eigenvalue replaced by its magnitude (so saddles are
-    left downhill) and floored at ``_NEWTON_CURVATURE_FLOOR`` times the
-    largest, through :func:`_damped_update`, as the polish does; it can
-    never worsen the functional of ``u``.  Stops at ``stop_value``, when no
-    halving improves, or once the step promises a relative decrease below
-    ``_NEWTON_MIN_GAIN``.  Adds its iterations to ``counts``.
+    Each iteration steps every active restart by ``-H^-1 g`` from
+    :func:`_functional_derivatives`, with each Hessian eigenvalue replaced
+    by its magnitude (so saddles are left downhill) and floored at
+    ``_NEWTON_CURVATURE_FLOOR`` times the largest, through
+    :func:`_damped_update`, as the polish does; it can never worsen the
+    functional of a basis.  Every basis starts above ``stop_value``, and a
+    restart leaves the active set once its step promises a relative
+    decrease below ``_NEWTON_MIN_GAIN``, when no halving improves, or at
+    ``stop_value``.  The Newton solve is taken per restart, so no
+    restart's arithmetic depends on the others in the stack.  Adds each
+    restart's iterations to its entry of ``counts``.
     """
-    probs = _column_probs(rhos, u)
-    value = float(probs.prod(axis=0).sum())
+    us = np.array(bases)
+    probs = _column_probs(rhos, us)
+    values = probs.prod(axis=1).sum(axis=1)
+    finals = list(zip(values.tolist(), bases))
+    rows = list(range(len(bases)))  # the restart of each row of the active stacks
     for _ in range(_POLISH_ITERS):
-        if value <= stop_value:
-            break
-        counts.newton_iters += 1
-        grad, hess = _functional_derivatives(rhos, u, gens, probs)
-        w, v = np.linalg.eigh(hess)
+        grads, hesses = _functional_derivatives(rhos, us, gens, probs)
+        w, v = np.linalg.eigh(hesses)
         magnitude = np.abs(w)
-        delta = -v @ ((v.T @ grad) / np.maximum(magnitude, _NEWTON_CURVATURE_FLOOR * max(magnitude.max(), value)))
-        if -float(grad @ delta) <= _NEWTON_MIN_GAIN * value:
+        stepping, deltas = [], []
+        for i, (r, grad, vr, mr, top) in enumerate(zip(rows, grads, v, magnitude, magnitude.max(axis=1).tolist())):
+            counts[r].newton_iters += 1
+            delta = -vr @ ((vr.T @ grad) / np.maximum(mr, _NEWTON_CURVATURE_FLOOR * max(top, values[i])))
+            if -float(grad @ delta) > _NEWTON_MIN_GAIN * values[i]:
+                stepping.append(i)
+                deltas.append(delta)
+        if not stepping:
             break
-        update = _damped_update(rhos, u, gens, delta, value)
-        if update is None:
+        moved = []
+        for i, update in zip(stepping, _damped_update(rhos, us[stepping], gens, deltas, [values[i] for i in stepping])):
+            if update is not None:
+                finals[rows[i]] = update[2], update[0]
+                if update[2] > stop_value:
+                    moved.append((rows[i], update))
+        if not moved:
             break
-        u, probs, value = update
-    return value, u
+        rows, updates = zip(*moved)
+        us, probs, values = (np.array(stack) for stack in zip(*updates))
+    return finals
 
 
 def _gauss_newton_polish(
@@ -605,7 +647,7 @@ def _gauss_newton_polish(
         match = probs.argmin(axis=0)
         r0, jac = _matched_residual(factors, match, u, gens)
         delta, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
-        update = _damped_update(rhos, u, gens, delta, value)
+        (update,) = _damped_update(rhos, u[None], gens, [delta], [value])
         if update is None:
             break
         counts.polish_accepted += 1
@@ -628,6 +670,12 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
     quartic-flat landscapes of exactly saturated triples) and a damped
     Newton finisher on the functional (which closes positive floors).
     The generator table they all move along is built once per call.
+    Restarts run in waves: one restart with ``stop_at_success``, all of
+    them without it.  Each restart of a wave runs its descent and polish
+    on its own; then the restarts still above the stop value run the
+    Newton finisher together, as one stack whose restarts each leave on
+    their own stop rule.  Every restart's arithmetic is that of a stack
+    of one, so its record, and the winner, do not depend on the wave.
     Failure to reach ``success_threshold`` is a result
     (``success`` is False), not an error: the search can only ever
     *confirm* incompatibility.  Results are deterministic for a fixed
@@ -647,29 +695,39 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
     moves = [(j, k, 1j * complex(g[k, j])) for j, k, g in table]
     gens = np.array([g for _, _, g in table])
     stop_value = cfg.success_threshold if cfg.stop_at_success else 0.0
+    wave = 1 if cfg.stop_at_success else cfg.restarts
     bases: list[np.ndarray] = []
     history: list[RestartRecord] = []
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        counts = _RestartCounts()
-        u = _haar_unitary(rng, d)
-        value, u, start_value = _descend(rhos, factors, u, moves, stop_value, counts)
-        phase = "descent" if value < start_value else "none"
-        if value > stop_value:
-            before = value
-            value, u = _gauss_newton_polish(rhos, factors, u, gens, counts)
-            if value < before:
-                phase = "polish"
-        if value > stop_value:
-            before = value
-            value, u = _newton_finish(rhos, u, gens, stop_value, counts)
-            if value < before:
-                phase = "newton"
-        history.append(
-            RestartRecord(restart=restart, start_value=start_value, final_value=value, phase=phase, **asdict(counts))
-        )
-        bases.append(u)
-        if cfg.stop_at_success and value < cfg.success_threshold:
+    for first in range(0, cfg.restarts, wave):
+        restarts = range(first, min(first + wave, cfg.restarts))
+        counts = [_RestartCounts() for _ in restarts]
+        us, values, start_values, phases = [], [], [], []
+        for restart, restart_counts in zip(restarts, counts):
+            u = _haar_unitary(np.random.default_rng([cfg.seed, restart]), d)
+            value, u, start_value = _descend(rhos, factors, u, moves, stop_value, restart_counts)
+            phase = "descent" if value < start_value else "none"
+            if value > stop_value:
+                before = value
+                value, u = _gauss_newton_polish(rhos, factors, u, gens, restart_counts)
+                if value < before:
+                    phase = "polish"
+            us.append(u)
+            values.append(value)
+            start_values.append(start_value)
+            phases.append(phase)
+        newton = [i for i, value in enumerate(values) if value > stop_value]
+        if newton:
+            finished = _newton_finish(rhos, [us[i] for i in newton], gens, stop_value, [counts[i] for i in newton])
+            for i, (value, u) in zip(newton, finished):
+                if value < values[i]:
+                    phases[i] = "newton"
+                values[i], us[i] = value, u
+        history += [
+            RestartRecord(restart=restart, start_value=start, final_value=value, phase=phase, **asdict(restart_counts))
+            for restart, start, value, phase, restart_counts in zip(restarts, start_values, values, phases, counts)
+        ]
+        bases += us
+        if cfg.stop_at_success and values[-1] < cfg.success_threshold:
             break
     floor = min(r.final_value for r in history)
     success = floor < cfg.success_threshold

@@ -80,10 +80,10 @@ def polish_runs(states, cfg):
             active.pop()
 
     def recording_update(*args):
-        accepted = update(*args)
-        if active and accepted is not None:
-            active[-1].append(accepted[2])
-        return accepted
+        updates = update(*args)
+        if active and updates[0] is not None:
+            active[-1].append(updates[0][2])
+        return updates
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compat, "_gauss_newton_polish", recording_polish)
@@ -427,6 +427,23 @@ class TestWitnessSearch:
         assert result.value == pytest.approx(0.25, abs=1e-9)
         assert all(record.probes == 12 * record.cycles for record in result.history)
 
+    @settings(deadline=None, max_examples=30)
+    @given(
+        d=st.integers(2, 4),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 3),
+        m=st.integers(1, 3),
+    )
+    def test_a_restart_record_does_not_depend_on_the_restarts_beside_it(self, d, data, seed, k, m):
+        # without early stop all restarts run Newton as one stack; restart r's record must not see the others
+        ranks = data.draw(st.lists(st.integers(1, d), min_size=2, max_size=4))
+        states = StateSet(dim=d, rhos=random_mixtures(np.random.default_rng(seed), ranks, d))
+        short, full = (
+            witness_search(states, WitnessSearchConfig(restarts=n, seed=seed, stop_at_success=False)) for n in (k, k + m)
+        )
+        assert short.history == full.history[:k]
+
     def test_newton_ends_every_restart_at_a_minimum(self):
         states = StateSet.from_kets(compatible_triple(np.random.default_rng(8)))
         rhos = np.asarray(states.rhos)
@@ -546,21 +563,42 @@ class TestPairGenerators:
         capped = delta * min(1.0, _POLISH_MAX_STEP / length)
         candidates = []
 
-        def recording(rhos_arg, basis):
-            candidates.append(basis)
-            return _column_probs(rhos_arg, basis)
+        def recording(rhos_arg, bases):
+            candidates.extend(bases)
+            return _column_probs(rhos_arg, bases)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(compat, "_column_probs", recording)
             # no candidate beats -inf, so all six halvings are tried and none is taken
-            assert _damped_update(rhos, u, gens, delta, -math.inf) is None
+            assert _damped_update(rhos, u[None], gens, [delta], [-math.inf]) == [None]
         assert len(candidates) == 6
         for k, candidate in enumerate(candidates):
             np.testing.assert_allclose(candidate, u @ _generator_exp(gens, capped / 2**k), atol=1e-12)
-        basis, probs, value = _damped_update(rhos, u, gens, delta, math.inf)
+        ((basis, probs, value),) = _damped_update(rhos, u[None], gens, [delta], [math.inf])
         np.testing.assert_array_equal(basis, candidates[0])
         np.testing.assert_array_equal(probs, _column_probs(rhos, basis))
         assert value == probs.prod(axis=0).sum()
+
+    @settings(deadline=None)
+    @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_update_is_each_restarts_own_update(self, d, seed):
+        rng = np.random.default_rng(seed)
+        rhos = random_mixtures(rng, [1, 2, d], d)
+        gens = np.array([g for _, _, g in _pair_generators(d)])
+        us = np.array([_haar_unitary(rng, d) for _ in range(5)])
+        deltas = [length * rng.standard_normal(len(gens)) for length in (0.05, 0.3, 1.0, 3.0, 0.7)]
+        current = [float(_column_probs(rhos, u).prod(axis=0).sum()) for u in us]
+        # taken at once, never, or after as many halvings as the landscape asks for
+        values = [math.inf, current[1], -math.inf, current[3], current[4]]
+        stacked = _damped_update(rhos, us, gens, deltas, values)
+        assert stacked[0] is not None and stacked[2] is None
+        for r, update in enumerate(stacked):
+            (alone,) = _damped_update(rhos, us[r : r + 1], gens, [deltas[r]], [values[r]])
+            assert (update is None) == (alone is None)
+            if update is not None:
+                np.testing.assert_array_equal(update[0], alone[0])
+                np.testing.assert_array_equal(update[1], alone[1])
+                assert update[2] == alone[2]
 
     @settings(deadline=None)
     @given(

@@ -60,10 +60,16 @@ class TestValidation:
 
     def test_completeness_residual_only_for_an_incomplete_basis(self):
         complete = validate_orthonormal_basis(np.eye(3), tol=1e-10)
-        assert list(complete.residuals) == ["max_hermiticity_residual", "orthonormality_residual"]
+        assert list(complete.residuals) == ["orthonormality_residual"]
         partial = validate_orthonormal_basis(np.eye(3)[:2], tol=1e-10)
         assert not partial.passed
         assert partial.residuals["completeness_residual"] == 1.0
+
+    def test_completeness_residual_of_an_overcomplete_set_is_positive(self):
+        # four kets in d = 3: one too many, so the residual is |3 - 4|
+        check = validate_orthonormal_basis(np.eye(4)[:, :3], tol=1e-10)
+        assert not check.passed
+        assert check.residuals["completeness_residual"] == 1.0
 
     @settings(deadline=None)
     @given(
