@@ -18,9 +18,10 @@ certifies zeros; it is abandoned after the first accepted update that
 cuts the value by less than 4x, where a positive floor makes it converge
 only linearly, and a damped Newton finisher closes positive floors.
 Both finishers halve a rejected step with one eigendecomposition of its
-generator.  Without early stop the Newton finisher runs all restarts as
-one stack, with per-restart arithmetic, so each restart's record and the
-winner are those of restarts run one by one.
+generator.  Without early stop the Haar starts, the polish and the Newton
+finisher each run all restarts as one stack, with per-restart arithmetic,
+so each restart's record and the winner are those of restarts run one by
+one.
 
 The ternary criterion implemented here uses the non-strict inequality
 ``(x1 + x2 + x3 - 1)**2 >= 4 x1 x2 x3``: equality (saturation) counts
@@ -32,7 +33,9 @@ misclassified as compatible.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -339,6 +342,15 @@ def _pair_generators(d: int) -> list[tuple[int, int, np.ndarray]]:
     return table
 
 
+@lru_cache(maxsize=8)
+def _search_tables(d: int) -> tuple[tuple[tuple[int, int, complex], ...], np.ndarray]:
+    """The descent's moves ``(j, k, i G[k, j])`` and the stack of generators
+    ``G`` of :func:`_pair_generators`, built once per dimension; the stack is
+    read-only, since every search of that dimension shares it."""
+    table = _pair_generators(d)
+    return tuple((j, k, 1j * complex(g[k, j])) for j, k, g in table), frozen_array([g for _, _, g in table])
+
+
 def _rotate_pair(x: list[complex], y: list[complex], c: complex, angle: float):
     """Columns j, k of ``u @ exp(i t G)`` (or their amplitudes) from columns
     ``x``, ``y`` of ``u``, where ``c = i G[k, j]``: ``G**2`` projects onto
@@ -426,11 +438,16 @@ def _column_probs(rhos: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("nde,...dm,...em->...nm", rhos, u.conj(), u).real
 
 
-def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    phases = np.diagonal(r)
-    return q * (phases / np.abs(phases)).conj()
+def _haar_unitaries(rngs: Iterable[np.random.Generator], d: int) -> np.ndarray:
+    """One Haar-random basis per generator of ``rngs``, as a stack.  Each
+    generator in turn draws the real, then the imaginary part of its
+    Gaussian matrix (a lazy ``rngs`` lets each go once it has drawn); one QR
+    over the stack, with the phases of each R divided out, turns the draws
+    into unitaries."""
+    draws = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for rng in rngs]
+    q, r = np.linalg.qr(np.array(draws))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases)).conj()[:, None, :]
 
 
 def _descend(
@@ -482,10 +499,10 @@ def _descend(
 
 
 def _state_factors(rhos: np.ndarray) -> list[np.ndarray]:
-    """Factor each state as ``rho = W W†`` (columns of W span the support)."""
+    """Factor each state as ``rho = W W†`` (columns of W span the support),
+    from one eigendecomposition of the stack of states."""
     factors = []
-    for rho in rhos:
-        w, v = np.linalg.eigh(rho)
+    for w, v in zip(*np.linalg.eigh(rhos)):
         keep = w > _SUPPORT_TOL
         factors.append(v[:, keep] * np.sqrt(w[keep]))
     return factors
@@ -571,10 +588,16 @@ def _damped_update(rhos: np.ndarray, us: np.ndarray, gens: np.ndarray, deltas: l
 
 
 def _newton_finish(
-    rhos: np.ndarray, bases: list[np.ndarray], gens: np.ndarray, stop_value: float, counts: list[_RestartCounts]
+    rhos: np.ndarray,
+    us: np.ndarray,
+    values: list[float],
+    gens: np.ndarray,
+    stop_value: float,
+    counts: list[_RestartCounts],
 ):
-    """Damped Newton on the PP functional, run on the restarts' ``bases`` as
-    one stack; returns each restart's final (value, basis).
+    """Damped Newton on the PP functional, run on the stack of the restarts'
+    bases ``us``, whose functionals are ``values``; returns each restart's
+    final (value, basis).
 
     Each iteration steps every active restart by ``-H^-1 g`` from
     :func:`_functional_derivatives`, with each Hessian eigenvalue replaced
@@ -588,11 +611,9 @@ def _newton_finish(
     restart's arithmetic depends on the others in the stack.  Adds each
     restart's iterations to its entry of ``counts``.
     """
-    us = np.array(bases)
     probs = _column_probs(rhos, us)
-    values = probs.prod(axis=1).sum(axis=1)
-    finals = list(zip(values.tolist(), bases))
-    rows = list(range(len(bases)))  # the restart of each row of the active stacks
+    finals = list(zip(values, us))
+    rows = list(range(len(us)))  # the restart of each row of the active stacks
     for _ in range(_POLISH_ITERS):
         grads, hesses = _functional_derivatives(rhos, us, gens, probs)
         w, v = np.linalg.eigh(hesses)
@@ -620,9 +641,16 @@ def _newton_finish(
 
 
 def _gauss_newton_polish(
-    rhos: np.ndarray, factors: list[np.ndarray], u: np.ndarray, gens: np.ndarray, counts: _RestartCounts
+    rhos: np.ndarray,
+    factors: list[np.ndarray],
+    us: np.ndarray,
+    values: list[float],
+    gens: np.ndarray,
+    counts: list[_RestartCounts],
 ):
-    """Drive the matched-orthogonality residuals to zero; returns (value, basis).
+    """Drive the matched-orthogonality residuals to zero, on the stack of the
+    restarts' bases ``us``, whose functionals are ``values``; returns each
+    restart's final (value, basis).
 
     At a vanishing PP functional every outcome ket is orthogonal to the
     support of (at least) one state.  The coordinate descent locates
@@ -631,31 +659,39 @@ def _gauss_newton_polish(
     residuals ``W_a(i)† e_i`` are linear in the basis and Gauss-Newton
     keeps converging where the functional itself is quartic-flat.
     Every update goes through :func:`_damped_update`, so the polish can
-    never worsen the functional of ``u``.  Where the residuals have a
+    never worsen the functional of a basis.  Where the residuals have a
     zero, Gauss-Newton converges quadratically; where they do not (a
-    positive floor) it converges only linearly, so the polish ends after
-    the first accepted update that cuts the value by less than 4x and
-    leaves the rest to Newton.  It also ends below 1e-26, at
-    ``_POLISH_ITERS`` iterations, or when no halving improves.  ``gens``
-    stacks the :func:`_pair_generators` of the basis's dimension.  Adds
-    its iterations and accepted updates to ``counts``.
+    positive floor) it converges only linearly, so a restart leaves the
+    stack after its first accepted update that cuts the value by less than
+    4x and leaves the rest to Newton.  It also leaves below 1e-26, at
+    ``_POLISH_ITERS`` iterations, or when no halving improves.  The
+    matching and the least-squares step are taken per restart, and one
+    stacked :func:`_damped_update` serves every active restart, so no
+    restart's arithmetic depends on the others.  ``gens`` stacks the
+    :func:`_pair_generators` of the bases' dimension.  Adds each restart's
+    iterations and accepted updates to its entry of ``counts``.
     """
-    probs = _column_probs(rhos, u)
-    value = float(probs.prod(axis=0).sum())
+    probs = _column_probs(rhos, us)
+    finals = list(zip(values, us))
+    rows = list(range(len(us)))  # the restart of each row of the active stacks
     for _ in range(_POLISH_ITERS):
-        counts.polish_iters += 1
-        match = probs.argmin(axis=0)
-        r0, jac = _matched_residual(factors, match, u, gens)
-        delta, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
-        (update,) = _damped_update(rhos, u[None], gens, [delta], [value])
-        if update is None:
+        deltas = []
+        for r, u, p in zip(rows, us, probs):
+            counts[r].polish_iters += 1
+            r0, jac = _matched_residual(factors, p.argmin(axis=0), u, gens)
+            deltas.append(np.linalg.lstsq(jac, -r0, rcond=None)[0])
+        moved = []
+        for r, before, update in zip(rows, values, _damped_update(rhos, us, gens, deltas, values)):
+            if update is not None:
+                counts[r].polish_accepted += 1
+                finals[r] = update[2], update[0]
+                if not (update[2] < 1e-26 or update[2] > before / 4.0):
+                    moved.append((r, update))
+        if not moved:
             break
-        counts.polish_accepted += 1
-        before = value
-        u, probs, value = update
-        if value < 1e-26 or value > before / 4.0:
-            break
-    return value, u
+        rows, updates = zip(*moved)
+        us, probs, values = (np.array(stack) for stack in zip(*updates))
+    return finals
 
 
 def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> WitnessSearchResult:
@@ -669,13 +705,15 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
     orthogonality residuals (which certifies zeros, even on the
     quartic-flat landscapes of exactly saturated triples) and a damped
     Newton finisher on the functional (which closes positive floors).
-    The generator table they all move along is built once per call.
-    Restarts run in waves: one restart with ``stop_at_success``, all of
-    them without it.  Each restart of a wave runs its descent and polish
-    on its own; then the restarts still above the stop value run the
-    Newton finisher together, as one stack whose restarts each leave on
-    their own stop rule.  Every restart's arithmetic is that of a stack
-    of one, so its record, and the winner, do not depend on the wave.
+    The generator table they all move along is built once per dimension
+    and shared by every search of it.  Restarts run in waves: one restart
+    with ``stop_at_success``, all of them without it.  A wave draws its
+    Haar starts as one stack, each from its restart's own generator, and
+    runs each restart's descent on its own; then the restarts still above
+    the stop value run the polish, and those still above it the Newton
+    finisher, each as one stack whose restarts leave on their own stop
+    rule.  Every restart's arithmetic is that of a stack of one, so its
+    record, and the winner, do not depend on the wave.
     Failure to reach ``success_threshold`` is a result
     (``success`` is False), not an error: the search can only ever
     *confirm* incompatibility.  Results are deterministic for a fixed
@@ -691,39 +729,33 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
     d = states.dim
     rhos = np.asarray(states.rhos)
     factors = _state_factors(rhos)
-    table = _pair_generators(d)
-    moves = [(j, k, 1j * complex(g[k, j])) for j, k, g in table]
-    gens = np.array([g for _, _, g in table])
+    moves, gens = _search_tables(d)
     stop_value = cfg.success_threshold if cfg.stop_at_success else 0.0
+    finishers = (
+        ("polish", lambda us, values, counts: _gauss_newton_polish(rhos, factors, us, values, gens, counts)),
+        ("newton", lambda us, values, counts: _newton_finish(rhos, us, values, gens, stop_value, counts)),
+    )
     wave = 1 if cfg.stop_at_success else cfg.restarts
     bases: list[np.ndarray] = []
     history: list[RestartRecord] = []
     for first in range(0, cfg.restarts, wave):
         restarts = range(first, min(first + wave, cfg.restarts))
         counts = [_RestartCounts() for _ in restarts]
-        us, values, start_values, phases = [], [], [], []
-        for restart, restart_counts in zip(restarts, counts):
-            u = _haar_unitary(np.random.default_rng([cfg.seed, restart]), d)
-            value, u, start_value = _descend(rhos, factors, u, moves, stop_value, restart_counts)
-            phase = "descent" if value < start_value else "none"
-            if value > stop_value:
-                before = value
-                value, u = _gauss_newton_polish(rhos, factors, u, gens, restart_counts)
-                if value < before:
-                    phase = "polish"
-            us.append(u)
-            values.append(value)
-            start_values.append(start_value)
-            phases.append(phase)
-        newton = [i for i, value in enumerate(values) if value > stop_value]
-        if newton:
-            finished = _newton_finish(rhos, [us[i] for i in newton], gens, stop_value, [counts[i] for i in newton])
-            for i, (value, u) in zip(newton, finished):
+        starts = _haar_unitaries((np.random.default_rng([cfg.seed, restart]) for restart in restarts), d)
+        descents = [_descend(rhos, factors, u, moves, stop_value, c) for u, c in zip(starts, counts)]
+        values, us, start_values = map(list, zip(*descents))
+        phases = ["descent" if value < start else "none" for value, start in zip(values, start_values)]
+        for phase, finish in finishers:
+            active = [i for i, value in enumerate(values) if value > stop_value]
+            if not active:
+                break
+            stack = np.array([us[i] for i in active])
+            for i, (value, u) in zip(active, finish(stack, [values[i] for i in active], [counts[i] for i in active])):
                 if value < values[i]:
-                    phases[i] = "newton"
+                    phases[i] = phase
                 values[i], us[i] = value, u
         history += [
-            RestartRecord(restart=restart, start_value=start, final_value=value, phase=phase, **asdict(restart_counts))
+            RestartRecord(restart=restart, start_value=start, final_value=value, phase=phase, **vars(restart_counts))
             for restart, start, value, phase, restart_counts in zip(restarts, start_values, values, phases, counts)
         ]
         bases += us

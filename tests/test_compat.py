@@ -27,23 +27,35 @@ import sicmub.compat as compat
 from sicmub.compat import (
     _POLISH_MAX_STEP,
     _SATURATION_CUBIC,
+    _RestartCounts,
     _column_probs,
     _damped_update,
+    _descend,
     _functional_derivatives,
     _generator_exp,
-    _haar_unitary,
+    _haar_unitaries,
     _matched_residual,
     _pair_coefficients,
     _pair_generators,
     _pair_minimum,
     _pair_products,
     _rotate_pair,
+    _search_tables,
     _state_factors,
 )
 
 
 def computational_effects():
     return np.array([projector(basis_ket(3, j)) for j in range(3)])
+
+
+def haar_unitary(rng, d):
+    """A Haar-random basis drawn from one generator, with its own QR: the
+    reference for the search's stacked starts."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r)
+    return q * (phases / np.abs(phases)).conj()
 
 
 def random_mixtures(rng, ranks, d=3):
@@ -66,23 +78,28 @@ def compatible_triple(rng):
 
 
 def polish_runs(states, cfg):
-    """The search's result and, per polish run, the value it starts from and
-    the value after each accepted update."""
+    """The search's result and, per restart the polish ran on, the value it
+    starts from and the value after each accepted update."""
     polish, update = compat._gauss_newton_polish, compat._damped_update
     runs, active = [], []
 
-    def recording_polish(rhos, factors, u, gens, counts):
-        active.append([float(_column_probs(rhos, u).prod(axis=0).sum())])
-        runs.append(active[-1])
+    def recording_polish(rhos, factors, us, values, gens, counts):
+        active.extend([value] for value in values)
+        runs.extend(active)
         try:
-            return polish(rhos, factors, u, gens, counts)
+            return polish(rhos, factors, us, values, gens, counts)
         finally:
-            active.pop()
+            active.clear()
 
-    def recording_update(*args):
-        updates = update(*args)
-        if active and updates[0] is not None:
-            active[-1].append(updates[0][2])
+    def recording_update(rhos, us, gens, deltas, values):
+        updates = update(rhos, us, gens, deltas, values)
+        if active:
+            # the polish updates the restarts still running, in order, each from its run's last value
+            running = iter(active)
+            for value, accepted in zip(values, updates):
+                run = next(run for run in running if run[-1] == value)
+                if accepted is not None:
+                    run.append(accepted[2])
         return updates
 
     with pytest.MonkeyPatch.context() as mp:
@@ -491,6 +508,35 @@ class TestWitnessSearch:
         assert floor * (1 + 1e-12) < max(values) <= floor + 1e-15
         assert result.best_restart == 0 and result.value == values[0]
 
+    def test_per_phase_totals_of_twelve_exhaust_searches(self):
+        # the counts of every phase repeat exactly, so they pin what each phase does on these searches
+        cfg = WitnessSearchConfig(restarts=8, seed=2024, stop_at_success=False)
+        totals = dict.fromkeys(["cycles", "probes", "polish_iters", "polish_accepted", "newton_iters"], 0)
+        for seed in range(12):
+            result = witness_search(StateSet.from_kets(compatible_triple(np.random.default_rng(seed))), cfg)
+            assert result.best_restart == 0, seed
+            for record in result.history:
+                for key in totals:
+                    totals[key] += getattr(record, key)
+        assert totals == {"cycles": 344, "probes": 2064, "polish_iters": 104, "polish_accepted": 96, "newton_iters": 529}
+
+    def test_a_finisher_that_accepts_no_update_leaves_the_descents_value(self):
+        # a rank-2 and a pure qubit state, where neither finisher accepts an update; recomputing the
+        # functional from a contiguous copy of the descent's basis can round it an ulp lower
+        rng = np.random.default_rng(1003)
+        d, n = rng.integers(2, 5), rng.integers(2, 5)
+        ranks = [int(rng.integers(1, 3)) for _ in range(n)]
+        assert (d, ranks) == (2, [2, 1])
+        states = StateSet(dim=2, rhos=random_mixtures(rng, ranks, 2))
+        cfg = WitnessSearchConfig(restarts=1, seed=3)
+        rhos = np.asarray(states.rhos)
+        moves, _ = _search_tables(2)
+        start = _haar_unitaries([np.random.default_rng([cfg.seed, 0])], 2)[0]
+        descent, _, _ = _descend(rhos, _state_factors(rhos), start, moves, cfg.success_threshold, _RestartCounts())
+        (record,) = witness_search(states, cfg).history
+        assert (record.polish_iters, record.polish_accepted, record.newton_iters) == (1, 0, 1), record
+        assert record.phase == "descent" and record.final_value == descent, record
+
     def test_polish_is_abandoned_on_compatible_triples(self):
         # without a zero to converge to, the polish stops after its first update that cuts less than 4x;
         # over these twelve triples no restart took more than 3 polish iterations (17 without the rule)
@@ -540,7 +586,7 @@ class TestPairGenerators:
     @settings(deadline=None)
     @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), angle=st.floats(-7.0, 7.0))
     def test_pair_update_is_the_generator_exponential(self, d, seed, angle):
-        u = _haar_unitary(np.random.default_rng(seed), d)
+        u = haar_unitary(np.random.default_rng(seed), d)
         for j, k, g in _pair_generators(d):
             w, v = np.linalg.eigh(angle * g)
             expected = u @ (v * np.exp(1j * w)) @ v.conj().T
@@ -556,7 +602,7 @@ class TestPairGenerators:
     def test_each_halving_is_the_generator_exponential_of_the_capped_step(self, d, seed, length):
         rng = np.random.default_rng(seed)
         rhos = random_mixtures(rng, [1, 2, d], d)
-        u = _haar_unitary(rng, d)
+        u = haar_unitary(rng, d)
         gens = np.array([g for _, _, g in _pair_generators(d)])
         direction = rng.standard_normal(len(gens))
         delta = length * direction / np.linalg.norm(direction)
@@ -585,7 +631,7 @@ class TestPairGenerators:
         rng = np.random.default_rng(seed)
         rhos = random_mixtures(rng, [1, 2, d], d)
         gens = np.array([g for _, _, g in _pair_generators(d)])
-        us = np.array([_haar_unitary(rng, d) for _ in range(5)])
+        us = np.array([haar_unitary(rng, d) for _ in range(5)])
         deltas = [length * rng.standard_normal(len(gens)) for length in (0.05, 0.3, 1.0, 3.0, 0.7)]
         current = [float(_column_probs(rhos, u).prod(axis=0).sum()) for u in us]
         # taken at once, never, or after as many halvings as the landscape asks for
@@ -600,6 +646,47 @@ class TestPairGenerators:
                 np.testing.assert_array_equal(update[1], alone[1])
                 assert update[2] == alone[2]
 
+    @settings(deadline=None, max_examples=30)
+    @given(d=st.integers(2, 4), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_polish_is_each_restarts_own_polish(self, d, data, seed):
+        ranks = data.draw(st.lists(st.integers(1, d), min_size=2, max_size=4))
+        rng = np.random.default_rng(seed)
+        rhos = random_mixtures(rng, ranks, d)
+        factors = _state_factors(rhos)
+        moves, gens = _search_tables(d)
+        # five descended bases, as the search hands them to the polish
+        values, bases, _ = zip(
+            *(_descend(rhos, factors, haar_unitary(rng, d), moves, 0.0, _RestartCounts()) for _ in range(5))
+        )
+        us = np.array(bases)
+        counts = [_RestartCounts() for _ in us]
+        stacked = compat._gauss_newton_polish(rhos, factors, us, list(values), gens, counts)
+        for r, (value, basis) in enumerate(stacked):
+            alone_counts = _RestartCounts()
+            ((alone_value, alone_basis),) = compat._gauss_newton_polish(
+                rhos, factors, us[r : r + 1], [values[r]], gens, [alone_counts]
+            )
+            assert value == alone_value and counts[r] == alone_counts
+            np.testing.assert_array_equal(basis, alone_basis)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stacked_haar_starts_are_each_generators_own_draw(self, d):
+        for seed in range(5):
+            stacked = _haar_unitaries((np.random.default_rng([seed, r]) for r in range(8)), d)
+            alone = [haar_unitary(np.random.default_rng([seed, r]), d) for r in range(8)]
+            np.testing.assert_array_equal(stacked, np.array(alone))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stacked_factors_are_each_states_own_factors(self, d):
+        rng = np.random.default_rng(50 + d)
+        rhos = random_mixtures(rng, list(range(1, d + 1)) * 2, d)
+        factors = _state_factors(rhos)
+        assert [w.shape[1] for w in factors] == list(range(1, d + 1)) * 2
+        for rho, factor in zip(rhos, factors):
+            w, v = np.linalg.eigh(rho)
+            keep = w > 1e-12
+            np.testing.assert_array_equal(factor, v[:, keep] * np.sqrt(w[keep]))
+
     @settings(deadline=None)
     @given(
         ranks=st.lists(st.integers(1, 3), min_size=2, max_size=4),
@@ -609,7 +696,7 @@ class TestPairGenerators:
     def test_closed_form_probe_is_the_functional_of_the_rotated_basis(self, ranks, seed, angles):
         rng = np.random.default_rng(seed)
         rhos = random_mixtures(rng, ranks)
-        u = _haar_unitary(rng, 3)
+        u = haar_unitary(rng, 3)
         factors = _state_factors(rhos)
         assert [w.shape[1] for w in factors] == ranks
         owners = [n for n, w in enumerate(factors) for _ in range(w.shape[1])]
@@ -627,7 +714,7 @@ class TestPairGenerators:
     def test_move_reaches_the_minimum_of_its_rotation(self, ranks, seed):
         rng = np.random.default_rng(seed)
         rhos = random_mixtures(rng, ranks)
-        u = _haar_unitary(rng, 3)
+        u = haar_unitary(rng, 3)
         factors = _state_factors(rhos)
         owners = [n for n, w in enumerate(factors) for _ in range(w.shape[1])]
         amps = (np.concatenate(factors, axis=1).conj().T @ u).T
@@ -654,7 +741,7 @@ class TestPairGenerators:
         for _ in range(4):
             # four states of ranks 1, 1, 2 and d, so the two-state products of the Hessian see every rank
             rhos = random_mixtures(rng, [1, 1, 2, d], d)
-            u = _haar_unitary(rng, d)
+            u = haar_unitary(rng, d)
 
             def functional(delta):
                 return _column_probs(rhos, u @ _generator_exp(gens, delta)).prod(axis=0).sum()
@@ -677,7 +764,7 @@ class TestPairGenerators:
             rhos = np.einsum("na,nb->nab", kets, kets.conj())
             # two pure states and one rank-2 mixture, so the factors differ in width
             rhos = np.array([rhos[0], rhos[1], (rhos[2] + rhos[3]) / 2.0])
-            u = _haar_unitary(rng, 3)
+            u = haar_unitary(rng, 3)
             factors = _state_factors(rhos)
             match = _column_probs(rhos, u).argmin(axis=0)
             _, jac = _matched_residual(factors, match, u, gens)
