@@ -19,6 +19,13 @@ checks fail), 2 for usage or input errors, including malformed or
 non-finite input, any input the library rejects and an ``--output``
 file that cannot be written.
 
+Each handler imports the library modules it uses when it runs, and the
+package itself is lazy, so a call loads only its own subcommand's
+modules: ``verify-sic`` loads ``qmath`` and ``sicgen``, ``compat`` loads
+``compat``, and the other subcommands load ``sicgen`` and ``mub`` plus
+their own module.  ``compat search`` takes the defaults of the flags it
+is not given from ``WitnessSearchConfig``, and reports the config it ran.
+
 JSON schemas (complex numbers are ``[re, im]`` pairs; every number must
 be finite):
 
@@ -39,38 +46,15 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from . import __version__
-from .compat import (
-    SATURATION_TOL,
-    StateSet,
-    WitnessSearchConfig,
-    cfs_example_states,
-    qutrit_triple_criterion,
-    witness_search,
-)
-from .contextuality import cabello_criterion, hesse_mub_graph
-from .mub import LINES, build_mub_set, covering_table, covering_witness, verify_mub_set
-from .purity import (
-    distribution_indices,
-    enumerate_min_entropy_pure_states,
-    qbic_check_general,
-    qbic_check_hesse,
-    quadratic_purity_check,
-    triple_product_table,
-)
 from .qmath import DEFAULT_TOL, validate_density_matrix
-from .sicgen import SicSet, hesse_sic, is_sic, sic_probabilities
-from .wigner import (
-    line_marginals,
-    negativity,
-    phase_point_operators,
-    wigner_from_sic_probabilities,
-    wigner_of_density,
-)
+
+if TYPE_CHECKING:
+    from .compat import StateSet
 
 #: Environment variable overriding the default tolerance.
 TOL_ENV_VAR = "SICMUB_TOL"
@@ -301,10 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = csub.add_parser("search", help="seeded witness search over von Neumann bases")
     ps.add_argument("--states", required=True, help="'cfs-example' or a JSON state file")
-    defaults = WitnessSearchConfig()
-    ps.add_argument("--restarts", type=int, default=defaults.restarts)
-    ps.add_argument("--seed", type=int, default=defaults.seed)
-    ps.add_argument("--threshold", type=float, default=defaults.success_threshold, help="success threshold on the PP functional")
+    ps.add_argument("--restarts", type=int, default=None)
+    ps.add_argument("--seed", type=int, default=None)
+    ps.add_argument("--threshold", type=float, default=None, help="success threshold on the PP functional")
     leaf(ps, _cmd_compat_search)
 
     p = sub.add_parser("mubs", help="mutually unbiased bases from the Hesse SIC")
@@ -360,6 +343,8 @@ def _load_states_arg(source: str, tol: float) -> tuple[StateSet, str]:
     """Resolve --states, a built-in name or a file path, to (state set,
     digest).  A file's states are judged at ``tol``; the built-in keeps
     the ``StateSet`` default, since its kets are exact up to rounding."""
+    from .compat import StateSet, cfs_example_states
+
     if source == "cfs-example":
         return cfs_example_states(), _digest(b"builtin:cfs-example")
     dim, rhos, raw = load_state_file(source, tol)
@@ -367,6 +352,8 @@ def _load_states_arg(source: str, tol: float) -> tuple[StateSet, str]:
 
 
 def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport]:
+    from .sicgen import SicSet, hesse_sic, is_sic
+
     if (args.builtin is None) == (args.input is None):
         raise UsageError("verify-sic needs exactly one of --builtin or --input")
     if args.builtin is not None:
@@ -393,6 +380,8 @@ def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport]:
+    from .compat import SATURATION_TOL, qutrit_triple_criterion
+
     states, digest = _load_states_arg(args.states, tol)
     if len(states) != 3:
         raise UsageError(f"the ternary criterion needs exactly 3 states, got {len(states)}")
@@ -417,16 +406,19 @@ def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport]:
+    from .compat import WitnessSearchConfig, witness_search
+
     states, digest = _load_states_arg(args.states, tol)
-    cfg = WitnessSearchConfig(restarts=args.restarts, seed=args.seed, success_threshold=args.threshold)
+    given = {"restarts": args.restarts, "seed": args.seed, "success_threshold": args.threshold}
+    cfg = WitnessSearchConfig(**{name: value for name, value in given.items() if value is not None})
     result = witness_search(states, cfg)
-    tolerances = {"success_threshold": args.threshold}
+    tolerances = {"success_threshold": cfg.success_threshold}
     if args.states != "cfs-example":
         tolerances["tol"] = tol
     report = RunReport(
         inputs_digest=digest,
         tolerances=tolerances,
-        seed=args.seed,
+        seed=cfg.seed,
         results={
             "value": result.value,
             "success": result.success,
@@ -446,6 +438,9 @@ def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_mubs_build(args, tol: float) -> tuple[int, RunReport]:
+    from .mub import LINES, build_mub_set, verify_mub_set
+    from .sicgen import hesse_sic
+
     mubs = build_mub_set(hesse_sic())
     check = verify_mub_set(mubs, tol=tol)
     report = RunReport(
@@ -460,11 +455,17 @@ def _cmd_mubs_build(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_mubs_verify(args, tol: float) -> tuple[int, RunReport]:
+    from .mub import build_mub_set, verify_mub_set
+    from .sicgen import hesse_sic
+
     check = verify_mub_set(build_mub_set(hesse_sic()), tol=tol)
     return (0 if check.passed else 1), RunReport(results={"passed": check.passed}, residuals=check.residuals)
 
 
 def _cmd_mubs_cover(args, tol: float) -> tuple[int, RunReport]:
+    from .mub import build_mub_set, covering_table, covering_witness
+    from .sicgen import hesse_sic
+
     sic = hesse_sic()
     mubs = build_mub_set(sic)
     if args.triple is not None:
@@ -487,6 +488,10 @@ def _cmd_mubs_cover(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_wigner(args, tol: float) -> tuple[int, RunReport]:
+    from .mub import build_mub_set
+    from .sicgen import hesse_sic, sic_probabilities
+    from .wigner import line_marginals, negativity, phase_point_operators, wigner_from_sic_probabilities, wigner_of_density
+
     _, rhos, raw = load_state_file(args.state, tol)
     if len(rhos) != 1:
         raise UsageError(f"wigner expects exactly one state, got {len(rhos)}")
@@ -518,6 +523,9 @@ def _cmd_wigner(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_purity(args, tol: float) -> tuple[int, RunReport]:
+    from .purity import distribution_indices, qbic_check_general, qbic_check_hesse, quadratic_purity_check, triple_product_table
+    from .sicgen import hesse_sic
+
     doc, raw = _load_json(args.probs)
     if not isinstance(doc, dict) or "probabilities" not in doc:
         raise UsageError(f"{args.probs}: expected an object with a 'probabilities' field")
@@ -553,6 +561,8 @@ def _cmd_purity(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_min_entropy(args, tol: float) -> tuple[int, RunReport]:
+    from .purity import enumerate_min_entropy_pure_states
+
     survivors = enumerate_min_entropy_pure_states(tol=tol)
     report = RunReport(
         results={
@@ -566,6 +576,8 @@ def _cmd_min_entropy(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_graph(args, tol: float) -> tuple[int, RunReport]:
+    from .contextuality import cabello_criterion, hesse_mub_graph
+
     if args.builtin != "hesse-mub":
         raise UsageError(f"unknown built-in graph {args.builtin!r}; available: hesse-mub")
     graph = hesse_mub_graph(tol=tol)

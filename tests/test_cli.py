@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sicmub import build_mub_set, cfs_example_kets, hesse_kets, hesse_sic, is_sic, verify_mub_set
+import sicmub
+from sicmub import WitnessSearchConfig, build_mub_set, cfs_example_kets, hesse_kets, hesse_sic, is_sic, verify_mub_set
 from sicmub.cli import UsageError, _load_json, decode_array, encode_complex, main
 
 
@@ -143,6 +148,15 @@ class TestCompatSearch:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_bare_search_reports_the_config_defaults(self, capsys):
+        defaults = WitnessSearchConfig()
+        code, out, _ = run_cli(capsys, "compat", "search", "--states", "cfs-example", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["seed"] == defaults.seed
+        assert doc["tolerances"] == {"success_threshold": defaults.success_threshold}
+        assert doc["results"]["restarts_run"] <= defaults.restarts
 
     def test_failure_exits_one(self, capsys, tmp_path):
         rho = np.eye(3) / 3.0
@@ -667,3 +681,57 @@ class TestCodecProperties:
         doc, _ = _load_json(str(path))
         with pytest.raises(UsageError, match="finite"):
             decode_array(doc[field], (None,) + arr.shape[1:], field)
+
+
+#: (argv with "{file}" for the input path, input document or None, the ``sicmub.*`` modules
+#: beside ``sicmub.cli`` and ``sicmub.qmath`` that a fresh interpreter holds after the call)
+IMPORT_COMMANDS = [
+    (HESSE, None, {"sicmub.sicgen"}),
+    (("compat", "triple", "--states", "cfs-example"), None, {"sicmub.compat"}),
+    (SEARCH, None, {"sicmub.compat"}),
+    (("mubs", "build"), None, {"sicmub.sicgen", "sicmub.mub"}),
+    (("mubs", "verify"), None, {"sicmub.sicgen", "sicmub.mub"}),
+    (("mubs", "cover"), None, {"sicmub.sicgen", "sicmub.mub"}),
+    (WIGNER, ONE_KET_DOC, {"sicmub.sicgen", "sicmub.mub", "sicmub.wigner"}),
+    (PURITY, PURE_PROBS_DOC, {"sicmub.sicgen", "sicmub.mub", "sicmub.purity"}),
+    (("min-entropy", "enumerate"), None, {"sicmub.sicgen", "sicmub.mub", "sicmub.purity"}),
+    (("graph", "--chromatic"), None, {"sicmub.sicgen", "sicmub.mub", "sicmub.contextuality"}),
+]
+
+
+def fresh_modules(code: str) -> tuple[str, set[str]]:
+    """Run ``code`` in a fresh interpreter; return what it printed and the
+    ``sicmub.*`` modules it then holds."""
+    src = str(Path(sicmub.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("SICMUB_TOL", None)
+    probe = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('sicmub.')))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
+    *printed, modules = done.stdout.splitlines()
+    return "\n".join(printed), set(modules.split())
+
+
+class TestImports:
+    """``import sicmub`` loads no module, and each subcommand loads only the
+    modules it uses, so a cold call does not pay for the others."""
+
+    def test_importing_the_package_loads_no_module(self):
+        assert fresh_modules("import sicmub") == ("", set())
+        assert fresh_modules("import sicmub; print(set(sicmub.__all__) <= set(dir(sicmub)))") == ("True", set())
+
+    def test_a_name_loads_only_its_module_and_what_that_imports(self):
+        assert fresh_modules("from sicmub import hesse_sic") == ("", {"sicmub.qmath", "sicmub.sicgen"})
+        assert fresh_modules("import sicmub; sicmub.StateSet") == ("", {"sicmub.qmath", "sicmub.compat"})
+        assert fresh_modules("import sicmub; sicmub.mub") == ("", {"sicmub.qmath", "sicmub.sicgen", "sicmub.mub"})
+
+    @pytest.mark.parametrize(
+        "argv, doc, modules", IMPORT_COMMANDS, ids=["-".join(command_words(argv)) for argv, _, _ in IMPORT_COMMANDS]
+    )
+    def test_a_subcommand_loads_only_its_modules(self, tmp_path, argv, doc, modules):
+        path = tmp_path / "input.json"
+        if doc is not None:
+            path.write_text(json.dumps(doc))
+        argv = [arg.format(file=path) for arg in argv] + ["--format", "json", "--output", str(tmp_path / "report.json")]
+        printed, loaded = fresh_modules(f"from sicmub.cli import main\nprint(main({argv!r}))")
+        assert printed == "0"
+        assert loaded == {"sicmub.cli", "sicmub.qmath"} | modules
