@@ -408,9 +408,9 @@ def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport]:
 def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport]:
     from .compat import WitnessSearchConfig, witness_search
 
-    states, digest = _load_states_arg(args.states, tol)
     given = {"restarts": args.restarts, "seed": args.seed, "success_threshold": args.threshold}
     cfg = WitnessSearchConfig(**{name: value for name, value in given.items() if value is not None})
+    states, digest = _load_states_arg(args.states, tol)
     result = witness_search(states, cfg)
     tolerances = {"success_threshold": cfg.success_threshold}
     if args.states != "cfs-example":

@@ -18,10 +18,11 @@ certifies zeros; it is abandoned after the first accepted update that
 cuts the value by less than 4x, where a positive floor makes it converge
 only linearly, and a damped Newton finisher closes positive floors.
 Both finishers halve a rejected step with one eigendecomposition of its
-generator.  Without early stop the Haar starts, the polish and the Newton
-finisher each run all restarts as one stack, with per-restart arithmetic,
-so each restart's record and the winner are those of restarts run one by
-one.
+generator.  Without early stop the Haar starts run all restarts as one
+stack, and so does the finisher: one stack, through which each restart
+moves from the polish to Newton on its own.  The arithmetic is per
+restart, so each restart's record and the winner are those of restarts
+run one by one.
 
 The ternary criterion implemented here uses the non-strict inequality
 ``(x1 + x2 + x3 - 1)**2 >= 4 x1 x2 x3``: equality (saturation) counts
@@ -243,6 +244,8 @@ class WitnessSearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be positive, got {self.restarts!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if not (math.isfinite(self.success_threshold) and self.success_threshold > 0):
             raise ValueError(f"success_threshold must be finite and positive, got {self.success_threshold!r}")
 
@@ -260,8 +263,8 @@ _DESCENT_CYCLES = 200
 #: A state's factor keeps the eigenvectors of eigenvalues above this.
 _SUPPORT_TOL = 1e-12
 
-#: Iteration cap and trust cap on one update's norm, for the Newton
-#: finisher and the Gauss-Newton polish alike.
+#: Iteration cap of each finisher phase and trust cap on one update's norm,
+#: for the Gauss-Newton polish and Newton alike.
 _POLISH_ITERS = 40
 _POLISH_MAX_STEP = 0.5
 
@@ -587,106 +590,94 @@ def _damped_update(rhos: np.ndarray, us: np.ndarray, gens: np.ndarray, deltas: l
     return updates
 
 
-def _newton_finish(
+def _finish(
     rhos: np.ndarray,
+    factors: list[np.ndarray],
     us: np.ndarray,
     values: list[float],
     gens: np.ndarray,
     stop_value: float,
     counts: list[_RestartCounts],
 ):
-    """Damped Newton on the PP functional, run on the stack of the restarts'
-    bases ``us``, whose functionals are ``values``; returns each restart's
-    final (value, basis).
+    """Finish the restarts' bases ``us``, whose functionals are ``values``, as
+    one stack; returns each restart's final (value, basis, phase), the phase
+    that made its last accepted update, or None if none was accepted.
 
-    Each iteration steps every active restart by ``-H^-1 g`` from
-    :func:`_functional_derivatives`, with each Hessian eigenvalue replaced
-    by its magnitude (so saddles are left downhill) and floored at
-    ``_NEWTON_CURVATURE_FLOOR`` times the largest, through
-    :func:`_damped_update`, as the polish does; it can never worsen the
-    functional of a basis.  Every basis starts above ``stop_value``, and a
-    restart leaves the active set once its step promises a relative
-    decrease below ``_NEWTON_MIN_GAIN``, when no halving improves, or at
-    ``stop_value``.  The Newton solve is taken per restart, so no
-    restart's arithmetic depends on the others in the stack.  Adds each
-    restart's iterations to its entry of ``counts``.
-    """
-    probs = _column_probs(rhos, us)
-    finals = list(zip(values, us))
-    rows = list(range(len(us)))  # the restart of each row of the active stacks
-    for _ in range(_POLISH_ITERS):
-        grads, hesses = _functional_derivatives(rhos, us, gens, probs)
-        w, v = np.linalg.eigh(hesses)
-        magnitude = np.abs(w)
-        stepping, deltas = [], []
-        for i, (r, grad, vr, mr, top) in enumerate(zip(rows, grads, v, magnitude, magnitude.max(axis=1).tolist())):
-            counts[r].newton_iters += 1
-            delta = -vr @ ((vr.T @ grad) / np.maximum(mr, _NEWTON_CURVATURE_FLOOR * max(top, values[i])))
-            if -float(grad @ delta) > _NEWTON_MIN_GAIN * values[i]:
-                stepping.append(i)
-                deltas.append(delta)
-        if not stepping:
-            break
-        moved = []
-        for i, update in zip(stepping, _damped_update(rhos, us[stepping], gens, deltas, [values[i] for i in stepping])):
-            if update is not None:
-                finals[rows[i]] = update[2], update[0]
-                if update[2] > stop_value:
-                    moved.append((rows[i], update))
-        if not moved:
-            break
-        rows, updates = zip(*moved)
-        us, probs, values = (np.array(stack) for stack in zip(*updates))
-    return finals
-
-
-def _gauss_newton_polish(
-    rhos: np.ndarray,
-    factors: list[np.ndarray],
-    us: np.ndarray,
-    values: list[float],
-    gens: np.ndarray,
-    counts: list[_RestartCounts],
-):
-    """Drive the matched-orthogonality residuals to zero, on the stack of the
-    restarts' bases ``us``, whose functionals are ``values``; returns each
-    restart's final (value, basis).
-
+    Every restart above ``stop_value`` starts in the Gauss-Newton polish.
     At a vanishing PP functional every outcome ket is orthogonal to the
-    support of (at least) one state.  The coordinate descent locates
-    the right matching but crawls when the zero is degenerate (the
-    saturated case), so finish the job on the root system instead: the
-    residuals ``W_a(i)† e_i`` are linear in the basis and Gauss-Newton
-    keeps converging where the functional itself is quartic-flat.
-    Every update goes through :func:`_damped_update`, so the polish can
-    never worsen the functional of a basis.  Where the residuals have a
-    zero, Gauss-Newton converges quadratically; where they do not (a
-    positive floor) it converges only linearly, so a restart leaves the
-    stack after its first accepted update that cuts the value by less than
-    4x and leaves the rest to Newton.  It also leaves below 1e-26, at
-    ``_POLISH_ITERS`` iterations, or when no halving improves.  The
-    matching and the least-squares step are taken per restart, and one
-    stacked :func:`_damped_update` serves every active restart, so no
-    restart's arithmetic depends on the others.  ``gens`` stacks the
-    :func:`_pair_generators` of the bases' dimension.  Adds each restart's
-    iterations and accepted updates to its entry of ``counts``.
+    support of (at least) one state.  The coordinate descent locates the
+    right matching but crawls when the zero is degenerate (the saturated
+    case), so the polish finishes the job on the root system instead: the
+    residuals ``W_a(i)† e_i`` are linear in the basis and Gauss-Newton keeps
+    converging where the functional itself is quartic-flat.  Where the
+    residuals have a zero, Gauss-Newton converges quadratically; where they
+    do not (a positive floor) it converges only linearly, so a restart's
+    polish ends after its first accepted update that cuts the value by less
+    than 4x.  It also ends below 1e-26, at ``_POLISH_ITERS`` iterations, or
+    when no halving improves; the restart then moves to damped Newton on
+    the functional if its value is still above ``stop_value``.
+
+    Newton steps by ``-H^-1 g`` from :func:`_functional_derivatives`, with
+    each Hessian eigenvalue replaced by its magnitude (so saddles are left
+    downhill) and floored at ``_NEWTON_CURVATURE_FLOOR`` times the largest.
+    A restart's Newton ends once its step promises a relative decrease
+    below ``_NEWTON_MIN_GAIN``, when no halving improves, at ``stop_value``,
+    or at ``_POLISH_ITERS`` iterations.
+
+    Each iteration takes the polish rows' matching and least-squares steps
+    and the Newton rows' solves per restart, and one stacked
+    :func:`_damped_update` for every stepping row, so no phase can worsen
+    the functional of a basis and no restart's arithmetic depends on the
+    others.  ``gens`` stacks the :func:`_pair_generators` of the bases'
+    dimension.  Adds each restart's iterations and accepted polish updates
+    to its entry of ``counts``.
     """
+    finals = [(value, u, None) for value, u in zip(values, us)]
+    rows = [r for r, value in enumerate(values) if value > stop_value]  # the restart of each row of the stacks
+    phases = ["polish"] * len(us)
+    us, values = us[rows], np.array(values)[rows]
     probs = _column_probs(rhos, us)
-    finals = list(zip(values, us))
-    rows = list(range(len(us)))  # the restart of each row of the active stacks
-    for _ in range(_POLISH_ITERS):
-        deltas = []
-        for r, u, p in zip(rows, us, probs):
-            counts[r].polish_iters += 1
-            r0, jac = _matched_residual(factors, p.argmin(axis=0), u, gens)
-            deltas.append(np.linalg.lstsq(jac, -r0, rcond=None)[0])
+    while rows:
+        newton = [i for i, r in enumerate(rows) if phases[r] == "newton"]
+        if newton:
+            # a view of the stacks, not a copy, when every row takes part
+            picked = slice(None) if len(newton) == len(rows) else newton
+            grads, hesses = _functional_derivatives(rhos, us[picked], gens, probs[picked])
+            w, v = np.linalg.eigh(hesses)
+            magnitude = np.abs(w)
+            solves = iter(zip(grads, v, magnitude, magnitude.max(axis=1).tolist()))
+        deltas = {}
+        for i, (r, u, p, value) in enumerate(zip(rows, us, probs, values)):
+            if phases[r] == "polish":
+                counts[r].polish_iters += 1
+                r0, jac = _matched_residual(factors, p.argmin(axis=0), u, gens)
+                deltas[i] = np.linalg.lstsq(jac, -r0, rcond=None)[0]
+                continue
+            counts[r].newton_iters += 1
+            grad, vr, mr, top = next(solves)
+            delta = -vr @ ((vr.T @ grad) / np.maximum(mr, _NEWTON_CURVATURE_FLOOR * max(top, value)))
+            if -float(grad @ delta) > _NEWTON_MIN_GAIN * value:
+                deltas[i] = delta
+        if not deltas:
+            break
+        stepping = list(deltas)
+        picked = slice(None) if len(stepping) == len(rows) else stepping
+        updates = dict(zip(stepping, _damped_update(rhos, us[picked], gens, list(deltas.values()), values[picked])))
         moved = []
-        for r, before, update in zip(rows, values, _damped_update(rhos, us, gens, deltas, values)):
-            if update is not None:
-                counts[r].polish_accepted += 1
-                finals[r] = update[2], update[0]
-                if not (update[2] < 1e-26 or update[2] > before / 4.0):
-                    moved.append((r, update))
+        for i, r in enumerate(rows):
+            phase, update, going_on = phases[r], updates.get(i), False
+            if update is None:
+                update = us[i], probs[i], values[i]
+            else:
+                finals[r] = update[2], update[0], phase
+                if phase == "polish":
+                    counts[r].polish_accepted += 1
+                    going_on = 1e-26 <= update[2] <= values[i] / 4.0 and counts[r].polish_iters < _POLISH_ITERS
+                else:
+                    going_on = update[2] > stop_value and counts[r].newton_iters < _POLISH_ITERS
+            if going_on or (phase == "polish" and update[2] > stop_value):
+                phases[r] = phase if going_on else "newton"
+                moved.append((r, update))
         if not moved:
             break
         rows, updates = zip(*moved)
@@ -710,8 +701,8 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
     with ``stop_at_success``, all of them without it.  A wave draws its
     Haar starts as one stack, each from its restart's own generator, and
     runs each restart's descent on its own; then the restarts still above
-    the stop value run the polish, and those still above it the Newton
-    finisher, each as one stack whose restarts leave on their own stop
+    the stop value run one finisher stack, :func:`_finish`, in which each
+    restart moves from the polish to Newton and leaves on its own stop
     rule.  Every restart's arithmetic is that of a stack of one, so its
     record, and the winner, do not depend on the wave.
     Failure to reach ``success_threshold`` is a result
@@ -731,10 +722,6 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
     factors = _state_factors(rhos)
     moves, gens = _search_tables(d)
     stop_value = cfg.success_threshold if cfg.stop_at_success else 0.0
-    finishers = (
-        ("polish", lambda us, values, counts: _gauss_newton_polish(rhos, factors, us, values, gens, counts)),
-        ("newton", lambda us, values, counts: _newton_finish(rhos, us, values, gens, stop_value, counts)),
-    )
     wave = 1 if cfg.stop_at_success else cfg.restarts
     bases: list[np.ndarray] = []
     history: list[RestartRecord] = []
@@ -743,23 +730,13 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
         counts = [_RestartCounts() for _ in restarts]
         starts = _haar_unitaries((np.random.default_rng([cfg.seed, restart]) for restart in restarts), d)
         descents = [_descend(rhos, factors, u, moves, stop_value, c) for u, c in zip(starts, counts)]
-        values, us, start_values = map(list, zip(*descents))
-        phases = ["descent" if value < start else "none" for value, start in zip(values, start_values)]
-        for phase, finish in finishers:
-            active = [i for i, value in enumerate(values) if value > stop_value]
-            if not active:
-                break
-            stack = np.array([us[i] for i in active])
-            for i, (value, u) in zip(active, finish(stack, [values[i] for i in active], [counts[i] for i in active])):
-                if value < values[i]:
-                    phases[i] = phase
-                values[i], us[i] = value, u
-        history += [
-            RestartRecord(restart=restart, start_value=start, final_value=value, phase=phase, **vars(restart_counts))
-            for restart, start, value, phase, restart_counts in zip(restarts, start_values, values, phases, counts)
-        ]
-        bases += us
-        if cfg.stop_at_success and values[-1] < cfg.success_threshold:
+        values, us, start_values = zip(*descents)
+        finals = _finish(rhos, factors, np.array(us), list(values), gens, stop_value, counts)
+        for restart, start, descended, (value, u, phase), restart_counts in zip(restarts, start_values, values, finals, counts):
+            phase = phase or ("descent" if descended < start else "none")
+            history.append(RestartRecord(restart=restart, start_value=start, final_value=value, phase=phase, **vars(restart_counts)))
+            bases.append(u)
+        if cfg.stop_at_success and history[-1].final_value < cfg.success_threshold:
             break
     floor = min(r.final_value for r in history)
     success = floor < cfg.success_threshold

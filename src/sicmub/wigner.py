@@ -121,4 +121,4 @@ def negativity(w) -> float:
     attained by the SIC states themselves.
     """
     vec = np.asarray(w, dtype=float).reshape(-1)
-    return float(-vec[vec < 0].sum())
+    return 0.0 - float(vec[vec < 0].sum())  # unlike -x, 0.0 - x gives +0.0 when nothing is negative

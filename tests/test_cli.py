@@ -219,6 +219,21 @@ class TestWigner:
         assert doc["results"]["negativity"] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert doc["residuals"]["phase_point_cross_check"] < 1e-10
 
+    def test_stabilizer_state_has_positive_zero_negativity(self, capsys, tmp_path):
+        state = write_states(tmp_path / "zero.json", 3, kets=[[1, 0, 0]])
+        code, out, _ = run_cli(capsys, "wigner", "--state", state, "--format", "json")
+        assert code == 0
+        assert math.copysign(1.0, json.loads(out)["results"]["negativity"]) == 1.0
+
+    def test_text_grid(self, capsys, tmp_path):
+        state = write_states(tmp_path / "zero.json", 3, kets=[[1, 0, 0]])
+        code, out, _ = run_cli(capsys, "wigner", "--state", state)
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("grid:")
+        assert lines[start + 1 : start + 4] == ["  +0.333333  +0.000000  +0.000000"] * 3
+        assert "negativity: 0" in lines
+
     def test_csv_grid(self, capsys, tmp_path):
         state = write_states(tmp_path / "mixed.json", 3, matrices=[np.eye(3) / 3.0])
         code, out, _ = run_cli(capsys, "wigner", "--state", state, "--format", "csv")
@@ -454,6 +469,7 @@ MALFORMED = [
     ("non-numeric-ket-entry", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets", 1, 0, 0), "abc")), {}),
     ("boolean-ket-entry", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets", 1, 0, 0), True)), {}),
     ("kets-not-an-array", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets",), 5)), {}),
+    ("ragged-kets", TRIPLE, json.dumps(replaced(CFS_DOC, ("kets", 1), CFS_DOC["kets"][1][:2])), {}),
     ("dim-not-an-integer", TRIPLE, json.dumps(replaced(CFS_DOC, ("dim",), "abc")), {}),
     ("purity-negative-dim", PURITY, json.dumps(replaced(PURE_PROBS_DOC, ("dim",), -3)), {}),
     ("purity-sum-off-tol", PURITY + ("--tol", "1e-10"), json.dumps(HEAVY_PROBS_DOC), {}),
@@ -464,6 +480,8 @@ MALFORMED = [
     ("env-tol-nan", HESSE, None, {"SICMUB_TOL": "nan"}),
     ("threshold-nan", SEARCH + ("--threshold", "nan"), None, {}),
     ("restarts-zero", SEARCH + ("--restarts", "0"), None, {}),
+    # the settings are checked before the missing state file is read
+    ("seed-negative", SEARCH_FILE + ("--seed", "-1"), None, {}),
     ("max-iters-zero", SEARCH + ("--max-iters", "0"), None, {}),
     ("restarts-not-an-integer", SEARCH + ("--restarts", "abc"), None, {}),
     ("tol-not-a-number", HESSE + ("--tol", "abc"), None, {}),
@@ -492,9 +510,16 @@ MALFORMED = [
 ]
 
 
+#: What the error line of some MALFORMED cases says, by case id.
+MALFORMED_ERRORS = {
+    "ragged-kets": "expected an array of shape (n, 3, 2)",
+    "seed-negative": "seed must be non-negative, got -1",
+}
+
+
 class TestMalformedInput:
-    @pytest.mark.parametrize("argv, text, env", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
-    def test_exits_two_with_error_line(self, capsys, monkeypatch, tmp_path, argv, text, env):
+    @pytest.mark.parametrize("case, argv, text, env", MALFORMED, ids=[case[0] for case in MALFORMED])
+    def test_exits_two_with_error_line(self, capsys, monkeypatch, tmp_path, case, argv, text, env):
         monkeypatch.delenv("SICMUB_TOL", raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -505,6 +530,7 @@ class TestMalformedInput:
         assert code == 2
         (line,) = err.splitlines()
         assert line.startswith("error:")
+        assert MALFORMED_ERRORS.get(case, "") in line
 
 
 #: (argv with "{file}" for the input path, input file text or None, the report's tolerances at --tol 1e-9)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -79,31 +80,39 @@ def compatible_triple(rng):
 
 def polish_runs(states, cfg):
     """The search's result and, per restart the polish ran on, the value it
-    starts from and the value after each accepted update."""
-    polish, update = compat._gauss_newton_polish, compat._damped_update
-    runs, active = [], []
+    starts from and the value after each accepted polish update."""
+    finish, update, residual = compat._finish, compat._damped_update, compat._matched_residual
+    runs, active, polishing = [], [], []
 
-    def recording_polish(rhos, factors, us, values, gens, counts):
-        active.extend([value] for value in values)
+    def recording_finish(rhos, factors, us, values, gens, stop_value, counts):
+        active.extend([value] for value in values if value > stop_value)
         runs.extend(active)
         try:
-            return polish(rhos, factors, us, values, gens, counts)
+            return finish(rhos, factors, us, values, gens, stop_value, counts)
         finally:
             active.clear()
+
+    def recording_residual(factors, match, u, gens):
+        polishing.append(u)
+        return residual(factors, match, u, gens)
 
     def recording_update(rhos, us, gens, deltas, values):
         updates = update(rhos, us, gens, deltas, values)
         if active:
-            # the polish updates the restarts still running, in order, each from its run's last value
+            # the update takes the rows in restart order, each from its run's last value;
+            # the polish rows are those whose residuals were taken in this iteration
             running = iter(active)
-            for value, accepted in zip(values, updates):
-                run = next(run for run in running if run[-1] == value)
-                if accepted is not None:
-                    run.append(accepted[2])
+            for u, value, accepted in zip(us, values, updates):
+                if any(np.array_equal(u, polished) for polished in polishing):
+                    run = next(run for run in running if run[-1] == value)
+                    if accepted is not None:
+                        run.append(accepted[2])
+            polishing.clear()
         return updates
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(compat, "_gauss_newton_polish", recording_polish)
+        mp.setattr(compat, "_finish", recording_finish)
+        mp.setattr(compat, "_matched_residual", recording_residual)
         mp.setattr(compat, "_damped_update", recording_update)
         result = witness_search(states, cfg)
     return result, runs
@@ -575,6 +584,11 @@ class TestWitnessSearch:
         with pytest.raises(ValueError, match="success_threshold"):
             WitnessSearchConfig(success_threshold=threshold)
 
+    @pytest.mark.parametrize("field, value", [("restarts", 0), ("seed", -1)])
+    def test_config_rejects_non_positive_restarts_and_negative_seeds(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            WitnessSearchConfig(**{field: value})
+
 
 class TestPairGenerators:
     def test_table_order_and_squares(self):
@@ -650,26 +664,28 @@ class TestPairGenerators:
                 assert update[2] == alone[2]
 
     @settings(deadline=None, max_examples=30)
-    @given(d=st.integers(2, 4), data=st.data(), seed=st.integers(0, 2**32 - 1))
-    def test_stacked_polish_is_each_restarts_own_polish(self, d, data, seed):
+    @given(
+        d=st.integers(2, 4), data=st.data(), seed=st.integers(0, 2**32 - 1), stop_value=st.sampled_from([0.0, 1e-10])
+    )
+    def test_stacked_finish_is_each_restarts_own_finish(self, d, data, seed, stop_value):
         ranks = data.draw(st.lists(st.integers(1, d), min_size=2, max_size=4))
         rng = np.random.default_rng(seed)
         rhos = random_mixtures(rng, ranks, d)
         factors = _state_factors(rhos)
         moves, gens = _search_tables(d)
-        # five descended bases, as the search hands them to the polish
+        # five descended bases, as the search hands them to the finisher
         values, bases, _ = zip(
-            *(_descend(rhos, factors, haar_unitary(rng, d), moves, 0.0, _RestartCounts()) for _ in range(5))
+            *(_descend(rhos, factors, haar_unitary(rng, d), moves, stop_value, _RestartCounts()) for _ in range(5))
         )
         us = np.array(bases)
         counts = [_RestartCounts() for _ in us]
-        stacked = compat._gauss_newton_polish(rhos, factors, us, list(values), gens, counts)
-        for r, (value, basis) in enumerate(stacked):
+        stacked = compat._finish(rhos, factors, us, list(values), gens, stop_value, counts)
+        for r, (value, basis, phase) in enumerate(stacked):
             alone_counts = _RestartCounts()
-            ((alone_value, alone_basis),) = compat._gauss_newton_polish(
-                rhos, factors, us[r : r + 1], [values[r]], gens, [alone_counts]
+            ((alone_value, alone_basis, alone_phase),) = compat._finish(
+                rhos, factors, us[r : r + 1], [values[r]], gens, stop_value, [alone_counts]
             )
-            assert value == alone_value and counts[r] == alone_counts
+            assert value == alone_value and phase == alone_phase and counts[r] == alone_counts
             np.testing.assert_array_equal(basis, alone_basis)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -801,12 +817,22 @@ class TestCriterionWitnessAgreement:
                 compatible.append((margin, triple))
         assert len(incompatible) >= 50 and len(compatible) >= 50
 
+        totals = dict.fromkeys(["cycles", "probes", "polish_iters", "polish_accepted", "newton_iters"], 0)
+        phases = Counter()
         for triple in incompatible:
             result = witness_search(
                 StateSet.from_kets(triple),
                 WitnessSearchConfig(restarts=64, seed=2024, success_threshold=1e-8),
             )
             assert result.value < 1e-8
+            for record in result.history:
+                phases[record.phase] += 1
+                for key in totals:
+                    totals[key] += getattr(record, key)
+        # the early-stop counts repeat exactly too, polish-to-Newton hand-overs under the threshold included
+        assert len(incompatible) == 91
+        assert totals == {"cycles": 1224, "probes": 7241, "polish_iters": 121, "polish_accepted": 115, "newton_iters": 110}
+        assert phases == {"descent": 45, "polish": 24, "newton": 22}
 
         for margin, triple in compatible:
             result = witness_search(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -199,6 +201,11 @@ class TestNegativity:
 
     def test_maximally_mixed_is_nonnegative(self, ops):
         assert negativity(wigner_of_density(np.eye(3) / 3.0, ops)) == 0.0
+
+    def test_stabilizer_state_has_positive_zero_negativity(self, sic):
+        w = wigner_from_sic_probabilities(sic_probabilities(projector(basis_ket(3, 0)), sic))
+        assert (w >= 0.0).all()
+        assert math.copysign(1.0, negativity(w)) == 1.0
 
     def test_entry_floor_and_cap_on_random_pure_states(self, sic):
         rng = np.random.default_rng(6022)
