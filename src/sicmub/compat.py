@@ -18,11 +18,12 @@ certifies zeros; it is abandoned after the first accepted update that
 cuts the value by less than 4x, where a positive floor makes it converge
 only linearly, and a damped Newton finisher closes positive floors.
 Both finishers halve a rejected step with one eigendecomposition of its
-generator.  Without early stop the Haar starts run all restarts as one
-stack, and so does the finisher: one stack, through which each restart
-moves from the polish to Newton on its own.  The arithmetic is per
-restart, so each restart's record and the winner are those of restarts
-run one by one.
+generator.  Each Haar start is drawn once per seed, restart and
+dimension and shared by every search that asks for it.  Without early
+stop the finisher runs all restarts as one stack, through which each
+restart moves from the polish to Newton on its own.  The arithmetic is
+per restart, so each restart's record and the winner are those of
+restarts run one by one.
 
 The ternary criterion implemented here uses the non-strict inequality
 ``(x1 + x2 + x3 - 1)**2 >= 4 x1 x2 x3``: equality (saturation) counts
@@ -34,7 +35,7 @@ misclassified as compatible.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -230,10 +231,12 @@ class WitnessSearchConfig:
     its start basis from the generator seeded ``[seed, r]``.  A restart
     whose functional ends below ``success_threshold`` certifies
     incompatibility.  With ``stop_at_success`` the restart loop exits on
-    the first success, and each phase of a restart runs only while the
-    value is above the threshold; without it every restart runs its whole
-    pipeline.  :func:`witness_search` describes the pipeline and how the
-    winner is picked.
+    the first success, a restart's descent and Newton stop at the
+    threshold, and the polish starts only on a restart still above it; a
+    polish once started runs on to 1e-26 or its other stop rules, whatever
+    the threshold.  Without it every restart runs its whole pipeline.
+    :func:`witness_search` describes the pipeline and how the winner is
+    picked.
     """
 
     restarts: int = 32
@@ -434,11 +437,16 @@ def _generator_exp(gens: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
+#: The subscripts of :func:`_column_probs` for one basis and for a stack of
+#: them, spelled out so that einsum has no ellipsis to resolve on each call.
+_COLUMN_PROBS_SUBSCRIPTS = {2: "nde,dm,em->nm", 3: "nde,rdm,rem->rnm"}
+
+
 def _column_probs(rhos: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``<u_m| rho_n |u_m>`` per state n and column m, for a basis ``u`` or a
     stack of bases (leading axis r); the PP functional of one basis is
     ``.prod(axis=0).sum()``."""
-    return np.einsum("nde,...dm,...em->...nm", rhos, u.conj(), u).real
+    return np.einsum(_COLUMN_PROBS_SUBSCRIPTS[u.ndim], rhos, u.conj(), u).real
 
 
 def _haar_unitaries(rngs: Iterable[np.random.Generator], d: int) -> np.ndarray:
@@ -451,6 +459,15 @@ def _haar_unitaries(rngs: Iterable[np.random.Generator], d: int) -> np.ndarray:
     q, r = np.linalg.qr(np.array(draws))
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (phases / np.abs(phases)).conj()[:, None, :]
+
+
+@lru_cache(maxsize=1024)
+def _haar_start(seed: int, restart: int, d: int) -> np.ndarray:
+    """The start basis of ``restart`` in a search seeded ``seed`` in dimension
+    ``d``: :func:`_haar_unitaries` of the generator seeded ``[seed, restart]``.
+    It depends on nothing else, so it is drawn once and shared, read-only,
+    by every search that asks for it."""
+    return frozen_array(_haar_unitaries([np.random.default_rng([seed, restart])], d)[0])
 
 
 def _descend(
@@ -593,7 +610,7 @@ def _damped_update(rhos: np.ndarray, us: np.ndarray, gens: np.ndarray, deltas: l
 def _finish(
     rhos: np.ndarray,
     factors: list[np.ndarray],
-    us: np.ndarray,
+    us: Sequence[np.ndarray],
     values: list[float],
     gens: np.ndarray,
     stop_value: float,
@@ -634,8 +651,10 @@ def _finish(
     """
     finals = [(value, u, None) for value, u in zip(values, us)]
     rows = [r for r, value in enumerate(values) if value > stop_value]  # the restart of each row of the stacks
+    if not rows:
+        return finals
     phases = ["polish"] * len(us)
-    us, values = us[rows], np.array(values)[rows]
+    us, values = np.array([us[r] for r in rows]), np.array(values)[rows]
     probs = _column_probs(rhos, us)
     while rows:
         newton = [i for i, r in enumerate(rows) if phases[r] == "newton"]
@@ -696,10 +715,11 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
     orthogonality residuals (which certifies zeros, even on the
     quartic-flat landscapes of exactly saturated triples) and a damped
     Newton finisher on the functional (which closes positive floors).
-    The generator table they all move along is built once per dimension
-    and shared by every search of it.  Restarts run in waves: one restart
-    with ``stop_at_success``, all of them without it.  A wave draws its
-    Haar starts as one stack, each from its restart's own generator, and
+    The generator table they all move along is built once per dimension,
+    and restart ``r``'s Haar start once per seed, ``r`` and dimension;
+    both are read-only and shared by every search that uses them.  Restarts
+    run in waves: one restart with ``stop_at_success``, all of them
+    without it.  A wave takes each restart's start from that table and
     runs each restart's descent on its own; then the restarts still above
     the stop value run one finisher stack, :func:`_finish`, in which each
     restart moves from the polish to Newton and leaves on its own stop
@@ -728,10 +748,10 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
     for first in range(0, cfg.restarts, wave):
         restarts = range(first, min(first + wave, cfg.restarts))
         counts = [_RestartCounts() for _ in restarts]
-        starts = _haar_unitaries((np.random.default_rng([cfg.seed, restart]) for restart in restarts), d)
+        starts = [_haar_start(cfg.seed, restart, d) for restart in restarts]
         descents = [_descend(rhos, factors, u, moves, stop_value, c) for u, c in zip(starts, counts)]
         values, us, start_values = zip(*descents)
-        finals = _finish(rhos, factors, np.array(us), list(values), gens, stop_value, counts)
+        finals = _finish(rhos, factors, us, list(values), gens, stop_value, counts)
         for restart, start, descended, (value, u, phase), restart_counts in zip(restarts, start_values, values, finals, counts):
             phase = phase or ("descent" if descended < start else "none")
             history.append(RestartRecord(restart=restart, start_value=start, final_value=value, phase=phase, **vars(restart_counts)))

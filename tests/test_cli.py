@@ -482,7 +482,7 @@ MALFORMED = [
     ("restarts-zero", SEARCH + ("--restarts", "0"), None, {}),
     # the settings are checked before the missing state file is read
     ("seed-negative", SEARCH_FILE + ("--seed", "-1"), None, {}),
-    ("max-iters-zero", SEARCH + ("--max-iters", "0"), None, {}),
+    ("threshold-zero", SEARCH + ("--threshold", "0"), None, {}),
     ("restarts-not-an-integer", SEARCH + ("--restarts", "abc"), None, {}),
     ("tol-not-a-number", HESSE + ("--tol", "abc"), None, {}),
     ("graph-format-csv", ("graph", "--format", "csv"), None, {}),
@@ -514,6 +514,7 @@ MALFORMED = [
 MALFORMED_ERRORS = {
     "ragged-kets": "expected an array of shape (n, 3, 2)",
     "seed-negative": "seed must be non-negative, got -1",
+    "threshold-zero": "error: success_threshold must be finite and positive, got 0.0",
 }
 
 

@@ -696,6 +696,40 @@ class TestPairGenerators:
             np.testing.assert_array_equal(stacked, np.array(alone))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_cached_start_is_the_generators_own_draw(self, d):
+        for seed in (0, 7, 2024):
+            for r in range(4):
+                start = compat._haar_start(seed, r, d)
+                assert start.tobytes() == haar_unitary(np.random.default_rng([seed, r]), d).tobytes()
+
+    def test_cached_start_is_read_only(self):
+        start = compat._haar_start(2024, 0, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            start[0, 0] = 0.0
+
+    def test_a_search_gives_the_same_result_cold_and_warm(self):
+        searches = [
+            (cfs_example_states(), WitnessSearchConfig(restarts=4, seed=11)),
+            (
+                StateSet.from_kets(compatible_triple(np.random.default_rng(3))),
+                WitnessSearchConfig(restarts=8, seed=11, stop_at_success=False),
+            ),
+        ]
+        compat._haar_start.cache_clear()
+        cold = [witness_search(states, cfg) for states, cfg in searches]
+        for seed in range(5):
+            for d in (2, 3, 4):
+                for r in range(8):
+                    compat._haar_start(seed, r, d)
+        hits = compat._haar_start.cache_info().hits
+        warm = [witness_search(states, cfg) for states, cfg in searches]
+        # the early-stop search takes restart 0 from the cache, the other search all eight
+        assert compat._haar_start.cache_info().hits == hits + 1 + 8
+        for a, b in zip(cold, warm):
+            assert (a.history, a.value, a.best_restart) == (b.history, b.value, b.best_restart)
+            assert a.basis.tobytes() == b.basis.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stacked_factors_are_each_states_own_factors(self, d):
         rng = np.random.default_rng(50 + d)
         rhos = random_mixtures(rng, list(range(1, d + 1)) * 2, d)
