@@ -431,12 +431,6 @@ def _generator_eigh(gens: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np
     return np.linalg.eigh((delta @ gens.reshape(g, d * d)).reshape(delta.shape[:-1] + (d, d)))
 
 
-def _generator_exp(gens: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """``exp(i sum_g delta_g G_g)`` for a stack of Hermitian generators."""
-    w, v = _generator_eigh(gens, delta)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
 #: The subscripts of :func:`_column_probs` for one basis and for a stack of
 #: them, spelled out so that einsum has no ellipsis to resolve on each call.
 _COLUMN_PROBS_SUBSCRIPTS = {2: "nde,dm,em->nm", 3: "nde,rdm,rem->rnm"}
@@ -539,6 +533,18 @@ def _matched_residual(factors: list[np.ndarray], match: np.ndarray, u: np.ndarra
     return flat[0], flat[1:].T
 
 
+@lru_cache(maxsize=8)
+def _leave_out_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For ``n`` states, read-only index tables of the others: row ``a`` of the
+    first lists every state but ``a``, entry ``(a, b)`` of the second every
+    state but ``a`` and ``b``, each in increasing order (for ``a == b``, the
+    first ``n - 2`` of the first's row, masked by the third), and the third
+    is the mask ``a != b``."""
+    left1 = [[b for b in range(n) if b != a] for a in range(n)]
+    left2 = [[[c for c in row if c != b][: n - 2] for b in range(n)] for row in left1]
+    return frozen_array(left1, np.intp), frozen_array(left2, np.intp), frozen_array(~np.eye(n, dtype=bool), bool)
+
+
 def _functional_derivatives(rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, probs: np.ndarray):
     """Gradient and Hessian of the PP functional of ``u @ exp(i sum_g delta_g G_g)``
     in ``delta`` at 0; ``probs`` is :func:`_column_probs` of ``u``.  For a
@@ -549,19 +555,26 @@ def _functional_derivatives(rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, p
     so their first derivatives are the diagonal of ``B_g = -i[G_g, A_n]``
     and their second ones that of ``-i([G_g, B_h] + [G_h, B_g]) / 2``.  The
     diagonal of ``-i[G, B]`` is ``2 Im (G B)_mm`` for Hermitian ``G``, ``B``.
+    Each pair generator has one entry, 1 or ±i, in each of its rows j and k,
+    so row m of ``G_g A`` is that entry times one row of ``A``: the products
+    with the generators are row gathers, as exact as the sums they replace,
+    whose other terms are exact zeros.  The products of the other states'
+    probabilities are gathered the same way, from :func:`_leave_out_tables`.
     """
     a = np.einsum("...dm,nde,...ek->...nmk", u.conj(), rhos, u)
-    ga = np.einsum("gmk,...nkl->...ngml", gens, a)
+    gi, mi, ki = np.nonzero(gens)
+    coef = gens[gi, mi, ki]
+    ga = np.zeros(a.shape[:-2] + gens.shape, dtype=complex)
+    ga[..., gi, mi, :] = coef[:, None] * a[..., ki, :]
     b = -1j * (ga - ga.conj().swapaxes(-1, -2))
     first = np.einsum("...ngmm->...ngm", b).real
-    second = np.einsum("gmk,...nhkm->...nghm", gens, b).imag
-    second = second + second.swapaxes(-3, -2)
+    second = np.zeros(b.shape[:-2] + gens.shape[:2], dtype=complex)  # (..., n, g, h, m), filled as (..., n, h, g, m)
+    second.swapaxes(-3, -2)[..., gi, mi] = coef * b[..., ki, mi]
+    second = second.imag + second.imag.swapaxes(-3, -2)
     # products over the other states (one or two left out) of each column's probabilities
-    n = probs.shape[-2]
-    others = ~np.eye(n, dtype=bool)
-    rest1 = np.where(others[:, :, None], probs[..., None, :, :], 1.0).prod(axis=-2)
-    keep2 = others[:, None, :] & others[None, :, :] & others[:, :, None]
-    rest2 = np.where(keep2[..., None], probs[..., None, None, :, :], 1.0).prod(axis=-2) * others[..., None]
+    left1, left2, others = _leave_out_tables(probs.shape[-2])
+    rest1 = probs[..., left1, :].prod(axis=-2)
+    rest2 = probs[..., left2, :].prod(axis=-2) * others[..., None]
     grad = np.einsum("...ngm,...nm->...g", first, rest1)
     hess = np.einsum("...nghm,...nm->...gh", second, rest1)
     hess = hess + np.einsum("...agm,...bhm,...abm->...gh", first, first, rest2)
@@ -607,6 +620,21 @@ def _damped_update(rhos: np.ndarray, us: np.ndarray, gens: np.ndarray, deltas: l
     return updates
 
 
+def _newton_steps(grads: np.ndarray, hesses: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a stack of gradients, Hessians and functional ``values``, the
+    Newton step ``-H^-1 g`` with each Hessian eigenvalue replaced by its
+    magnitude and floored at ``_NEWTON_CURVATURE_FLOOR`` times the larger of
+    the largest magnitude and the value, and the decrease ``-g . step`` it
+    promises.  The solves are stacked, but each stacked product runs the
+    row's own matrix-vector or dot product, so every row's arithmetic is
+    that of a stack of one."""
+    w, v = np.linalg.eigh(hesses)
+    magnitude = np.abs(w)
+    scales = np.maximum(magnitude, _NEWTON_CURVATURE_FLOOR * np.maximum(magnitude.max(axis=1), values)[:, None])
+    steps = (-v @ ((v.swapaxes(-1, -2) @ grads[..., None])[..., 0] / scales)[..., None])[..., 0]
+    return steps, -(grads[:, None, :] @ steps[..., None])[:, 0, 0]
+
+
 def _finish(
     rhos: np.ndarray,
     factors: list[np.ndarray],
@@ -642,7 +670,8 @@ def _finish(
     or at ``_POLISH_ITERS`` iterations.
 
     Each iteration takes the polish rows' matching and least-squares steps
-    and the Newton rows' solves per restart, and one stacked
+    per restart, the Newton rows' solves as one stack, :func:`_newton_steps`,
+    whose arithmetic is still per row, and one stacked
     :func:`_damped_update` for every stepping row, so no phase can worsen
     the functional of a basis and no restart's arithmetic depends on the
     others.  ``gens`` stacks the :func:`_pair_generators` of the bases'
@@ -662,21 +691,19 @@ def _finish(
             # a view of the stacks, not a copy, when every row takes part
             picked = slice(None) if len(newton) == len(rows) else newton
             grads, hesses = _functional_derivatives(rhos, us[picked], gens, probs[picked])
-            w, v = np.linalg.eigh(hesses)
-            magnitude = np.abs(w)
-            solves = iter(zip(grads, v, magnitude, magnitude.max(axis=1).tolist()))
+            steps, gains = _newton_steps(grads, hesses, values[picked])
+            solves = zip(steps, (gains > _NEWTON_MIN_GAIN * values[picked]).tolist())
         deltas = {}
-        for i, (r, u, p, value) in enumerate(zip(rows, us, probs, values)):
+        for i, (r, u, p) in enumerate(zip(rows, us, probs)):
             if phases[r] == "polish":
                 counts[r].polish_iters += 1
                 r0, jac = _matched_residual(factors, p.argmin(axis=0), u, gens)
                 deltas[i] = np.linalg.lstsq(jac, -r0, rcond=None)[0]
                 continue
             counts[r].newton_iters += 1
-            grad, vr, mr, top = next(solves)
-            delta = -vr @ ((vr.T @ grad) / np.maximum(mr, _NEWTON_CURVATURE_FLOOR * max(top, value)))
-            if -float(grad @ delta) > _NEWTON_MIN_GAIN * value:
-                deltas[i] = delta
+            step, gaining = next(solves)
+            if gaining:
+                deltas[i] = step
         if not deltas:
             break
         stepping = list(deltas)

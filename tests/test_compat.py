@@ -33,9 +33,9 @@ from sicmub.compat import (
     _damped_update,
     _descend,
     _functional_derivatives,
-    _generator_exp,
     _haar_unitaries,
     _matched_residual,
+    _newton_steps,
     _pair_coefficients,
     _pair_generators,
     _pair_minimum,
@@ -66,6 +66,42 @@ def random_mixtures(rng, ranks, d=3):
         kets = np.array([random_ket(d, rng) for _ in range(rank)])
         rhos.append(np.einsum("r,ra,rb->ab", rng.dirichlet(np.ones(rank)), kets, kets.conj()))
     return np.array(rhos)
+
+
+def _generator_exp(gens, delta):
+    """``exp(i sum_g delta_g G_g)`` for a stack of Hermitian generators: the
+    reference exponential for the search's moves and updates."""
+    w, v = np.linalg.eigh(np.tensordot(delta, gens, axes=1))
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def functional_derivatives_reference(rhos, u, gens, probs):
+    """Gradient and Hessian of the PP functional as full einsum contractions with
+    the generators and masked products over the other states: the reference
+    for the gathers of ``_functional_derivatives``, which must match it bit for bit."""
+    a = np.einsum("...dm,nde,...ek->...nmk", u.conj(), rhos, u)
+    ga = np.einsum("gmk,...nkl->...ngml", gens, a)
+    b = -1j * (ga - ga.conj().swapaxes(-1, -2))
+    first = np.einsum("...ngmm->...ngm", b).real
+    second = np.einsum("gmk,...nhkm->...nghm", gens, b).imag
+    second = second + second.swapaxes(-3, -2)
+    n = probs.shape[-2]
+    others = ~np.eye(n, dtype=bool)
+    rest1 = np.where(others[:, :, None], probs[..., None, :, :], 1.0).prod(axis=-2)
+    keep2 = others[:, None, :] & others[None, :, :] & others[:, :, None]
+    rest2 = np.where(keep2[..., None], probs[..., None, None, :, :], 1.0).prod(axis=-2) * others[..., None]
+    grad = np.einsum("...ngm,...nm->...g", first, rest1)
+    hess = np.einsum("...nghm,...nm->...gh", second, rest1)
+    hess = hess + np.einsum("...agm,...bhm,...abm->...gh", first, first, rest2)
+    return grad, hess
+
+
+def newton_step_reference(grad, hess, value):
+    """One row's damped Newton step and the decrease it promises, solved on its own."""
+    w, v = np.linalg.eigh(hess)
+    magnitude = np.abs(w)
+    delta = -v @ ((v.T @ grad) / np.maximum(magnitude, compat._NEWTON_CURVATURE_FLOOR * max(magnitude.max(), value)))
+    return delta, -float(grad @ delta)
 
 
 def compatible_triple(rng):
@@ -807,6 +843,42 @@ class TestPairGenerators:
                     second = functional(step + other) - functional(step - other) - functional(other - step)
                     second += functional(-step - other)
                     assert hess[g, h] == pytest.approx(second / (4.0 * eps**2), abs=1e-6)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_derivatives_are_the_einsum_references_bit_for_bit(self, d, n):
+        rng = np.random.default_rng(10 * d + n)
+        gens = np.array([g for _, _, g in _pair_generators(d)])
+        # all pure, then mixed states of every rank 1..d, on one basis and on stacks of 1, 3 and 8
+        for ranks in [[1] * n] + [[1 + (a + shift) % d for a in range(n)] for shift in range(d)]:
+            rhos = random_mixtures(rng, ranks, d)
+            for u in [haar_unitary(rng, d)] + [np.array([haar_unitary(rng, d) for _ in range(r)]) for r in (1, 3, 8)]:
+                probs = _column_probs(rhos, u)
+                grad, hess = _functional_derivatives(rhos, u, gens, probs)
+                expected_grad, expected_hess = functional_derivatives_reference(rhos, u, gens, probs)
+                assert grad.tobytes() == expected_grad.tobytes() and grad.shape == expected_grad.shape
+                assert hess.tobytes() == expected_hess.tobytes() and hess.shape == expected_hess.shape
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stacked_newton_steps_are_each_rows_own_solve(self, d):
+        rng = np.random.default_rng(53 + d)
+        gens = np.array([g for _, _, g in _pair_generators(d)])
+        for n in (2, 3, 4, 5):
+            rhos = random_mixtures(rng, [1 + a % d for a in range(n)], d)
+            us = np.array([haar_unitary(rng, d) for _ in range(8)])
+            probs = _column_probs(rhos, us)
+            grads, hesses = _functional_derivatives(rhos, us, gens, probs)
+            values = probs.prod(axis=1).sum(axis=1)
+            # a row whose value outweighs every curvature, and a row whose gradient is too small to promise a gain
+            values[1] = 1e9
+            grads[2] *= 1e-12
+            for stack in (slice(None), slice(0, 1), slice(2, 5)):
+                steps, gains = _newton_steps(grads[stack], hesses[stack], values[stack])
+                expected = [newton_step_reference(*row) for row in zip(grads[stack], hesses[stack], values[stack])]
+                assert steps.tobytes() == np.array([step for step, _ in expected]).tobytes()
+                assert gains.tobytes() == np.array([gain for _, gain in expected]).tobytes()
+            # the last stack starts at the row of the tiny gradient, whose step promises too little
+            assert (gains > compat._NEWTON_MIN_GAIN * values[2:5]).tolist() == [False, True, True]
 
     def test_polish_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(31)

@@ -2,15 +2,26 @@
 
     python3 tools/compare_searches.py --parent PARENT/src --change src
 
-Runs the benchmark's seed-5 search-certify stream (cfs-example, the 84
-Hesse triples and 91 random incompatible triples: 176 searches) and its
-seed-5 search-exhaust pool (96 random compatible triples), each with its
-workload's config, once per tree in a fresh subprocess that imports
-``sicmub`` from that tree.  The streams are built by the workloads of
-``perfbench/search.py`` from ``perfbench/inputs.py``, so both trees get the
-same inputs.  Exits 0 when every search's ``RestartRecord``s,
-``best_restart``, ``success``, ``value`` and basis bytes match, 1 naming the
-first search that differs, and 2 when a tree cannot run the streams.
+Runs three streams, once per tree in a fresh subprocess that imports
+``sicmub`` from that tree:
+
+- the benchmark's seed-5 search-certify stream (cfs-example, the 84 Hesse
+  triples and 91 random incompatible triples: 176 searches) with its
+  workload's config;
+- its seed-5 search-exhaust pool (96 random compatible triples) with its
+  workload's config;
+- 36 seeded random state sets built here, three for each dimension 2-4
+  and count of 2-5 states, pure and mixed in turn (a mixed set's states
+  take ranks 1 to d), each searched under the certify, the exhaust and the
+  default ``WitnessSearchConfig``: 108 searches.  The benchmark streams
+  are qutrit triples only; this one reaches every dimension and state
+  count the search's tables are built for.
+
+The first two are built by the workloads of ``perfbench/search.py`` from
+``perfbench/inputs.py``, so both trees get the same inputs.  Exits 0 when
+every search's ``RestartRecord``s, ``best_restart``, ``success``, ``value``
+and basis bytes match, 1 naming the first search that differs, and 2 when
+a tree cannot run the streams.
 """
 
 from __future__ import annotations
@@ -32,8 +43,44 @@ def _exact(value):
     return value.hex() if isinstance(value, float) else value
 
 
+def random_sets(seed: int):
+    """``(label, dim, rhos)`` of 36 random state sets drawn from the generator
+    seeded ``seed``: three per dimension 2-4 and count of 2-5 states.  Set i
+    is pure when i is even; otherwise its state a is a Dirichlet mixture of
+    1 + (a + i) % d random kets."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    sets = []
+    for d in (2, 3, 4):
+        for n in (2, 3, 4, 5):
+            for _ in range(3):
+                i = len(sets)
+                ranks = [1] * n if i % 2 == 0 else [1 + (a + i) % d for a in range(n)]
+                rhos = []
+                for rank in ranks:
+                    kets = rng.standard_normal((rank, d)) + 1j * rng.standard_normal((rank, d))
+                    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+                    rhos.append(np.einsum("r,ra,rb->ab", rng.dirichlet(np.ones(rank)), kets, kets.conj()))
+                sets.append((f"set-{i} d={d} ranks={ranks}", d, np.array(rhos)))
+    return sets
+
+
+def _record(search: str, result) -> str:
+    return json.dumps(
+        {
+            "search": search,
+            "best_restart": result.best_restart,
+            "success": result.success,
+            "value": _exact(result.value),
+            "basis": result.basis.tobytes().hex(),
+            "history": [[_exact(v) for v in dataclasses.astuple(r)] for r in result.history],
+        }
+    )
+
+
 def dump(src: str) -> None:
-    """Print one JSON line per search of both streams, run with ``sicmub`` from ``src``."""
+    """Print one JSON line per search of the three streams, run with ``sicmub`` from ``src``."""
     sys.path[:0] = [str(Path(src).resolve()), str(PERFBENCH)]
     from types import SimpleNamespace
 
@@ -41,19 +88,16 @@ def dump(src: str) -> None:
     from search import SearchWorkload
 
     layers = SimpleNamespace(compat=sicmub.compat)
+    configs = {"default": sicmub.compat.WitnessSearchConfig()}
     for name in WORKLOADS:
         workload = SearchWorkload(name, SEED, layers)
+        configs[name.removeprefix("search-")] = workload.cfg
         for op in workload.ops:
-            result = workload.execute(op)
-            record = {
-                "search": f"{name} {op.label}",
-                "best_restart": result.best_restart,
-                "success": result.success,
-                "value": _exact(result.value),
-                "basis": result.basis.tobytes().hex(),
-                "history": [[_exact(v) for v in dataclasses.astuple(r)] for r in result.history],
-            }
-            print(json.dumps(record))
+            print(_record(f"{name} {op.label}", workload.execute(op)))
+    for label, dim, rhos in random_sets(SEED):
+        states = sicmub.compat.StateSet(dim=dim, rhos=rhos)
+        for config in ("certify", "exhaust", "default"):
+            print(_record(f"random-sets {config} {label}", sicmub.compat.witness_search(states, configs[config])))
 
 
 def searches(src: str) -> list[dict]:
