@@ -349,12 +349,22 @@ def _pair_generators(d: int) -> list[tuple[int, int, np.ndarray]]:
 
 
 @lru_cache(maxsize=8)
-def _search_tables(d: int) -> tuple[tuple[tuple[int, int, complex], ...], np.ndarray]:
-    """The descent's moves ``(j, k, i G[k, j])`` and the stack of generators
-    ``G`` of :func:`_pair_generators`, built once per dimension; the stack is
-    read-only, since every search of that dimension shares it."""
+def _search_tables(d: int) -> tuple[tuple[tuple[int, int, complex], ...], np.ndarray, tuple[np.ndarray, ...]]:
+    """The descent's moves ``(j, k, i G[k, j])``, the stack of generators ``G``
+    of :func:`_pair_generators` and its :func:`_generator_gather`, built once
+    per dimension; the arrays are read-only, since every search of that
+    dimension shares them."""
     table = _pair_generators(d)
-    return tuple((j, k, 1j * complex(g[k, j])) for j, k, g in table), frozen_array([g for _, _, g in table])
+    gens = frozen_array([g for _, _, g in table])
+    return tuple((j, k, 1j * complex(g[k, j])) for j, k, g in table), gens, _generator_gather(gens)
+
+
+def _generator_gather(gens: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Read-only ``(gi, mi, ki, coef)``: the index triple of every nonzero entry
+    of a stack of generators, in ``np.nonzero`` order, and the entry itself,
+    as :func:`_functional_derivatives` gathers them."""
+    gi, mi, ki = np.nonzero(gens)
+    return frozen_array(gi, np.intp), frozen_array(mi, np.intp), frozen_array(ki, np.intp), frozen_array(gens[gi, mi, ki])
 
 
 def _rotate_pair(x: list[complex], y: list[complex], c: complex, angle: float):
@@ -545,10 +555,13 @@ def _leave_out_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return frozen_array(left1, np.intp), frozen_array(left2, np.intp), frozen_array(~np.eye(n, dtype=bool), bool)
 
 
-def _functional_derivatives(rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, probs: np.ndarray):
+def _functional_derivatives(
+    rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, gather: tuple[np.ndarray, ...], probs: np.ndarray
+):
     """Gradient and Hessian of the PP functional of ``u @ exp(i sum_g delta_g G_g)``
-    in ``delta`` at 0; ``probs`` is :func:`_column_probs` of ``u``.  For a
-    stack of bases ``u`` (leading axis r) they are stacked the same way.
+    in ``delta`` at 0; ``gather`` is :func:`_generator_gather` of ``gens`` and
+    ``probs`` is :func:`_column_probs` of ``u``.  For a stack of bases ``u``
+    (leading axis r) they are stacked the same way.
 
     With ``A_n = u† rho_n u`` the probabilities are the diagonal of
     ``exp(-iX) A_n exp(iX)`` = ``A_n - i[X, A_n] - [X, [X, A_n]] / 2 + ...``,
@@ -562,8 +575,7 @@ def _functional_derivatives(rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, p
     probabilities are gathered the same way, from :func:`_leave_out_tables`.
     """
     a = np.einsum("...dm,nde,...ek->...nmk", u.conj(), rhos, u)
-    gi, mi, ki = np.nonzero(gens)
-    coef = gens[gi, mi, ki]
+    gi, mi, ki, coef = gather
     ga = np.zeros(a.shape[:-2] + gens.shape, dtype=complex)
     ga[..., gi, mi, :] = coef[:, None] * a[..., ki, :]
     b = -1j * (ga - ga.conj().swapaxes(-1, -2))
@@ -641,6 +653,7 @@ def _finish(
     us: Sequence[np.ndarray],
     values: list[float],
     gens: np.ndarray,
+    gather: tuple[np.ndarray, ...],
     stop_value: float,
     counts: list[_RestartCounts],
 ):
@@ -675,8 +688,9 @@ def _finish(
     :func:`_damped_update` for every stepping row, so no phase can worsen
     the functional of a basis and no restart's arithmetic depends on the
     others.  ``gens`` stacks the :func:`_pair_generators` of the bases'
-    dimension.  Adds each restart's iterations and accepted polish updates
-    to its entry of ``counts``.
+    dimension and ``gather`` is its :func:`_generator_gather`.  Adds each
+    restart's iterations and accepted polish updates to its entry of
+    ``counts``.
     """
     finals = [(value, u, None) for value, u in zip(values, us)]
     rows = [r for r, value in enumerate(values) if value > stop_value]  # the restart of each row of the stacks
@@ -690,7 +704,7 @@ def _finish(
         if newton:
             # a view of the stacks, not a copy, when every row takes part
             picked = slice(None) if len(newton) == len(rows) else newton
-            grads, hesses = _functional_derivatives(rhos, us[picked], gens, probs[picked])
+            grads, hesses = _functional_derivatives(rhos, us[picked], gens, gather, probs[picked])
             steps, gains = _newton_steps(grads, hesses, values[picked])
             solves = zip(steps, (gains > _NEWTON_MIN_GAIN * values[picked]).tolist())
         deltas = {}
@@ -767,7 +781,7 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
     d = states.dim
     rhos = np.asarray(states.rhos)
     factors = _state_factors(rhos)
-    moves, gens = _search_tables(d)
+    moves, gens, gather = _search_tables(d)
     stop_value = cfg.success_threshold if cfg.stop_at_success else 0.0
     wave = 1 if cfg.stop_at_success else cfg.restarts
     bases: list[np.ndarray] = []
@@ -778,7 +792,7 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
         starts = [_haar_start(cfg.seed, restart, d) for restart in restarts]
         descents = [_descend(rhos, factors, u, moves, stop_value, c) for u, c in zip(starts, counts)]
         values, us, start_values = zip(*descents)
-        finals = _finish(rhos, factors, us, list(values), gens, stop_value, counts)
+        finals = _finish(rhos, factors, us, list(values), gens, gather, stop_value, counts)
         for restart, start, descended, (value, u, phase), restart_counts in zip(restarts, start_values, values, finals, counts):
             phase = phase or ("descent" if descended < start else "none")
             history.append(RestartRecord(restart=restart, start_value=start, final_value=value, phase=phase, **vars(restart_counts)))

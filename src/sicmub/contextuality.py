@@ -57,7 +57,8 @@ class OrthoGraph:
         return len(self.labels)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n) if self.adjacency[i, j]]
+        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
+        return list(zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,13 @@ def hesse_mub_graph(tol: float = ORTHOGONALITY_TOL) -> OrthoGraph:
     return build_orthogonality_graph(states, labels, tol=tol)
 
 
-def _k_colorable(adjacency: np.ndarray, k: int) -> list[int] | None:
+def _k_colorable(neighbors: list[list[int]], degrees: list[int], k: int) -> list[int] | None:
     """Backtracking k-colorability with DSATUR-style vertex selection
-    and first-fresh-color symmetry pruning."""
-    n = adjacency.shape[0]
+    and first-fresh-color symmetry pruning, on a graph given by each
+    vertex's neighbour list and degree."""
+    n = len(neighbors)
     colors = [-1] * n
     neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    degrees = adjacency.sum(axis=1)
-    neighbors = [np.flatnonzero(adjacency[v]) for v in range(n)]
 
     def backtrack(num_used: int) -> bool:
         uncolored = [v for v in range(n) if colors[v] == -1]
@@ -157,8 +157,9 @@ def _check_proper(adjacency: np.ndarray, colors: list[int]) -> None:
 def chromatic_number(g: OrthoGraph) -> tuple[int, Coloring]:
     """Exact chromatic number with an optimal proper coloring.
 
-    Runs the backtracking k-colorability search for k = 1, 2, ... and
-    returns the first coloring found.  The search is exhaustive, so each
+    Runs the backtracking k-colorability search for k = 1, 2, ... on
+    neighbour lists and degrees built once, and returns the first
+    coloring found.  The search is exhaustive, so each
     failed k is a proof that the graph needs more colors, and the
     returned k is the chromatic number.  Graphs above 64 vertices are
     rejected, as the exhaustive search stops being practical there.
@@ -168,8 +169,10 @@ def chromatic_number(g: OrthoGraph) -> tuple[int, Coloring]:
     if g.n == 0:
         return 0, Coloring(assignment=())
     adjacency = np.asarray(g.adjacency)
+    neighbors = [np.flatnonzero(row).tolist() for row in adjacency]
+    degrees = adjacency.sum(axis=1).tolist()
     k = 1
-    while (colors := _k_colorable(adjacency, k)) is None:
+    while (colors := _k_colorable(neighbors, degrees, k)) is None:
         k += 1
     _check_proper(adjacency, colors)
     return k, Coloring(assignment=tuple(colors))

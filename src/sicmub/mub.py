@@ -19,6 +19,7 @@ as phase-dependent kets).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -46,14 +47,21 @@ _LINE_SET = frozenset(map(tuple, LINES.tolist()))
 POINT_LINES: np.ndarray = frozen_array(np.argsort(LINES, axis=None, kind="stable").reshape(9, 4) // 3, dtype=int)
 
 
+def three_zero_vectors(triples: np.ndarray) -> np.ndarray:
+    """One vector of length 9 per row of ``triples`` ``(n, 3)``: zero on the
+    row's three indices and 1/6 elsewhere."""
+    p = np.full((len(triples), 9), 1.0 / 6.0)
+    np.put_along_axis(p, triples, 0.0, axis=1)
+    return p
+
+
 def _line_states(lines: np.ndarray, s: SicSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Probability vectors and projectors of the MUB states of a stack of
     lines ``(n, 3)``: each vector is zero on its line and 1/6 elsewhere,
     and each reconstruction must be a rank-1 projector within ``tol``."""
     if s.dim != 3:
         raise ValueError("MUB construction is defined for the qutrit SIC")
-    p = np.full((len(lines), 9), 1.0 / 6.0)
-    np.put_along_axis(p, lines, 0.0, axis=1)
+    p = three_zero_vectors(lines)
     rho = reconstruct_from_probabilities(p, s)
     residuals = np.max(np.abs(rho @ rho - rho), axis=(1, 2))
     if residuals.max() > tol:
@@ -105,7 +113,7 @@ def verify_mub_set(m: MubSet, tol: float = DEFAULT_TOL) -> Check:
     p = np.asarray(m.projectors)
     n_striations, n_states = p.shape[:2]
     gram = np.einsum("siab,tjba->sitj", p, p).real.reshape(n_striations * n_states, -1)
-    same_basis = np.kron(np.eye(n_striations, dtype=bool), np.ones((n_states, n_states), dtype=bool))
+    same_basis = _same_basis_mask(n_striations, n_states)
     within = float(np.max(np.abs(gram - np.eye(len(gram)))[same_basis]))
     cross = float(np.max(np.abs(gram - 1.0 / 3.0)[~same_basis], initial=0.0))
     completeness = float(np.max(np.abs(p.sum(axis=1) - np.eye(p.shape[-1]))))
@@ -117,6 +125,13 @@ def verify_mub_set(m: MubSet, tol: float = DEFAULT_TOL) -> Check:
             "max_cross_basis_residual": cross,
         },
     )
+
+
+@lru_cache(maxsize=8)
+def _same_basis_mask(n_striations: int, n_states: int) -> np.ndarray:
+    """Read-only mask of the Gram entries whose two states share a basis."""
+    blocks = np.kron(np.eye(n_striations, dtype=bool), np.ones((n_states, n_states), dtype=bool))
+    return frozen_array(blocks, dtype=bool)
 
 
 def build_mub_set(s: SicSet, tol: float = DEFAULT_TOL) -> MubSet:
@@ -145,7 +160,7 @@ def _sic_mub_overlaps(m: MubSet, s: SicSet) -> np.ndarray:
     return np.einsum("iab,tkba->itk", np.asarray(s.projectors), np.asarray(m.projectors)).real
 
 
-def _witnessing(values: np.ndarray, tol: float) -> list[int]:
+def _witnessing(values: list[float], tol: float) -> list[int]:
     return [number for number, value in enumerate(values, start=1) if value <= tol]
 
 
@@ -160,11 +175,11 @@ def covering_witness(triple, m: MubSet, s: SicSet, tol: float = 1e-10) -> list[i
     key = tuple(int(i) for i in triple)
     if len(set(key)) != 3 or not all(0 <= i <= 8 for i in key):
         raise ValueError(f"need three distinct SIC indices in 0-8, got {triple}")
-    return _witnessing(_sic_mub_overlaps(m, s)[list(key)].prod(axis=0).sum(-1), tol)
+    return _witnessing(_sic_mub_overlaps(m, s)[list(key)].prod(axis=0).sum(-1).tolist(), tol)
 
 
 def covering_table(m: MubSet, s: SicSet, tol: float = 1e-10) -> list[tuple[Triple, list[int]]]:
     """Witnessing striations for all C(9,3) = 84 SIC triples."""
     triples = list(combinations(range(9), 3))
     values = _sic_mub_overlaps(m, s)[np.array(triples)].prod(axis=1).sum(-1)
-    return [(t, _witnessing(v, tol)) for t, v in zip(triples, values)]
+    return [(t, _witnessing(v, tol)) for t, v in zip(triples, values.tolist())]

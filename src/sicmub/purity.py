@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .mub import LINES
+from .mub import LINES, three_zero_vectors
 from .qmath import DEFAULT_TOL, frozen_array
 from .sicgen import SicSet
 
@@ -82,10 +82,20 @@ def quadratic_purity_check(p, tol: float = DEFAULT_TOL) -> PurityCheck:
 
 
 def _quadratic_check(vec: np.ndarray, tol: float) -> PurityCheck:
-    d = math.isqrt(vec.shape[0])
-    value = float(np.dot(vec, vec))
-    target = 2.0 / (d * (d + 1.0))
+    value = float(_quadratic_values(vec))
+    target = _quadratic_target(vec.shape[-1])
     return PurityCheck(passed=abs(value - target) <= tol, value=value, target=target)
+
+
+def _quadratic_values(vecs: np.ndarray) -> np.ndarray:
+    """``sum p**2`` along the trailing axis, one value per vector, each with
+    the bits of ``np.dot(p, p)``."""
+    return (vecs[..., None, :] @ vecs[..., None])[..., 0, 0]
+
+
+def _quadratic_target(n: int) -> float:
+    d = math.isqrt(n)
+    return 2.0 / (d * (d + 1.0))
 
 
 def qbic_check_general(p, table: TripleProductTable, tol: float = DEFAULT_TOL) -> PurityCheck:
@@ -115,10 +125,15 @@ def qbic_check_hesse(p, tol: float = DEFAULT_TOL) -> PurityCheck:
 def _qbic_hesse_check(vec: np.ndarray, tol: float) -> PurityCheck:
     if vec.shape[0] != 9:
         raise ValueError(f"the grid form applies to qutrits (9 outcomes), got {vec.shape[0]}")
-    # left-to-right, as the formula reads (numpy's pairwise sum would move the last bit)
-    line_sum = sum(vec[LINES].prod(axis=1).tolist())
-    value = float(np.sum(vec**3) - 3.0 * line_sum)
+    value = float(_qbic_hesse_values(vec))
     return PurityCheck(passed=abs(value) <= tol, value=value, target=0.0)
+
+
+def _qbic_hesse_values(vecs: np.ndarray) -> np.ndarray:
+    """The grid-form cubic of one vector ``(9,)`` or of each row of a stack ``(n, 9)``."""
+    # the line products summed left to right, as the formula reads (numpy's pairwise sum would move the last bit)
+    line_sum = np.add.accumulate(np.multiply.reduce(vecs.T[LINES], axis=1), axis=0)[-1]
+    return np.add.reduce(vecs**3, axis=-1) - 3.0 * line_sum
 
 
 @dataclass(frozen=True)
@@ -161,25 +176,24 @@ def distribution_indices(p, zero_tol: float = 1e-9) -> DistributionIndices:
 def enumerate_min_entropy_pure_states(tol: float = DEFAULT_TOL) -> list[tuple[tuple[int, int, int], np.ndarray]]:
     """Pure states of minimal Shannon entropy among three-zero vectors.
 
-    Scans all C(9,3) = 84 vectors with three zeros and 1/6 elsewhere,
-    keeping those passing both purity conditions at ``tol``.  Exactly the
-    12 Steiner lines survive; the survivors are returned with their zero
-    triples in lexicographic order.  The candidates sum to 1 only up to
-    rounding, so their sum is not held to ``tol``.
+    Tests all C(9,3) = 84 vectors with three zeros and 1/6 elsewhere as
+    one stack, keeping those passing both purity conditions at ``tol``
+    (each vector's values are those of the single-vector checks, bit for
+    bit).  Exactly the 12 Steiner lines survive; the survivors are
+    returned with their zero triples in lexicographic order.  The
+    candidates sum to 1 only up to rounding, so their sum is not held to
+    ``tol``.
     """
-    survivors = []
-    for triple in combinations(range(9), 3):
-        p = np.full(9, 1.0 / 6.0)
-        p[list(triple)] = 0.0
-        if _quadratic_check(p, tol).passed and _qbic_hesse_check(p, tol).passed:
-            survivors.append((triple, p))
-    return survivors
+    triples = np.array(list(combinations(range(9), 3)))
+    p = three_zero_vectors(triples)
+    keep = (abs(_quadratic_values(p) - _quadratic_target(9)) <= tol) & (abs(_qbic_hesse_values(p)) <= tol)
+    return [(tuple(triple), vec) for triple, vec in zip(triples[keep].tolist(), p[keep])]
 
 
 def _as_prob_vector(p, tol: float) -> np.ndarray:
     """``p`` as a flat float array; raises unless it sums to 1 within ``tol``."""
     vec = np.asarray(p, dtype=float).reshape(-1)
-    total = float(vec.sum())
+    total = float(np.add.reduce(vec))
     if abs(total - 1.0) > tol:
         raise ValueError(f"probability vector must sum to 1 within {tol!r}, got {total!r}")
     return vec

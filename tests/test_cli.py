@@ -16,6 +16,9 @@ import sicmub
 from sicmub import WitnessSearchConfig, build_mub_set, cfs_example_kets, hesse_kets, hesse_sic, is_sic, verify_mub_set
 from sicmub.cli import UsageError, _load_json, decode_array, encode_complex, main
 
+#: Golden reports, written by the CLI and compared byte for byte (JSON reports carry no wall time).
+GOLDEN = Path(__file__).parent / "data"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -301,6 +304,11 @@ class TestPurity:
 
 
 class TestMinEntropy:
+    def test_enumerate_report_matches_the_golden_file(self, capsys):
+        code, out, _ = run_cli(capsys, "min-entropy", "enumerate", "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / "min_entropy_enumerate.json").read_text()
+
     def test_enumerate_returns_twelve(self, capsys):
         code, out, _ = run_cli(capsys, "min-entropy", "enumerate", "--format", "json")
         assert code == 0
@@ -311,6 +319,11 @@ class TestMinEntropy:
 
 
 class TestGraph:
+    def test_chromatic_report_matches_the_golden_file(self, capsys):
+        code, out, _ = run_cli(capsys, "graph", "--builtin", "hesse-mub", "--chromatic", "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / "graph_hesse_mub_chromatic.json").read_text()
+
     def test_chromatic_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "graph", "--builtin", "hesse-mub", "--chromatic", "--format", "json")
         assert code == 0

@@ -33,6 +33,7 @@ from sicmub.compat import (
     _damped_update,
     _descend,
     _functional_derivatives,
+    _generator_gather,
     _haar_unitaries,
     _matched_residual,
     _newton_steps,
@@ -120,11 +121,11 @@ def polish_runs(states, cfg):
     finish, update, residual = compat._finish, compat._damped_update, compat._matched_residual
     runs, active, polishing = [], [], []
 
-    def recording_finish(rhos, factors, us, values, gens, stop_value, counts):
+    def recording_finish(rhos, factors, us, values, gens, gather, stop_value, counts):
         active.extend([value] for value in values if value > stop_value)
         runs.extend(active)
         try:
-            return finish(rhos, factors, us, values, gens, stop_value, counts)
+            return finish(rhos, factors, us, values, gens, gather, stop_value, counts)
         finally:
             active.clear()
 
@@ -518,7 +519,7 @@ class TestWitnessSearch:
             assert record.phase == "newton" and record.newton_iters > 0, record
         # the winner's gradient vanishes and its Hessian is positive definite: a strict local minimum
         u = np.asarray(result.basis).T
-        grad, hess = _functional_derivatives(rhos, u, gens, _column_probs(rhos, u))
+        grad, hess = _functional_derivatives(rhos, u, gens, _generator_gather(gens), _column_probs(rhos, u))
         assert np.linalg.norm(grad) < 1e-10 and np.linalg.eigvalsh(hess).min() > 1e-4
 
     def test_ties_at_a_flat_floor_go_to_the_lowest_restart(self):
@@ -578,7 +579,7 @@ class TestWitnessSearch:
         states = StateSet(dim=2, rhos=random_mixtures(rng, ranks, 2))
         cfg = WitnessSearchConfig(restarts=1, seed=3)
         rhos = np.asarray(states.rhos)
-        moves, _ = _search_tables(2)
+        moves, _, _ = _search_tables(2)
         start = _haar_unitaries([np.random.default_rng([cfg.seed, 0])], 2)[0]
         descent, _, _ = _descend(rhos, _state_factors(rhos), start, moves, cfg.success_threshold, _RestartCounts())
         (record,) = witness_search(states, cfg).history
@@ -708,18 +709,18 @@ class TestPairGenerators:
         rng = np.random.default_rng(seed)
         rhos = random_mixtures(rng, ranks, d)
         factors = _state_factors(rhos)
-        moves, gens = _search_tables(d)
+        moves, gens, gather = _search_tables(d)
         # five descended bases, as the search hands them to the finisher
         values, bases, _ = zip(
             *(_descend(rhos, factors, haar_unitary(rng, d), moves, stop_value, _RestartCounts()) for _ in range(5))
         )
         us = np.array(bases)
         counts = [_RestartCounts() for _ in us]
-        stacked = compat._finish(rhos, factors, us, list(values), gens, stop_value, counts)
+        stacked = compat._finish(rhos, factors, us, list(values), gens, gather, stop_value, counts)
         for r, (value, basis, phase) in enumerate(stacked):
             alone_counts = _RestartCounts()
             ((alone_value, alone_basis, alone_phase),) = compat._finish(
-                rhos, factors, us[r : r + 1], [values[r]], gens, stop_value, [alone_counts]
+                rhos, factors, us[r : r + 1], [values[r]], gens, gather, stop_value, [alone_counts]
             )
             assert value == alone_value and phase == alone_phase and counts[r] == alone_counts
             np.testing.assert_array_equal(basis, alone_basis)
@@ -742,6 +743,16 @@ class TestPairGenerators:
         start = compat._haar_start(2024, 0, 3)
         with pytest.raises(ValueError, match="read-only"):
             start[0, 0] = 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_cached_gather_is_the_generators_nonzero_entries(self, d):
+        _, gens, gather = _search_tables(d)
+        gi, mi, ki, coef = gather
+        assert [a.tolist() for a in (gi, mi, ki)] == [a.tolist() for a in np.nonzero(gens)]
+        assert coef.tobytes() == gens[gi, mi, ki].tobytes()
+        for table in gather:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
     def test_a_search_gives_the_same_result_cold_and_warm(self):
         searches = [
@@ -835,7 +846,7 @@ class TestPairGenerators:
             def functional(delta):
                 return _column_probs(rhos, u @ _generator_exp(gens, delta)).prod(axis=0).sum()
 
-            grad, hess = _functional_derivatives(rhos, u, gens, _column_probs(rhos, u))
+            grad, hess = _functional_derivatives(rhos, u, gens, _generator_gather(gens), _column_probs(rhos, u))
             np.testing.assert_allclose(hess, hess.T, atol=1e-15)
             for g, step in enumerate(steps):
                 assert grad[g] == pytest.approx((functional(step) - functional(-step)) / (2.0 * eps), abs=1e-8)
@@ -854,7 +865,7 @@ class TestPairGenerators:
             rhos = random_mixtures(rng, ranks, d)
             for u in [haar_unitary(rng, d)] + [np.array([haar_unitary(rng, d) for _ in range(r)]) for r in (1, 3, 8)]:
                 probs = _column_probs(rhos, u)
-                grad, hess = _functional_derivatives(rhos, u, gens, probs)
+                grad, hess = _functional_derivatives(rhos, u, gens, _generator_gather(gens), probs)
                 expected_grad, expected_hess = functional_derivatives_reference(rhos, u, gens, probs)
                 assert grad.tobytes() == expected_grad.tobytes() and grad.shape == expected_grad.shape
                 assert hess.tobytes() == expected_hess.tobytes() and hess.shape == expected_hess.shape
@@ -867,7 +878,7 @@ class TestPairGenerators:
             rhos = random_mixtures(rng, [1 + a % d for a in range(n)], d)
             us = np.array([haar_unitary(rng, d) for _ in range(8)])
             probs = _column_probs(rhos, us)
-            grads, hesses = _functional_derivatives(rhos, us, gens, probs)
+            grads, hesses = _functional_derivatives(rhos, us, gens, _generator_gather(gens), probs)
             values = probs.prod(axis=1).sum(axis=1)
             # a row whose value outweighs every curvature, and a row whose gradient is too small to promise a gain
             values[1] = 1e9

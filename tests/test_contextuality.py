@@ -113,6 +113,15 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="imaginary residual"):
             build_orthogonality_graph(np.array([a, b, c]), ["a", "b", "c"])
 
+    def test_edges_are_the_upper_triangle_in_row_major_order(self):
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 2, 7, 21):
+            graph = random_graph(rng, n, 0.4)
+            expected = [(i, j) for i in range(n) for j in range(i + 1, n) if graph.adjacency[i, j]]
+            edges = graph.edges()
+            assert edges == expected
+            assert all(type(i) is int and type(j) is int for i, j in edges)
+
     def test_tolerance_stability_of_builtin_edge_set(self):
         reference = set(hesse_mub_graph(tol=1e-9).edges())
         for tol in (1e-12, 1e-10, 1e-8, 1e-6):

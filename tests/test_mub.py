@@ -21,7 +21,7 @@ from sicmub import (
     trace_product,
     verify_mub_set,
 )
-from sicmub.mub import LINES, POINT_LINES
+from sicmub.mub import LINES, POINT_LINES, _same_basis_mask
 
 GOLDEN = Path(__file__).parent / "data" / "covering_table.json"
 
@@ -107,6 +107,14 @@ class TestBuildAndVerify:
         assert report.passed
         assert report.residuals["max_within_basis_residual"] < 1e-12
         assert report.residuals["max_cross_basis_residual"] < 1e-12
+
+    def test_same_basis_mask_is_shared_and_read_only(self):
+        mask = _same_basis_mask(4, 3)
+        assert mask is _same_basis_mask(4, 3)
+        rows, cols = np.indices((12, 12))
+        np.testing.assert_array_equal(mask, rows // 3 == cols // 3)
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = False
 
     def test_four_bases_of_three_states(self, mubs):
         assert np.asarray(mubs.projectors).shape == (4, 3, 3, 3)

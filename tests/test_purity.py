@@ -3,6 +3,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sicmub import (
     distribution_indices,
@@ -19,6 +22,10 @@ from sicmub import (
     triple_product_table,
 )
 from sicmub.mub import LINES
+from sicmub.purity import _qbic_hesse_check, _qbic_hesse_values, _quadratic_check, _quadratic_values
+
+#: Vectors of nine non-negative floats scaled to sum to 1.
+probability_vectors = arrays(float, 9, elements=st.floats(0.0, 1.0)).filter(lambda a: a.sum() > 0).map(lambda a: a / a.sum())
 
 
 def sic_state_distribution(k):
@@ -192,7 +199,26 @@ class TestDistributionIndices:
         assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
 
+def enumerate_reference(tol):
+    """The per-candidate loop: each three-zero vector built on its own and put
+    through the single-vector checks; the reference for the stacked enumeration."""
+    survivors = []
+    for triple in combinations(range(9), 3):
+        p = np.full(9, 1.0 / 6.0)
+        p[list(triple)] = 0.0
+        if _quadratic_check(p, tol).passed and _qbic_hesse_check(p, tol).passed:
+            survivors.append((triple, p))
+    return survivors
+
+
 class TestMinEntropyEnumeration:
+    @pytest.mark.parametrize("tol, count", [(1e-12, 12), (1e-9, 12), (1e-6, 12), (1e300, 84)])
+    def test_stacked_enumeration_is_the_per_candidate_loop(self, tol, count):
+        survivors, expected = enumerate_min_entropy_pure_states(tol), enumerate_reference(tol)
+        assert len(expected) == count
+        assert [t for t, _ in survivors] == [t for t, _ in expected]
+        assert [p.tobytes() for _, p in survivors] == [p.tobytes() for _, p in expected]
+
     def test_exactly_the_twelve_lines_survive(self):
         survivors = enumerate_min_entropy_pure_states()
         assert len(survivors) == 12
@@ -208,6 +234,27 @@ class TestMinEntropyEnumeration:
         for _, p in enumerate_min_entropy_pure_states():
             indices = distribution_indices(p)
             assert indices.zero_count <= indices.zero_bound + 1e-9
+
+
+class TestValueKernels:
+    """The purity values along a trailing axis: one formula for one vector and for a stack."""
+
+    @given(p=probability_vectors)
+    @example(p=np.full(9, -0.0))
+    def test_single_vector_values_keep_the_dot_and_left_to_right_bits(self, p):
+        # tol 2 admits the all -0.0 vector, whose line sum is -0.0 left to right but 0.0 from Python's sum
+        assert quadratic_purity_check(p, tol=2.0).value.hex() == float(np.dot(p, p)).hex()
+        line_sum = sum(p[LINES].prod(axis=1).tolist())
+        assert qbic_check_hesse(p, tol=2.0).value.hex() == float(np.sum(p**3) - 3.0 * line_sum).hex()
+
+    @given(vectors=st.lists(probability_vectors, min_size=1, max_size=90))
+    def test_a_stack_gives_each_rows_single_vector_value(self, vectors):
+        stack = np.array(vectors)
+        quadratic, hesse = _quadratic_values(stack), _qbic_hesse_values(stack)
+        assert quadratic.shape == hesse.shape == (len(vectors),)
+        for p, q, h in zip(stack, quadratic.tolist(), hesse.tolist()):
+            assert q.hex() == quadratic_purity_check(p).value.hex()
+            assert h.hex() == qbic_check_hesse(p).value.hex()
 
 
 class TestQbicEquivalence:
