@@ -35,7 +35,7 @@ misclassified as compatible.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -331,40 +331,29 @@ class WitnessSearchResult:
     history: tuple[RestartRecord, ...]
 
 
-def _pair_generators(d: int) -> list[tuple[int, int, np.ndarray]]:
-    """The pair-mixing generators ``(j, k, G)`` the search moves along.
+@lru_cache(maxsize=8)
+def _search_tables(d: int) -> tuple[tuple[tuple[int, int, complex], ...], np.ndarray, tuple[np.ndarray, ...]]:
+    """The pair-mixing generators ``G`` the search moves along, built once per
+    dimension: the descent's moves ``(j, k, i G[k, j])``, the stack of the ``G``
+    and its gather ``(gi, mi, ki, coef)``, the index triple of every nonzero
+    entry in ``np.nonzero`` order and the entry itself, each written with its
+    generator.  The arrays are read-only: every search of that dimension shares them.
 
     For each ``j < k``: the symmetric ``|j><k| + |k><j|``, then the
     antisymmetric ``i|k><j| - i|j><k|``.  ``G**2`` projects onto span{j, k},
     so ``u @ exp(i t G)`` changes only columns j, k, by :func:`_rotate_pair`.
     """
-    table = []
+    moves, gens, gather = [], [], []
     for j in range(d):
         for k in range(j + 1, d):
-            sym, anti = np.zeros((2, d, d), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0
-            anti[k, j], anti[j, k] = 1j, -1j
-            table += [(j, k, sym), (j, k, anti)]
-    return table
-
-
-@lru_cache(maxsize=8)
-def _search_tables(d: int) -> tuple[tuple[tuple[int, int, complex], ...], np.ndarray, tuple[np.ndarray, ...]]:
-    """The descent's moves ``(j, k, i G[k, j])``, the stack of generators ``G``
-    of :func:`_pair_generators` and its :func:`_generator_gather`, built once
-    per dimension; the arrays are read-only, since every search of that
-    dimension shares them."""
-    table = _pair_generators(d)
-    gens = frozen_array([g for _, _, g in table])
-    return tuple((j, k, 1j * complex(g[k, j])) for j, k, g in table), gens, _generator_gather(gens)
-
-
-def _generator_gather(gens: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Read-only ``(gi, mi, ki, coef)``: the index triple of every nonzero entry
-    of a stack of generators, in ``np.nonzero`` order, and the entry itself,
-    as :func:`_functional_derivatives` gathers them."""
-    gi, mi, ki = np.nonzero(gens)
-    return frozen_array(gi, np.intp), frozen_array(mi, np.intp), frozen_array(ki, np.intp), frozen_array(gens[gi, mi, ki])
+            for upper, lower in ((1.0, 1.0), (-1j, 1j)):
+                g = np.zeros((d, d), dtype=complex)
+                g[j, k], g[k, j] = upper, lower
+                moves.append((j, k, 1j * complex(lower)))
+                gather += [(len(gens), j, k, g[j, k]), (len(gens), k, j, g[k, j])]
+                gens.append(g)
+    gi, mi, ki, coef = zip(*gather)
+    return tuple(moves), frozen_array(gens), (*(frozen_array(a, np.intp) for a in (gi, mi, ki)), frozen_array(coef))
 
 
 def _rotate_pair(x: list[complex], y: list[complex], c: complex, angle: float):
@@ -433,45 +422,24 @@ def _pair_minimum(coeffs: list[tuple[float, float, float]]) -> tuple[float, tupl
     return angles[best], pairs[best], len(angles)
 
 
-def _generator_eigh(gens: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors ``(w, v)`` of ``sum_g delta_g G_g``, so that
-    ``exp(i s sum_g delta_g G_g) = v diag(exp(i s w)) v†`` for every ``s``;
-    for a stack of steps ``delta`` (leading axis r), one pair per step."""
-    g, d, _ = gens.shape
-    return np.linalg.eigh((delta @ gens.reshape(g, d * d)).reshape(delta.shape[:-1] + (d, d)))
-
-
-#: The subscripts of :func:`_column_probs` for one basis and for a stack of
-#: them, spelled out so that einsum has no ellipsis to resolve on each call.
-_COLUMN_PROBS_SUBSCRIPTS = {2: "nde,dm,em->nm", 3: "nde,rdm,rem->rnm"}
-
-
 def _column_probs(rhos: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``<u_m| rho_n |u_m>`` per state n and column m, for a basis ``u`` or a
     stack of bases (leading axis r); the PP functional of one basis is
     ``.prod(axis=0).sum()``."""
-    return np.einsum(_COLUMN_PROBS_SUBSCRIPTS[u.ndim], rhos, u.conj(), u).real
-
-
-def _haar_unitaries(rngs: Iterable[np.random.Generator], d: int) -> np.ndarray:
-    """One Haar-random basis per generator of ``rngs``, as a stack.  Each
-    generator in turn draws the real, then the imaginary part of its
-    Gaussian matrix (a lazy ``rngs`` lets each go once it has drawn); one QR
-    over the stack, with the phases of each R divided out, turns the draws
-    into unitaries."""
-    draws = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for rng in rngs]
-    q, r = np.linalg.qr(np.array(draws))
-    phases = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (phases / np.abs(phases)).conj()[:, None, :]
+    return np.einsum("nde,...dm,...em->...nm", rhos, u.conj(), u).real
 
 
 @lru_cache(maxsize=1024)
 def _haar_start(seed: int, restart: int, d: int) -> np.ndarray:
-    """The start basis of ``restart`` in a search seeded ``seed`` in dimension
-    ``d``: :func:`_haar_unitaries` of the generator seeded ``[seed, restart]``.
-    It depends on nothing else, so it is drawn once and shared, read-only,
-    by every search that asks for it."""
-    return frozen_array(_haar_unitaries([np.random.default_rng([seed, restart])], d)[0])
+    """The Haar-random start basis of ``restart`` in a search seeded ``seed`` in
+    dimension ``d``: the QR of a Gaussian matrix, real then imaginary part drawn
+    by the generator seeded ``[seed, restart]``, with the phases of R divided
+    out.  It depends on nothing else, so it is drawn once and shared,
+    read-only, by every search that asks for it."""
+    rng = np.random.default_rng([seed, restart])
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    phases = np.diagonal(r)
+    return frozen_array(q * (phases / np.abs(phases)).conj())
 
 
 def _descend(
@@ -559,9 +527,9 @@ def _functional_derivatives(
     rhos: np.ndarray, u: np.ndarray, gens: np.ndarray, gather: tuple[np.ndarray, ...], probs: np.ndarray
 ):
     """Gradient and Hessian of the PP functional of ``u @ exp(i sum_g delta_g G_g)``
-    in ``delta`` at 0; ``gather`` is :func:`_generator_gather` of ``gens`` and
-    ``probs`` is :func:`_column_probs` of ``u``.  For a stack of bases ``u``
-    (leading axis r) they are stacked the same way.
+    in ``delta`` at 0; ``gather`` lists the nonzero entries of ``gens``, as
+    :func:`_search_tables` builds them, and ``probs`` is :func:`_column_probs`
+    of ``u``.  For a stack of bases ``u`` (leading axis r) they are stacked alike.
 
     With ``A_n = u† rho_n u`` the probabilities are the diagonal of
     ``exp(-iX) A_n exp(iX)`` = ``A_n - i[X, A_n] - [X, [X, A_n]] / 2 + ...``,
@@ -610,7 +578,8 @@ def _damped_update(rhos: np.ndarray, us: np.ndarray, gens: np.ndarray, deltas: l
         norm = math.sqrt(delta.dot(delta))  # np.linalg.norm of a real vector, without its dispatch
         if norm > _POLISH_MAX_STEP:
             delta *= _POLISH_MAX_STEP / norm
-    w, v = _generator_eigh(gens, capped)
+    g, d, _ = gens.shape
+    w, v = np.linalg.eigh((capped @ gens.reshape(g, d * d)).reshape(-1, d, d))
     w, uv, vh = w[:, None, :], us @ v, v.conj().swapaxes(-1, -2)
     updates = [None] * len(us)
     pending = list(range(len(us)))
@@ -687,8 +656,8 @@ def _finish(
     whose arithmetic is still per row, and one stacked
     :func:`_damped_update` for every stepping row, so no phase can worsen
     the functional of a basis and no restart's arithmetic depends on the
-    others.  ``gens`` stacks the :func:`_pair_generators` of the bases'
-    dimension and ``gather`` is its :func:`_generator_gather`.  Adds each
+    others.  ``gens`` and ``gather`` are the generator stack and its gather
+    of :func:`_search_tables` for the bases' dimension.  Adds each
     restart's iterations and accepted polish updates to its entry of
     ``counts``.
     """

@@ -19,7 +19,6 @@ as phase-dependent kets).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -112,10 +111,10 @@ def verify_mub_set(m: MubSet, tol: float = DEFAULT_TOL) -> Check:
     """
     p = np.asarray(m.projectors)
     n_striations, n_states = p.shape[:2]
-    gram = np.einsum("siab,tjba->sitj", p, p).real.reshape(n_striations * n_states, -1)
-    same_basis = _same_basis_mask(n_striations, n_states)
-    within = float(np.max(np.abs(gram - np.eye(len(gram)))[same_basis]))
-    cross = float(np.max(np.abs(gram - 1.0 / 3.0)[~same_basis], initial=0.0))
+    gram = np.einsum("siab,tjba->sitj", p, p).real.swapaxes(1, 2)  # indexed (s, t, i, j)
+    same_basis = np.eye(n_striations, dtype=bool)
+    within = float(np.max(np.abs(gram[same_basis] - np.eye(n_states))))
+    cross = float(np.max(np.abs(gram[~same_basis] - 1.0 / 3.0), initial=0.0))
     completeness = float(np.max(np.abs(p.sum(axis=1) - np.eye(p.shape[-1]))))
     return Check(
         passed=within <= tol and completeness <= tol and cross <= tol,
@@ -125,13 +124,6 @@ def verify_mub_set(m: MubSet, tol: float = DEFAULT_TOL) -> Check:
             "max_cross_basis_residual": cross,
         },
     )
-
-
-@lru_cache(maxsize=8)
-def _same_basis_mask(n_striations: int, n_states: int) -> np.ndarray:
-    """Read-only mask of the Gram entries whose two states share a basis."""
-    blocks = np.kron(np.eye(n_striations, dtype=bool), np.ones((n_states, n_states), dtype=bool))
-    return frozen_array(blocks, dtype=bool)
 
 
 def build_mub_set(s: SicSet, tol: float = DEFAULT_TOL) -> MubSet:

@@ -155,11 +155,14 @@ class DistributionIndices:
 
 
 def distribution_indices(p, zero_tol: float = 1e-9) -> DistributionIndices:
-    """Effective number, Shannon entropy (nats), and zero count of ``p``
-    (which must sum to 1 within ``zero_tol``)."""
+    """Effective number, Shannon entropy (nats), and zero count of ``p``, which
+    must sum to 1 within ``zero_tol`` and whose squares must not sum to 0."""
     vec = _as_prob_vector(p, zero_tol)
     d_sq = vec.shape[0]
-    effective = 1.0 / float(np.dot(vec, vec))
+    weight = float(np.dot(vec, vec))
+    if weight == 0.0:
+        raise ValueError(f"probability vector has no weight: its squares sum to {weight!r}")
+    effective = 1.0 / weight
     positive = vec[vec > 0]
     entropy = 0.0 - float(np.sum(positive * np.log(positive)))  # unlike -x, 0.0 - x gives +0.0 for a point mass
     zeros = int(np.count_nonzero(vec < zero_tol))

@@ -172,6 +172,12 @@ class TestCompatSearch:
 
 
 class TestMubs:
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_report_matches_the_golden_file(self, capsys, command):
+        code, out, _ = run_cli(capsys, "mubs", command, "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / f"mubs_{command}.json").read_text()
+
     def test_build_reports_striations(self, capsys):
         code, out, _ = run_cli(capsys, "mubs", "build", "--format", "json")
         assert code == 0
@@ -464,6 +470,11 @@ PURE_PROBS_DOC = {"dim": 3, "probabilities": [0.0, 0.0, 0.0] + [1.0 / 6.0] * 6}
 NEGATIVE_PROBS_DOC = {"dim": 3, "probabilities": [-0.1, 0.1] + [1.0 / 7.0] * 7}
 #: A pure-state vector scaled to sum 1 + 5e-9: not a probability vector at the default tolerance.
 HEAVY_PROBS_DOC = {"dim": 3, "probabilities": [0.0, 0.0, 0.0] + [(1.0 + 5e-9) / 6.0] * 6}
+#: Vectors within a loose tol of sum 1 whose squares sum to 0: nine zeros, nine
+#: entries whose squares underflow, and nine negative zeros.
+ZERO_PROBS_DOC = {"dim": 3, "probabilities": [0.0] * 9}
+TINY_PROBS_DOC = {"dim": 3, "probabilities": [1e-170] * 9}
+NEGATIVE_ZERO_PROBS_DOC = {"dim": 3, "probabilities": [-0.0] * 9}
 TRIPLE = ("compat", "triple", "--states", "{file}")
 PURITY = ("purity", "--probs", "{file}")
 HESSE = ("verify-sic", "--builtin", "hesse")
@@ -486,6 +497,9 @@ MALFORMED = [
     ("dim-not-an-integer", TRIPLE, json.dumps(replaced(CFS_DOC, ("dim",), "abc")), {}),
     ("purity-negative-dim", PURITY, json.dumps(replaced(PURE_PROBS_DOC, ("dim",), -3)), {}),
     ("purity-sum-off-tol", PURITY + ("--tol", "1e-10"), json.dumps(HEAVY_PROBS_DOC), {}),
+    ("purity-all-zero", PURITY + ("--tol", "1"), json.dumps(ZERO_PROBS_DOC), {}),
+    ("purity-squares-underflow", PURITY + ("--tol", "1"), json.dumps(TINY_PROBS_DOC), {}),
+    ("purity-negative-zeros", PURITY + ("--tol", "2"), json.dumps(NEGATIVE_ZERO_PROBS_DOC), {}),
     ("missing-file", PURITY, None, {}),
     ("tol-nan", HESSE + ("--tol", "nan"), None, {}),
     ("tol-zero", HESSE + ("--tol", "0"), None, {}),
@@ -526,6 +540,9 @@ MALFORMED = [
 #: What the error line of some MALFORMED cases says, by case id.
 MALFORMED_ERRORS = {
     "ragged-kets": "expected an array of shape (n, 3, 2)",
+    "purity-all-zero": "error: probability vector has no weight: its squares sum to 0.0",
+    "purity-squares-underflow": "error: probability vector has no weight: its squares sum to 0.0",
+    "purity-negative-zeros": "error: probability vector has no weight: its squares sum to 0.0",
     "seed-negative": "seed must be non-negative, got -1",
     "threshold-zero": "error: success_threshold must be finite and positive, got 0.0",
 }

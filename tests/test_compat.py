@@ -33,12 +33,9 @@ from sicmub.compat import (
     _damped_update,
     _descend,
     _functional_derivatives,
-    _generator_gather,
-    _haar_unitaries,
     _matched_residual,
     _newton_steps,
     _pair_coefficients,
-    _pair_generators,
     _pair_minimum,
     _pair_products,
     _rotate_pair,
@@ -53,7 +50,7 @@ def computational_effects():
 
 def haar_unitary(rng, d):
     """A Haar-random basis drawn from one generator, with its own QR: the
-    reference for the search's stacked starts."""
+    reference for the search's starts."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r)
@@ -513,13 +510,13 @@ class TestWitnessSearch:
     def test_newton_ends_every_restart_at_a_minimum(self):
         states = StateSet.from_kets(compatible_triple(np.random.default_rng(8)))
         rhos = np.asarray(states.rhos)
-        gens = np.array([g for _, _, g in _pair_generators(3)])
+        _, gens, gather = _search_tables(3)
         result = witness_search(states, WitnessSearchConfig(restarts=4, seed=2024, stop_at_success=False))
         for record in result.history:
             assert record.phase == "newton" and record.newton_iters > 0, record
         # the winner's gradient vanishes and its Hessian is positive definite: a strict local minimum
         u = np.asarray(result.basis).T
-        grad, hess = _functional_derivatives(rhos, u, gens, _generator_gather(gens), _column_probs(rhos, u))
+        grad, hess = _functional_derivatives(rhos, u, gens, gather, _column_probs(rhos, u))
         assert np.linalg.norm(grad) < 1e-10 and np.linalg.eigvalsh(hess).min() > 1e-4
 
     def test_ties_at_a_flat_floor_go_to_the_lowest_restart(self):
@@ -580,7 +577,7 @@ class TestWitnessSearch:
         cfg = WitnessSearchConfig(restarts=1, seed=3)
         rhos = np.asarray(states.rhos)
         moves, _, _ = _search_tables(2)
-        start = _haar_unitaries([np.random.default_rng([cfg.seed, 0])], 2)[0]
+        start = haar_unitary(np.random.default_rng([cfg.seed, 0]), 2)
         descent, _, _ = _descend(rhos, _state_factors(rhos), start, moves, cfg.success_threshold, _RestartCounts())
         (record,) = witness_search(states, cfg).history
         assert (record.polish_iters, record.polish_accepted, record.newton_iters) == (1, 0, 1), record
@@ -628,20 +625,25 @@ class TestWitnessSearch:
 
 
 class TestPairGenerators:
-    def test_table_order_and_squares(self):
-        table = _pair_generators(3)
-        assert [(j, k) for j, k, _ in table] == [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2)]
-        for j, k, g in table:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_table_order_and_squares(self, d):
+        moves, gens, _ = _search_tables(d)
+        assert len(moves) == len(gens) == d * (d - 1)
+        assert [(j, k) for j, k, _ in moves] == [(j, k) for j in range(d) for k in range(j + 1, d) for _ in range(2)]
+        for (j, k, c), g in zip(moves, gens):
             np.testing.assert_array_equal(g, g.conj().T)
-            np.testing.assert_array_equal(g @ g, np.diag([1.0 if i in (j, k) else 0.0 for i in range(3)]))
+            np.testing.assert_array_equal(g @ g, np.diag([1.0 if i in (j, k) else 0.0 for i in range(d)]))
+            # each move's coefficient is written beside its generator, not read off it
+            assert c == 1j * g[k, j]
         # symmetric |j><k| + |k><j| first, then antisymmetric i|k><j| - i|j><k|
-        assert table[0][2][0, 1] == 1.0 and table[1][2][1, 0] == 1j and table[1][2][0, 1] == -1j
+        for sym, anti, (j, k, _) in zip(gens[::2], gens[1::2], moves[::2]):
+            assert sym[j, k] == sym[k, j] == 1.0 and anti[k, j] == 1j and anti[j, k] == -1j
 
     @settings(deadline=None)
     @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), angle=st.floats(-7.0, 7.0))
     def test_pair_update_is_the_generator_exponential(self, d, seed, angle):
         u = haar_unitary(np.random.default_rng(seed), d)
-        for j, k, g in _pair_generators(d):
+        for (j, k, _), g in zip(*_search_tables(d)[:2]):
             w, v = np.linalg.eigh(angle * g)
             expected = u @ (v * np.exp(1j * w)) @ v.conj().T
             moved = u.copy()
@@ -657,7 +659,7 @@ class TestPairGenerators:
         rng = np.random.default_rng(seed)
         rhos = random_mixtures(rng, [1, 2, d], d)
         u = haar_unitary(rng, d)
-        gens = np.array([g for _, _, g in _pair_generators(d)])
+        _, gens, _ = _search_tables(d)
         direction = rng.standard_normal(len(gens))
         delta = length * direction / np.linalg.norm(direction)
         capped = delta * min(1.0, _POLISH_MAX_STEP / length)
@@ -684,7 +686,7 @@ class TestPairGenerators:
     def test_stacked_update_is_each_restarts_own_update(self, d, seed):
         rng = np.random.default_rng(seed)
         rhos = random_mixtures(rng, [1, 2, d], d)
-        gens = np.array([g for _, _, g in _pair_generators(d)])
+        _, gens, _ = _search_tables(d)
         us = np.array([haar_unitary(rng, d) for _ in range(5)])
         deltas = [length * rng.standard_normal(len(gens)) for length in (0.05, 0.3, 1.0, 3.0, 0.7)]
         current = [float(_column_probs(rhos, u).prod(axis=0).sum()) for u in us]
@@ -726,13 +728,6 @@ class TestPairGenerators:
             np.testing.assert_array_equal(basis, alone_basis)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_stacked_haar_starts_are_each_generators_own_draw(self, d):
-        for seed in range(5):
-            stacked = _haar_unitaries((np.random.default_rng([seed, r]) for r in range(8)), d)
-            alone = [haar_unitary(np.random.default_rng([seed, r]), d) for r in range(8)]
-            np.testing.assert_array_equal(stacked, np.array(alone))
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_cached_start_is_the_generators_own_draw(self, d):
         for seed in (0, 7, 2024):
             for r in range(4):
@@ -744,7 +739,7 @@ class TestPairGenerators:
         with pytest.raises(ValueError, match="read-only"):
             start[0, 0] = 0.0
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_cached_gather_is_the_generators_nonzero_entries(self, d):
         _, gens, gather = _search_tables(d)
         gi, mi, ki, coef = gather
@@ -802,7 +797,7 @@ class TestPairGenerators:
         owners = [n for n, w in enumerate(factors) for _ in range(w.shape[1])]
         amps = (np.concatenate(factors, axis=1).conj().T @ u).T
         products = _column_probs(rhos, u).prod(axis=0)
-        for j, k, g in _pair_generators(3):
+        for (j, k, _), g in zip(*_search_tables(3)[:2]):
             coeffs = _pair_coefficients(amps[j].tolist(), amps[k].tolist(), 1j * g[k, j], owners, len(ranks))
             rest = products.sum() - products[j] - products[k]
             for angle in angles:
@@ -820,7 +815,7 @@ class TestPairGenerators:
         amps = (np.concatenate(factors, axis=1).conj().T @ u).T
         products = _column_probs(rhos, u).prod(axis=0)
         grid = np.linspace(-np.pi / 4.0, np.pi / 4.0, 2001)
-        for j, k, g in _pair_generators(3):
+        for (j, k, _), g in zip(*_search_tables(3)[:2]):
             coeffs = _pair_coefficients(amps[j].tolist(), amps[k].tolist(), 1j * g[k, j], owners, len(ranks))
             rest = products.sum() - products[j] - products[k]
             angle, pair, evaluations = _pair_minimum(coeffs)
@@ -835,7 +830,7 @@ class TestPairGenerators:
     @pytest.mark.parametrize("d", [3, 4])
     def test_newton_derivatives_match_central_differences(self, d):
         rng = np.random.default_rng(37 + d)
-        gens = np.array([g for _, _, g in _pair_generators(d)])
+        _, gens, gather = _search_tables(d)
         eps = 1e-4
         steps = np.eye(len(gens)) * eps
         for _ in range(4):
@@ -846,7 +841,7 @@ class TestPairGenerators:
             def functional(delta):
                 return _column_probs(rhos, u @ _generator_exp(gens, delta)).prod(axis=0).sum()
 
-            grad, hess = _functional_derivatives(rhos, u, gens, _generator_gather(gens), _column_probs(rhos, u))
+            grad, hess = _functional_derivatives(rhos, u, gens, gather, _column_probs(rhos, u))
             np.testing.assert_allclose(hess, hess.T, atol=1e-15)
             for g, step in enumerate(steps):
                 assert grad[g] == pytest.approx((functional(step) - functional(-step)) / (2.0 * eps), abs=1e-8)
@@ -859,13 +854,13 @@ class TestPairGenerators:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_derivatives_are_the_einsum_references_bit_for_bit(self, d, n):
         rng = np.random.default_rng(10 * d + n)
-        gens = np.array([g for _, _, g in _pair_generators(d)])
+        _, gens, gather = _search_tables(d)
         # all pure, then mixed states of every rank 1..d, on one basis and on stacks of 1, 3 and 8
         for ranks in [[1] * n] + [[1 + (a + shift) % d for a in range(n)] for shift in range(d)]:
             rhos = random_mixtures(rng, ranks, d)
             for u in [haar_unitary(rng, d)] + [np.array([haar_unitary(rng, d) for _ in range(r)]) for r in (1, 3, 8)]:
                 probs = _column_probs(rhos, u)
-                grad, hess = _functional_derivatives(rhos, u, gens, _generator_gather(gens), probs)
+                grad, hess = _functional_derivatives(rhos, u, gens, gather, probs)
                 expected_grad, expected_hess = functional_derivatives_reference(rhos, u, gens, probs)
                 assert grad.tobytes() == expected_grad.tobytes() and grad.shape == expected_grad.shape
                 assert hess.tobytes() == expected_hess.tobytes() and hess.shape == expected_hess.shape
@@ -873,12 +868,12 @@ class TestPairGenerators:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stacked_newton_steps_are_each_rows_own_solve(self, d):
         rng = np.random.default_rng(53 + d)
-        gens = np.array([g for _, _, g in _pair_generators(d)])
+        _, gens, gather = _search_tables(d)
         for n in (2, 3, 4, 5):
             rhos = random_mixtures(rng, [1 + a % d for a in range(n)], d)
             us = np.array([haar_unitary(rng, d) for _ in range(8)])
             probs = _column_probs(rhos, us)
-            grads, hesses = _functional_derivatives(rhos, us, gens, _generator_gather(gens), probs)
+            grads, hesses = _functional_derivatives(rhos, us, gens, gather, probs)
             values = probs.prod(axis=1).sum(axis=1)
             # a row whose value outweighs every curvature, and a row whose gradient is too small to promise a gain
             values[1] = 1e9
@@ -893,7 +888,7 @@ class TestPairGenerators:
 
     def test_polish_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(31)
-        gens = np.array([g for _, _, g in _pair_generators(3)])
+        _, gens, _ = _search_tables(3)
         eps = 1e-6
         for _ in range(10):
             kets = np.array([random_ket(3, rng) for _ in range(4)])

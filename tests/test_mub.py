@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sicmub import (
     MubSet,
@@ -21,9 +23,25 @@ from sicmub import (
     trace_product,
     verify_mub_set,
 )
-from sicmub.mub import LINES, POINT_LINES, _same_basis_mask
+from sicmub.mub import LINES, POINT_LINES
 
 GOLDEN = Path(__file__).parent / "data" / "covering_table.json"
+
+
+def verify_mub_set_reference(m, tol):
+    """``verify_mub_set`` in its masked form: the Gram matrix of every pair of
+    states as one flat matrix, read through a Kronecker mask of the
+    same-basis blocks.  Returns the verdict and the residuals."""
+    p = np.asarray(m.projectors)
+    n_striations, n_states = p.shape[:2]
+    gram = np.einsum("siab,tjba->sitj", p, p).real.reshape(n_striations * n_states, -1)
+    same_basis = np.kron(np.eye(n_striations, dtype=bool), np.ones((n_states, n_states), dtype=bool))
+    residuals = {
+        "max_within_basis_residual": float(np.max(np.abs(gram - np.eye(len(gram)))[same_basis])),
+        "max_completeness_residual": float(np.max(np.abs(p.sum(axis=1) - np.eye(p.shape[-1])))),
+        "max_cross_basis_residual": float(np.max(np.abs(gram - 1.0 / 3.0)[~same_basis], initial=0.0)),
+    }
+    return all(value <= tol for value in residuals.values()), residuals
 
 
 class TestSteinerSystem:
@@ -108,13 +126,27 @@ class TestBuildAndVerify:
         assert report.residuals["max_within_basis_residual"] < 1e-12
         assert report.residuals["max_cross_basis_residual"] < 1e-12
 
-    def test_same_basis_mask_is_shared_and_read_only(self):
-        mask = _same_basis_mask(4, 3)
-        assert mask is _same_basis_mask(4, 3)
-        rows, cols = np.indices((12, 12))
-        np.testing.assert_array_equal(mask, rows // 3 == cols // 3)
-        with pytest.raises(ValueError, match="read-only"):
-            mask[0, 0] = False
+    @settings(deadline=None)
+    @given(
+        n_striations=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.one_of(st.none(), st.floats(-16.0, -2.0)),
+        tol=st.sampled_from([1e-16, 1e-10, 1e-6, 1e-3]),
+    )
+    @example(n_striations=4, seed=0, scale=None, tol=1e-10)
+    def test_verify_is_the_masked_reference_bit_for_bit(self, mubs, n_striations, seed, scale, tol):
+        # the Hesse MUBs (scale None) or a random choice of their striations with every entry perturbed
+        rng = np.random.default_rng(seed)
+        picked = np.arange(n_striations) if scale is None else rng.permutation(4)[:n_striations]
+        proj = np.asarray(mubs.projectors)[picked]
+        if scale is not None:
+            proj = proj + 10.0**scale * (rng.standard_normal(proj.shape) + 1j * rng.standard_normal(proj.shape))
+        m = MubSet(projectors=proj, prob_vectors=np.asarray(mubs.prob_vectors)[picked])
+        report = verify_mub_set(m, tol=tol)
+        passed, residuals = verify_mub_set_reference(m, tol)
+        assert report.passed == passed
+        assert list(report.residuals) == list(residuals)
+        assert [v.hex() for v in report.residuals.values()] == [v.hex() for v in residuals.values()]
 
     def test_four_bases_of_three_states(self, mubs):
         assert np.asarray(mubs.projectors).shape == (4, 3, 3, 3)

@@ -198,6 +198,12 @@ class TestDistributionIndices:
         entropy = distribution_indices(np.eye(9)[0]).shannon_entropy_nats
         assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
+    @pytest.mark.parametrize("p, zero_tol", [(np.zeros(9), 1.0), (np.full(9, 1e-170), 1.0), (np.full(9, -0.0), 2.0)])
+    def test_no_weight_is_rejected(self, p, zero_tol):
+        # each sums to 1 within zero_tol, but its squares sum to 0 (1e-170 squared underflows)
+        with pytest.raises(ValueError, match="no weight"):
+            distribution_indices(p, zero_tol=zero_tol)
+
 
 def enumerate_reference(tol):
     """The per-candidate loop: each three-zero vector built on its own and put
