@@ -122,7 +122,7 @@ def _load_json(path: str) -> tuple[Any, bytes]:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw.decode("utf-8")), raw
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -202,7 +202,7 @@ class RunReport:
         if self.seed is not None:
             lines.append(f"seed: {self.seed}")
         for name, value in sorted(self.tolerances.items()):
-            lines.append(f"tolerance {name}: {value:g}")
+            lines.append(f"tolerance {name}: {value!r}")
         lines.extend(_text_lines("", self.results))
         for name, value in sorted(self.residuals.items()):
             lines.append(f"residual {name}: {value:.3e}")

@@ -86,7 +86,7 @@ def build_orthogonality_graph(states, labels, tol: float = ORTHOGONALITY_TOL) ->
     if arr.shape[0] != len(labels):
         raise ValueError(f"{arr.shape[0]} states but {len(labels)} labels")
     idem = np.max(np.abs(np.einsum("iab,ibc->iac", arr, arr) - arr))
-    if idem > 1e-8:
+    if idem > SEARCH_TOL:
         raise ValueError(f"states must be rank-1 projectors: idempotency residual {idem:.3e}")
     gram = np.einsum("iab,jba->ij", arr, arr)
     imag = np.max(np.abs(gram.imag))

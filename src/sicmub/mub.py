@@ -54,26 +54,26 @@ def three_zero_vectors(triples: np.ndarray) -> np.ndarray:
     return p
 
 
-def _line_states(lines: np.ndarray, s: SicSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _line_states(lines: np.ndarray, s: SicSet) -> tuple[np.ndarray, np.ndarray]:
     """Probability vectors and projectors of the MUB states of a stack of
     lines ``(n, 3)``: each vector is zero on its line and 1/6 elsewhere,
-    and each reconstruction must be a rank-1 projector within ``tol``."""
+    and each reconstruction must be a rank-1 projector within ``DEFAULT_TOL``."""
     if s.dim != 3:
         raise ValueError("MUB construction is defined for the qutrit SIC")
     p = three_zero_vectors(lines)
     rho = reconstruct_from_probabilities(p, s)
     residuals = np.max(np.abs(rho @ rho - rho), axis=(1, 2))
-    if residuals.max() > tol:
+    if residuals.max() > DEFAULT_TOL:
         worst = residuals.argmax()
         raise ValueError(f"reconstruction of {tuple(lines[worst].tolist())} is not a rank-1 projector: residual {residuals[worst]:.3e}")
     return p, rho
 
 
-def mub_from_triple(triple, s: SicSet, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def mub_from_triple(triple, s: SicSet) -> tuple[np.ndarray, np.ndarray]:
     """MUB state for a Steiner line: probability vector and projector.
 
     The vector is zero on the line's three indices and 1/6 elsewhere;
-    its reconstruction must come out a rank-1 projector within ``tol``
+    its reconstruction must come out a rank-1 projector within ``DEFAULT_TOL``
     (it does exactly for the lines of S(9), and for no other triples,
     which is why non-line triples are rejected up front).
     """
@@ -82,7 +82,7 @@ def mub_from_triple(triple, s: SicSet, tol: float = DEFAULT_TOL) -> tuple[np.nda
         raise ValueError(f"triple must consist of three distinct indices, got {triple}")
     if key not in _LINE_SET:
         raise ValueError(f"{key} is not a line of S(9); the uniform-1/6 vector would not be a state")
-    p, rho = _line_states(np.array([key]), s, tol)
+    p, rho = _line_states(np.array([key]), s)
     return p[0], rho[0]
 
 
@@ -126,21 +126,22 @@ def verify_mub_set(m: MubSet, tol: float = DEFAULT_TOL) -> Check:
     )
 
 
-def build_mub_set(s: SicSet, tol: float = DEFAULT_TOL) -> MubSet:
-    """Build all 12 MUB states from the Hesse SIC and validate them.
+def build_mub_set(s: SicSet) -> MubSet:
+    """Build all 12 MUB states from the Hesse SIC and validate them
+    within ``DEFAULT_TOL``.
 
     Raises ``ValueError`` with residuals if any validation fails,
     including the identification of striation 2 (columns) with the
     computational basis.
     """
-    prob_vectors, projectors = _line_states(LINES, s, tol)
+    prob_vectors, projectors = _line_states(LINES, s)
     mubs = MubSet(projectors=projectors.reshape(4, 3, 3, 3), prob_vectors=prob_vectors.reshape(4, 3, 9))
-    check = verify_mub_set(mubs, tol=tol)
+    check = verify_mub_set(mubs)
     if not check.passed:
         raise ValueError(f"MUB validation failed: {check.residuals}")
     computational = np.array([projector(basis_ket(3, j)) for j in range(3)])
     comp_residual = float(np.max(np.abs(mubs.projectors[1] - computational)))
-    if comp_residual > tol:
+    if comp_residual > DEFAULT_TOL:
         raise ValueError(f"striation 2 does not match the computational basis: residual {comp_residual:.3e}")
     return mubs
 
@@ -156,7 +157,7 @@ def _witnessing(values: list[float], tol: float) -> list[int]:
     return [number for number, value in enumerate(values, start=1) if value <= tol]
 
 
-def covering_witness(triple, m: MubSet, s: SicSet, tol: float = 1e-10) -> list[int]:
+def covering_witness(triple, m: MubSet, s: SicSet, tol: float = DEFAULT_TOL) -> list[int]:
     """Striations whose basis certifies PP incompatibility of a SIC triple.
 
     Returns every 1-based striation number for which the PP functional
@@ -170,7 +171,7 @@ def covering_witness(triple, m: MubSet, s: SicSet, tol: float = 1e-10) -> list[i
     return _witnessing(_sic_mub_overlaps(m, s)[list(key)].prod(axis=0).sum(-1).tolist(), tol)
 
 
-def covering_table(m: MubSet, s: SicSet, tol: float = 1e-10) -> list[tuple[Triple, list[int]]]:
+def covering_table(m: MubSet, s: SicSet, tol: float = DEFAULT_TOL) -> list[tuple[Triple, list[int]]]:
     """Witnessing striations for all C(9,3) = 84 SIC triples."""
     triples = list(combinations(range(9), 3))
     values = _sic_mub_overlaps(m, s)[np.array(triples)].prod(axis=1).sum(-1)

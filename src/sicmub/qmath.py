@@ -21,7 +21,8 @@ import numpy as np
 
 #: Tolerance used to validate exactly constructed objects.
 DEFAULT_TOL = 1e-10
-#: Tolerance used for quantities produced by numerical search.
+#: Tolerance used for quantities produced by numerical search, and for
+#: structure checks on inputs that carry rounding.
 SEARCH_TOL = 1e-8
 
 
@@ -41,18 +42,12 @@ def basis_ket(dim: int, j: int) -> np.ndarray:
     return v
 
 
-def _as_ket(v, *, tol: float = SEARCH_TOL) -> np.ndarray:
-    """Coerce to a 1-D complex array and require unit norm within ``tol``."""
-    vec = np.asarray(v, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"ket is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-    return vec
-
-
 def projector(psi) -> np.ndarray:
-    """Rank-1 projector ``|psi><psi|`` of a unit ket."""
-    vec = _as_ket(psi)
+    """Rank-1 projector ``|psi><psi|`` of a ket of unit norm within ``SEARCH_TOL``."""
+    vec = np.asarray(psi, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(vec)
+    if abs(norm - 1.0) > SEARCH_TOL:
+        raise ValueError(f"ket is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return np.outer(vec, vec.conj())
 
 
@@ -72,11 +67,11 @@ def _as_square(m, name: str = "operator") -> np.ndarray:
     return arr
 
 
-def trace_product(a, b, *, imag_tol: float = SEARCH_TOL) -> float:
+def trace_product(a, b) -> float:
     """Real Hilbert-Schmidt inner product ``Re tr(a b)``.
 
     For Hermitian inputs the trace is real up to rounding; an imaginary
-    part larger than ``imag_tol`` indicates non-Hermitian input and
+    part larger than ``SEARCH_TOL`` indicates non-Hermitian input and
     raises ``ValueError``.
     """
     am = _as_square(a)
@@ -84,7 +79,7 @@ def trace_product(a, b, *, imag_tol: float = SEARCH_TOL) -> float:
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape[0]} vs {bm.shape[0]}")
     t = complex(np.trace(am @ bm))
-    if abs(t.imag) > imag_tol:
+    if abs(t.imag) > SEARCH_TOL:
         raise ValueError(f"trace product has imaginary residual {abs(t.imag):.3e}")
     return float(t.real)
 

@@ -26,19 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DEFAULT_TOL, Check, frozen_array
-
-#: Default structural sanity tolerance applied when a SicSet is constructed.
-_STRUCTURE_TOL = 1e-8
+from .qmath import DEFAULT_TOL, SEARCH_TOL, Check, frozen_array
 
 
 class NotSicError(ValueError):
     """Raised when a candidate projector set violates the SIC overlap
     condition; carries the worst Gram residual in ``residual``."""
 
-    def __init__(self, residual: float, message: str | None = None):
+    def __init__(self, residual: float):
         self.residual = residual
-        super().__init__(message or f"projector set is not a SIC: max Gram residual {residual:.3e}")
+        super().__init__(f"projector set is not a SIC: max Gram residual {residual:.3e}")
 
 
 def wh_displacement(d: int, a: int, b: int) -> np.ndarray:
@@ -70,7 +67,7 @@ class SicSet:
 
     dim: int
     projectors: np.ndarray
-    tol: float = _STRUCTURE_TOL
+    tol: float = SEARCH_TOL
 
     def __post_init__(self):
         p = np.asarray(self.projectors, dtype=complex)
@@ -115,7 +112,7 @@ def generate_sic_orbit(fiducial, tol: float = DEFAULT_TOL) -> SicSet:
     fid = np.asarray(fiducial, dtype=complex).reshape(-1)
     d = fid.shape[0]
     norm = np.linalg.norm(fid)
-    if abs(norm - 1.0) > _STRUCTURE_TOL:
+    if abs(norm - 1.0) > SEARCH_TOL:
         raise ValueError(f"fiducial must be normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     kets = np.empty((d * d, d), dtype=complex)
     for b in range(d):
@@ -189,7 +186,7 @@ def reconstruct_from_probabilities(p, s: SicSet) -> np.ndarray:
         raise ValueError(f"expected {d * d} probabilities on the last axis, got shape {vec.shape}")
     sums = np.ravel(vec.sum(axis=-1))
     worst = int(np.argmax(np.abs(sums - 1.0)))
-    if abs(sums[worst] - 1.0) > 1e-8:
+    if abs(sums[worst] - 1.0) > SEARCH_TOL:
         raise ValueError(f"probabilities must sum to 1, got {float(sums[worst])!r}")
     coeffs = (d + 1.0) * vec - 1.0 / d
     return np.einsum("...i,iab->...ab", coeffs, s.projectors)

@@ -20,7 +20,7 @@ from operator import itemgetter
 import numpy as np
 
 from .mub import LINES, POINT_LINES, MubSet, Triple
-from .qmath import frozen_array
+from .qmath import DEFAULT_TOL, frozen_array
 
 #: Per-striation normalization tolerance for line-probability input.
 LINE_NORMALIZATION_TOL = 1e-9
@@ -43,12 +43,12 @@ class PhasePointOperators:
         object.__setattr__(self, "ops", frozen_array(arr))
 
 
-def phase_point_operators(m: MubSet, tol: float = 1e-10) -> PhasePointOperators:
+def phase_point_operators(m: MubSet) -> PhasePointOperators:
     """Build ``A_j = sum_{lines through j} P_line - I`` and verify.
 
     All three defining properties (unit trace, orthogonality
     ``tr A_j A_k = 3 delta_jk``, line averages equal the MUB projectors)
-    are checked within ``tol``; violations raise with the residuals.
+    are checked within ``DEFAULT_TOL``; violations raise with the residuals.
     """
     line_projectors = np.asarray(m.projectors).reshape(12, 3, 3)
     ops = line_projectors[POINT_LINES].sum(axis=1) - np.eye(3)
@@ -57,7 +57,7 @@ def phase_point_operators(m: MubSet, tol: float = 1e-10) -> PhasePointOperators:
     gram = np.einsum("jab,kba->jk", ops, ops).real
     gram_residual = float(np.max(np.abs(gram - 3.0 * np.eye(9))))
     line_residual = float(np.max(np.abs(ops[LINES].sum(axis=1) / 3.0 - line_projectors)))
-    if max(trace_residual, gram_residual, line_residual) > tol:
+    if max(trace_residual, gram_residual, line_residual) > DEFAULT_TOL:
         raise ValueError(
             "phase-point operator properties violated: residuals "
             f"trace={trace_residual:.3e}, orthogonality={gram_residual:.3e}, lines={line_residual:.3e}"
@@ -94,12 +94,13 @@ def line_marginals(w) -> dict[Triple, float]:
     return dict(zip(_LINE_KEYS, vec[LINES].sum(axis=1).tolist()))
 
 
-def wigner_from_line_probs(q: dict[Triple, float], tol: float = LINE_NORMALIZATION_TOL) -> np.ndarray:
+def wigner_from_line_probs(q: dict[Triple, float]) -> np.ndarray:
     """Recover the Wigner function from the 12 line probabilities.
 
     ``W(i) = (sum of q over the four lines through i - 1)/3``; exact
     inverse of :func:`line_marginals` on consistent input.  Each
-    striation's three probabilities must sum to 1 within ``tol``.
+    striation's three probabilities must sum to 1 within
+    ``LINE_NORMALIZATION_TOL``.
     """
     lookup = {tuple(sorted(line)): float(value) for line, value in q.items()}
     missing = sorted(set(_LINE_KEYS) - lookup.keys())
@@ -107,7 +108,7 @@ def wigner_from_line_probs(q: dict[Triple, float], tol: float = LINE_NORMALIZATI
         raise ValueError(f"need exactly the 12 lines of S(9); missing {missing}, got {sorted(lookup)}")
     vec = np.array(_line_values(lookup))
     totals = vec.reshape(4, 3).sum(axis=1)
-    bad = np.flatnonzero(np.abs(totals - 1.0) > tol)
+    bad = np.flatnonzero(np.abs(totals - 1.0) > LINE_NORMALIZATION_TOL)
     if bad.size:
         raise ValueError(f"striation {bad[0] + 1} probabilities sum to {float(totals[bad[0]])!r}, expected 1")
     return (vec[POINT_LINES].sum(axis=1) - 1.0) / 3.0

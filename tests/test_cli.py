@@ -377,6 +377,21 @@ class TestPlumbing:
         assert code == 0
         assert "wall time" in out
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("mubs", "verify", "--tol", "1.23456789e-10"), "tolerance tol: 1.23456789e-10"),
+            (("mubs", "verify"), "tolerance tol: 1e-10"),
+            (("compat", "search", "--states", "cfs-example", "--threshold", "2.5e-9"), "tolerance success_threshold: 2.5e-09"),
+        ],
+        ids=["nine-digits", "default", "threshold"],
+    )
+    def test_text_format_prints_each_tolerance_as_applied(self, capsys, monkeypatch, argv, line):
+        monkeypatch.delenv("SICMUB_TOL", raising=False)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert line in out.splitlines()
+
     def test_json_format_has_no_wall_time(self, capsys):
         _, out, _ = run_cli(capsys, "verify-sic", "--builtin", "hesse", "--format", "json")
         assert "wall_time" not in out
@@ -500,6 +515,8 @@ MALFORMED = [
     ("purity-all-zero", PURITY + ("--tol", "1"), json.dumps(ZERO_PROBS_DOC), {}),
     ("purity-squares-underflow", PURITY + ("--tol", "1"), json.dumps(TINY_PROBS_DOC), {}),
     ("purity-negative-zeros", PURITY + ("--tol", "2"), json.dumps(NEGATIVE_ZERO_PROBS_DOC), {}),
+    ("purity-deep-nesting", PURITY, "[" * 100_000, {}),
+    ("compat-triple-deep-nesting", TRIPLE, "[" * 100_000, {}),
     ("missing-file", PURITY, None, {}),
     ("tol-nan", HESSE + ("--tol", "nan"), None, {}),
     ("tol-zero", HESSE + ("--tol", "0"), None, {}),
@@ -543,6 +560,8 @@ MALFORMED_ERRORS = {
     "purity-all-zero": "error: probability vector has no weight: its squares sum to 0.0",
     "purity-squares-underflow": "error: probability vector has no weight: its squares sum to 0.0",
     "purity-negative-zeros": "error: probability vector has no weight: its squares sum to 0.0",
+    "purity-deep-nesting": "is not valid JSON: maximum recursion depth exceeded",
+    "compat-triple-deep-nesting": "is not valid JSON: maximum recursion depth exceeded",
     "seed-negative": "seed must be non-negative, got -1",
     "threshold-zero": "error: success_threshold must be finite and positive, got 0.0",
 }

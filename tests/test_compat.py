@@ -170,6 +170,11 @@ class TestStateSet:
         with pytest.raises(ValueError, match="finite, got NaN or infinity"):
             StateSet(dim=3, rhos=rhos)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (2, 3, 3, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"expected states of shape \(N, 3, 3\)"):
+            StateSet(dim=3, rhos=np.zeros(shape))
+
 
 class TestPpFunctional:
     def test_cfs_triple_vanishes_in_computational_basis(self):
@@ -184,10 +189,14 @@ class TestPpFunctional:
         states = StateSet(dim=3, rhos=np.array([rho, rho]))
         assert pp_functional(states, computational_effects()) == pytest.approx(1.0, abs=1e-14)
 
-    def test_dimension_mismatch(self):
-        states = cfs_example_states()
-        with pytest.raises(ValueError, match="mismatch"):
-            pp_functional(states, np.array([np.eye(2)]))
+    @pytest.mark.parametrize(
+        "effects, match",
+        [(np.array([np.eye(2)]), "mismatch"), (np.eye(3), r"measurement must have shape \(k, d, d\)")],
+        ids=["sizes", "not-a-stack"],
+    )
+    def test_dimension_mismatch(self, effects, match):
+        with pytest.raises(ValueError, match=match):
+            pp_functional(cfs_example_states(), effects)
 
     def test_invariant_under_permutations(self, kets):
         rng = np.random.default_rng(17)

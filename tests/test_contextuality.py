@@ -94,6 +94,11 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="labels"):
             build_orthogonality_graph(states, ["a", "b"])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 2)])
+    def test_states_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"states must have shape \(n, d, d\)"):
+            build_orthogonality_graph(np.zeros(shape), ["a", "b"])
+
     def test_gram_adjacency_matches_pairwise_trace_products(self):
         graph = hesse_mub_graph()
         sic = hesse_sic()
@@ -210,6 +215,10 @@ class TestOrthoGraphValidation:
         adjacency = np.eye(2, dtype=bool)
         with pytest.raises(ValueError, match="self-loops"):
             OrthoGraph(labels=("a", "b"), adjacency=adjacency)
+
+    def test_rejects_an_adjacency_that_does_not_match_the_labels(self):
+        with pytest.raises(ValueError, match=r"adjacency shape \(3, 3\) does not match 2 labels"):
+            OrthoGraph(labels=("a", "b"), adjacency=np.zeros((3, 3), dtype=bool))
 
     def test_rejects_asymmetry(self):
         adjacency = np.zeros((2, 2), dtype=bool)

@@ -15,6 +15,7 @@ from sicmub import (
     build_mub_set,
     covering_table,
     covering_witness,
+    generate_sic_orbit,
     mub_from_triple,
     pp_functional,
     projector,
@@ -190,6 +191,25 @@ class TestBuildAndVerify:
         qubit = SicSet(dim=2, projectors=(np.eye(2) + np.einsum("nk,kab->nab", bloch, paulis)) / 2.0)
         with pytest.raises(ValueError, match="qutrit"):
             build_mub_set(qubit)
+
+    def test_another_sic_of_the_hesse_family_is_rejected(self):
+        # (0, 1, -e^{i phi})/sqrt(2) is a SIC fiducial for every phi, but the
+        # line vectors reconstruct to rank-1 projectors only for the Hesse SIC
+        other = generate_sic_orbit(np.array([0.0, 1.0, -np.exp(1j * np.pi / 3.0)]) / np.sqrt(2.0))
+        with pytest.raises(ValueError, match=r"reconstruction of \(0, 1, 2\) is not a rank-1 projector"):
+            build_mub_set(other)
+
+    def test_computational_basis_is_checked_at_default_tol(self, sic):
+        # conjugating the SIC by exp(i eps H) keeps every MUB check but turns
+        # striation 2 away from the computational basis by about eps
+        def turned(eps):
+            w, v = np.linalg.eigh(eps * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1j], [0.0, -1j, 0.0]]))
+            u = (v * np.exp(1j * w)) @ v.conj().T
+            return SicSet(dim=3, projectors=u @ np.asarray(sic.projectors) @ u.conj().T)
+
+        with pytest.raises(ValueError, match="striation 2 does not match the computational basis: residual 1.000e-09"):
+            build_mub_set(turned(1e-9))
+        assert verify_mub_set(build_mub_set(turned(1e-12))).passed
 
     def test_matches_one_line_construction(self, sic, mubs):
         for row, line in enumerate(LINES.tolist()):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sicmub import (
+    TripleProductTable,
     distribution_indices,
     enumerate_min_entropy_pure_states,
     qbic_check_general,
@@ -85,6 +86,10 @@ class TestTripleProducts:
     def test_out_of_range_rejected(self, sic):
         with pytest.raises(IndexError):
             triple_product(sic, 0, 1, 9)
+
+    def test_table_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"expected table of shape \(9, 9, 9\), got \(9, 9\)"):
+            TripleProductTable(dim=3, values=np.zeros((9, 9)))
 
     def test_table_matches_pointwise_and_is_symmetric(self, sic):
         table = triple_product_table(sic)
@@ -170,9 +175,17 @@ class TestQbicChecks:
         assert not check.passed
         assert check.value == pytest.approx(-1.0 / 72.0, abs=1e-12)
 
-    def test_wrong_length_rejected(self, sic):
-        with pytest.raises(ValueError):
-            qbic_check_hesse(np.full(4, 0.25))
+    @pytest.mark.parametrize(
+        "check, match",
+        [
+            (lambda p, sic: qbic_check_hesse(p), "applies to qutrits"),
+            (lambda p, sic: qbic_check_general(p, triple_product_table(sic)), "probability vector has length 4, table expects 9"),
+        ],
+        ids=["hesse", "general"],
+    )
+    def test_wrong_length_rejected(self, sic, check, match):
+        with pytest.raises(ValueError, match=match):
+            check(np.full(4, 0.25), sic)
 
 
 class TestDistributionIndices:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sicmub import (
+    basis_ket,
     overlap_squared,
     projector,
     random_density_matrix,
@@ -28,14 +29,25 @@ class TestTraceProduct:
         p012, p345 = mubs.projectors[0, :2]
         assert trace_product(p012, p345) == pytest.approx(0.0, abs=1e-14)
 
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            trace_product(np.eye(3), np.eye(2))
+    @pytest.mark.parametrize(
+        "a, b, match",
+        [(np.eye(3), np.eye(2), "mismatch"), (np.ones((2, 3)), np.eye(3), "must be a square matrix")],
+        ids=["sizes", "not-square"],
+    )
+    def test_dimension_mismatch_raises(self, a, b, match):
+        with pytest.raises(ValueError, match=match):
+            trace_product(a, b)
 
     def test_large_imaginary_part_raises(self):
         m = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError, match="imaginary"):
             trace_product(m, np.array([[0, 0], [1j, 0]]))
+
+    def test_imaginary_part_is_checked_at_search_tol(self):
+        # SEARCH_TOL = 1e-8 bounds the imaginary part
+        with pytest.raises(ValueError, match="imaginary residual 2.000e-08"):
+            trace_product(np.diag([1.0, 0.0]), np.diag([1.0 + 2e-8j, 0.0]))
+        assert trace_product(np.diag([1.0, 0.0]), np.diag([1.0 + 5e-9j, 0.0])) == 1.0
 
 
 class TestValidation:
@@ -64,6 +76,11 @@ class TestValidation:
         partial = validate_orthonormal_basis(np.eye(3)[:2], tol=1e-10)
         assert not partial.passed
         assert partial.residuals["completeness_residual"] == 1.0
+
+    @pytest.mark.parametrize("kets", [np.ones(3), np.ones((2, 3, 3))], ids=["one-ket", "stack"])
+    def test_basis_of_the_wrong_rank_rejected(self, kets):
+        with pytest.raises(ValueError, match=r"basis must have shape \(k, d\)"):
+            validate_orthonormal_basis(kets)
 
     def test_completeness_residual_of_an_overcomplete_set_is_positive(self):
         # four kets in d = 3: one too many, so the residual is |3 - 4|
@@ -109,3 +126,12 @@ class TestKetHelpers:
     def test_projector_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             projector([1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_basis_index_out_of_range(self, j):
+        with pytest.raises(ValueError, match=f"basis index {j} out of range for dimension 3"):
+            basis_ket(3, j)
+
+    def test_overlap_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            overlap_squared(np.ones(3), np.ones(2))

@@ -58,6 +58,10 @@ class TestOrbit:
             generate_sic_orbit(np.array([1.0, 0.0, 0.0]))
         assert excinfo.value.residual > 0.1
 
+    def test_unnormalized_fiducial_rejected(self):
+        with pytest.raises(ValueError, match="fiducial must be normalized"):
+            generate_sic_orbit(hesse_kets()[0] * (1.0 + 2e-8))
+
     def test_identity_label_returns_fiducial_projector(self):
         fid = random_ket(3, np.random.default_rng(5))
         try:
@@ -156,6 +160,11 @@ class TestProbabilityRepresentation:
             sic_probabilities(excess, sic, tol=1e-10)
         np.testing.assert_allclose(sic_probabilities(excess, sic, tol=1e-9), np.full(9, 1.0 / 9.0), atol=1e-12)
 
+    def test_non_positive_operator_rejected(self, sic):
+        # unit trace, but the fiducial (0, 1, -1)/sqrt(2) gets probability -1/12
+        with pytest.raises(ValueError, match="negative SIC probability -8.333e-02"):
+            sic_probabilities(np.diag([1.5, 0.0, -0.5]), sic)
+
 
 class TestRepresentationProperties:
     def test_round_trip_on_random_states(self, sic):
@@ -180,6 +189,11 @@ class TestRepresentationProperties:
         stack[2, 1, 5] += 1e-6
         with pytest.raises(ValueError, match="sum to 1"):
             reconstruct_from_probabilities(stack, sic)
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 10)])
+    def test_wrong_length_rejected(self, sic, shape):
+        with pytest.raises(ValueError, match="expected 9 probabilities on the last axis"):
+            reconstruct_from_probabilities(np.full(shape, 1.0 / shape[-1]), sic)
 
     def test_affine_map_matches_trace_product(self, sic):
         rng = np.random.default_rng(321)

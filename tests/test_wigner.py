@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sicmub import (
+    MubSet,
+    PhasePointOperators,
     basis_ket,
     line_marginals,
     negativity,
@@ -66,8 +68,37 @@ class TestPhasePointOperators:
             average = arr[line].sum(axis=0) / 3.0
             np.testing.assert_allclose(average, line_projectors[row], atol=1e-12)
 
+    def test_properties_are_checked_at_default_tol(self, mubs):
+        # one projector moved by a Hermitian, traceless eps: the lines through
+        # its points then average off their projectors by eps / 3
+        def moved(eps):
+            proj = np.array(mubs.projectors)
+            proj[0, 0] += eps * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+            return MubSet(projectors=proj, prob_vectors=mubs.prob_vectors)
+
+        with pytest.raises(ValueError, match="lines=3.333e-10"):
+            phase_point_operators(moved(1e-9))
+        assert np.asarray(phase_point_operators(moved(1e-12)).ops).shape == (9, 3, 3)
+
+    def test_operator_stack_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"expected 9 operators of shape \(3, 3\), got \(8, 3, 3\)"):
+            PhasePointOperators(ops=np.zeros((8, 3, 3)))
+
 
 class TestWignerMaps:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda ops: wigner_of_density(np.eye(2) / 2.0, ops), "expected a 3x3 density matrix"),
+            (lambda ops: wigner_from_sic_probabilities(np.full(8, 1.0 / 8.0)), "expected 9 SIC probabilities, got 8"),
+            (lambda ops: line_marginals(np.zeros(10)), "expected 9 Wigner values, got 10"),
+        ],
+        ids=["wigner_of_density", "wigner_from_sic_probabilities", "line_marginals"],
+    )
+    def test_input_of_the_wrong_shape_rejected(self, ops, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(ops)
+
     def test_sic_state_wigner(self, sic, projectors, ops):
         w = wigner_of_density(projectors[0], ops)
         expected = np.full(9, 1.0 / 6.0)
@@ -184,6 +215,14 @@ class TestLineInversion:
         q[(0, 1, 2)] = 0.5
         with pytest.raises(ValueError, match="striation"):
             wigner_from_line_probs(q)
+
+    def test_striation_sums_are_checked_at_line_normalization_tol(self):
+        q = {tuple(line): 1.0 / 3.0 for line in LINES.tolist()}
+        q[(0, 1, 2)] += 2e-9
+        with pytest.raises(ValueError, match="striation 1 probabilities sum to 1.000000002"):
+            wigner_from_line_probs(q)
+        q[(0, 1, 2)] = 1.0 / 3.0 + 5e-10
+        assert wigner_from_line_probs(q).shape == (9,)
 
     def test_missing_line_rejected(self):
         q = {tuple(line): 1.0 / 3.0 for line in LINES.tolist()[:-1]}
