@@ -128,7 +128,9 @@ def _load_json(path: str) -> tuple[Any, bytes]:
 
 def load_state_file(path: str, tol: float) -> tuple[int, np.ndarray, bytes]:
     """Read a state-set file, kets of unit norm within ``tol``; returns
-    (dim, density matrices, raw bytes)."""
+    (dim, density matrices, raw bytes).  Every caller then judges each state
+    at ``tol``, and a ket's trace is its squared norm, so in effect a ket
+    needs ``|norm² - 1| <= tol``."""
     doc, raw = _load_json(path)
     if not isinstance(doc, dict) or "dim" not in doc:
         raise UsageError(f"{path}: expected an object with a 'dim' field")

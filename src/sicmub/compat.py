@@ -20,10 +20,10 @@ only linearly, and a damped Newton finisher closes positive floors.
 Both finishers halve a rejected step with one eigendecomposition of its
 generator.  Each Haar start is drawn once per seed, restart and
 dimension and shared by every search that asks for it.  Without early
-stop the finisher runs all restarts as one stack, through which each
-restart moves from the polish to Newton on its own.  The arithmetic is
-per restart, so each restart's record and the winner are those of
-restarts run one by one.
+stop the finisher runs all restarts as one stack, one phase at a time:
+the polish, then Newton on the restarts still above the stop value.  The
+arithmetic is per restart, so each restart's record and the winner are
+those of restarts run one by one.
 
 The ternary criterion implemented here uses the non-strict inequality
 ``(x1 + x2 + x3 - 1)**2 >= 4 x1 x2 x3``: equality (saturation) counts
@@ -630,7 +630,9 @@ def _finish(
     one stack; returns each restart's final (value, basis, phase), the phase
     that made its last accepted update, or None if none was accepted.
 
-    Every restart above ``stop_value`` starts in the Gauss-Newton polish.
+    The stack runs one phase at a time: first the Gauss-Newton polish on
+    every restart above ``stop_value``, until each leaves it by its own
+    rule, then damped Newton on every restart still above ``stop_value``.
     At a vanishing PP functional every outcome ket is orthogonal to the
     support of (at least) one state.  The coordinate descent locates the
     right matching but crawls when the zero is degenerate (the saturated
@@ -641,76 +643,57 @@ def _finish(
     do not (a positive floor) it converges only linearly, so a restart's
     polish ends after its first accepted update that cuts the value by less
     than 4x.  It also ends below 1e-26, at ``_POLISH_ITERS`` iterations, or
-    when no halving improves; the restart then moves to damped Newton on
-    the functional if its value is still above ``stop_value``.
+    when no halving improves.
 
     Newton steps by ``-H^-1 g`` from :func:`_functional_derivatives`, with
     each Hessian eigenvalue replaced by its magnitude (so saddles are left
     downhill) and floored at ``_NEWTON_CURVATURE_FLOOR`` times the largest.
-    A restart's Newton ends once its step promises a relative decrease
-    below ``_NEWTON_MIN_GAIN``, when no halving improves, at ``stop_value``,
-    or at ``_POLISH_ITERS`` iterations.
+    A restart whose step promises a relative decrease below
+    ``_NEWTON_MIN_GAIN`` leaves before the update; Newton also ends when no
+    halving improves, at ``stop_value``, or at ``_POLISH_ITERS`` iterations.
 
-    Each iteration takes the polish rows' matching and least-squares steps
-    per restart, the Newton rows' solves as one stack, :func:`_newton_steps`,
-    whose arithmetic is still per row, and one stacked
-    :func:`_damped_update` for every stepping row, so no phase can worsen
-    the functional of a basis and no restart's arithmetic depends on the
-    others.  ``gens`` and ``gather`` are the generator stack and its gather
-    of :func:`_search_tables` for the bases' dimension.  Adds each
-    restart's iterations and accepted polish updates to its entry of
-    ``counts``.
+    Each iteration takes the polish's matching and least-squares steps per
+    restart, or Newton's solves as one stack, :func:`_newton_steps`, whose
+    arithmetic is still per row, then one :func:`_damped_update` of the
+    whole stack, so no phase can worsen the functional of a basis and no
+    restart's arithmetic depends on the others.  ``gens`` and ``gather``
+    are the generator stack and its gather of :func:`_search_tables` for
+    the bases' dimension.  Adds each restart's iterations and accepted
+    polish updates to its entry of ``counts``.
     """
     finals = [(value, u, None) for value, u in zip(values, us)]
-    rows = [r for r, value in enumerate(values) if value > stop_value]  # the restart of each row of the stacks
-    if not rows:
-        return finals
-    phases = ["polish"] * len(us)
-    us, values = np.array([us[r] for r in rows]), np.array(values)[rows]
-    probs = _column_probs(rhos, us)
-    while rows:
-        newton = [i for i, r in enumerate(rows) if phases[r] == "newton"]
-        if newton:
-            # a view of the stacks, not a copy, when every row takes part
-            picked = slice(None) if len(newton) == len(rows) else newton
-            grads, hesses = _functional_derivatives(rhos, us[picked], gens, gather, probs[picked])
-            steps, gains = _newton_steps(grads, hesses, values[picked])
-            solves = zip(steps, (gains > _NEWTON_MIN_GAIN * values[picked]).tolist())
-        deltas = {}
-        for i, (r, u, p) in enumerate(zip(rows, us, probs)):
-            if phases[r] == "polish":
-                counts[r].polish_iters += 1
-                r0, jac = _matched_residual(factors, p.argmin(axis=0), u, gens)
-                deltas[i] = np.linalg.lstsq(jac, -r0, rcond=None)[0]
-                continue
-            counts[r].newton_iters += 1
-            step, gaining = next(solves)
-            if gaining:
-                deltas[i] = step
-        if not deltas:
-            break
-        stepping = list(deltas)
-        picked = slice(None) if len(stepping) == len(rows) else stepping
-        updates = dict(zip(stepping, _damped_update(rhos, us[picked], gens, list(deltas.values()), values[picked])))
-        moved = []
-        for i, r in enumerate(rows):
-            phase, update, going_on = phases[r], updates.get(i), False
-            if update is None:
-                update = us[i], probs[i], values[i]
+    latest = list(zip(us, _column_probs(rhos, np.array(us)), values))  # each restart's basis, column probabilities and value
+    for phase in ("polish", "newton"):
+        rows = [r for r, (_, _, value) in enumerate(latest) if value > stop_value]  # the restart of each row of the stack
+        while rows:
+            us, probs, values = (np.array(stack) for stack in zip(*(latest[r] for r in rows)))
+            if phase == "polish":
+                deltas = []
+                for r, u, p in zip(rows, us, probs):
+                    counts[r].polish_iters += 1
+                    r0, jac = _matched_residual(factors, p.argmin(axis=0), u, gens)
+                    deltas.append(np.linalg.lstsq(jac, -r0, rcond=None)[0])
             else:
-                finals[r] = update[2], update[0], phase
+                for r in rows:
+                    counts[r].newton_iters += 1
+                deltas, gains = _newton_steps(*_functional_derivatives(rhos, us, gens, gather, probs), values)
+                gaining = gains > _NEWTON_MIN_GAIN * values
+                rows, us, values, deltas = [r for r, g in zip(rows, gaining) if g], us[gaining], values[gaining], deltas[gaining]
+                if not rows:
+                    break
+            going = []
+            for r, value, update in zip(rows, values, _damped_update(rhos, us, gens, deltas, values)):
+                if update is None:
+                    continue
+                latest[r], finals[r] = update, (update[2], update[0], phase)
                 if phase == "polish":
                     counts[r].polish_accepted += 1
-                    going_on = 1e-26 <= update[2] <= values[i] / 4.0 and counts[r].polish_iters < _POLISH_ITERS
+                    going_on = 1e-26 <= update[2] <= value / 4.0 and counts[r].polish_iters < _POLISH_ITERS
                 else:
                     going_on = update[2] > stop_value and counts[r].newton_iters < _POLISH_ITERS
-            if going_on or (phase == "polish" and update[2] > stop_value):
-                phases[r] = phase if going_on else "newton"
-                moved.append((r, update))
-        if not moved:
-            break
-        rows, updates = zip(*moved)
-        us, probs, values = (np.array(stack) for stack in zip(*updates))
+                if going_on:
+                    going.append(r)
+            rows = going
     return finals
 
 
@@ -731,10 +714,10 @@ def witness_search(states: StateSet, cfg: WitnessSearchConfig | None = None) -> 
     run in waves: one restart with ``stop_at_success``, all of them
     without it.  A wave takes each restart's start from that table and
     runs each restart's descent on its own; then the restarts still above
-    the stop value run one finisher stack, :func:`_finish`, in which each
-    restart moves from the polish to Newton and leaves on its own stop
-    rule.  Every restart's arithmetic is that of a stack of one, so its
-    record, and the winner, do not depend on the wave.
+    the stop value run one finisher stack, :func:`_finish`: the polish,
+    then Newton on the restarts still above the stop value.  Every
+    restart's arithmetic is that of a stack of one, so its record, and the
+    winner, do not depend on the wave.
     Failure to reach ``success_threshold`` is a result
     (``success`` is False), not an error: the search can only ever
     *confirm* incompatibility.  Results are deterministic for a fixed

@@ -18,6 +18,7 @@ as phase-dependent kets).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -69,6 +70,19 @@ def _line_states(lines: np.ndarray, s: SicSet) -> tuple[np.ndarray, np.ndarray]:
     return p, rho
 
 
+def _sic_indices(triple) -> Triple:
+    """``triple``'s three distinct SIC indices in 0-8.  Each must be an
+    integer (``operator.index``) and not a bool, so no float is truncated
+    into an index; anything else raises ``ValueError``."""
+    try:
+        key = tuple(-1 if isinstance(i, bool) else operator.index(i) for i in triple)  # a bool as -1, out of range
+    except TypeError:
+        key = ()
+    if len(key) != 3 or len(set(key)) != 3 or not all(0 <= i <= 8 for i in key):
+        raise ValueError(f"need three distinct SIC indices in 0-8, got {triple}")
+    return key
+
+
 def mub_from_triple(triple, s: SicSet) -> tuple[np.ndarray, np.ndarray]:
     """MUB state for a Steiner line: probability vector and projector.
 
@@ -77,9 +91,7 @@ def mub_from_triple(triple, s: SicSet) -> tuple[np.ndarray, np.ndarray]:
     (it does exactly for the lines of S(9), and for no other triples,
     which is why non-line triples are rejected up front).
     """
-    key = tuple(sorted(int(i) for i in triple))
-    if len(set(key)) != 3:
-        raise ValueError(f"triple must consist of three distinct indices, got {triple}")
+    key = tuple(sorted(_sic_indices(triple)))
     if key not in _LINE_SET:
         raise ValueError(f"{key} is not a line of S(9); the uniform-1/6 vector would not be a state")
     p, rho = _line_states(np.array([key]), s)
@@ -165,10 +177,7 @@ def covering_witness(triple, m: MubSet, s: SicSet, tol: float = DEFAULT_TOL) -> 
     vanishes within ``tol`` (ascending order; nonempty for all 84
     triples of distinct indices).
     """
-    key = tuple(int(i) for i in triple)
-    if len(set(key)) != 3 or not all(0 <= i <= 8 for i in key):
-        raise ValueError(f"need three distinct SIC indices in 0-8, got {triple}")
-    return _witnessing(_sic_mub_overlaps(m, s)[list(key)].prod(axis=0).sum(-1).tolist(), tol)
+    return _witnessing(_sic_mub_overlaps(m, s)[list(_sic_indices(triple))].prod(axis=0).sum(-1).tolist(), tol)
 
 
 def covering_table(m: MubSet, s: SicSet, tol: float = DEFAULT_TOL) -> list[tuple[Triple, list[int]]]:

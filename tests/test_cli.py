@@ -359,6 +359,28 @@ class TestGraph:
         assert "0 036" in lines
 
 
+#: Golden file, then the command that writes it; ``{data}`` names a committed input in the golden folder.
+GOLDEN_REPORTS = [
+    ("compat_search_cfs_example.json", ("compat", "search", "--states", "cfs-example", "--format", "json")),
+    ("compat_triple_cfs_example.json", ("compat", "triple", "--states", "cfs-example", "--format", "json")),
+    ("verify_sic_hesse.json", ("verify-sic", "--builtin", "hesse", "--format", "json")),
+    ("verify_sic_hesse.csv", ("verify-sic", "--builtin", "hesse", "--format", "csv")),
+    ("mubs_cover_014.json", ("mubs", "cover", "--triple", "0,1,4", "--format", "json")),
+    ("mubs_cover.csv", ("mubs", "cover", "--format", "csv")),
+    ("wigner_strange.json", ("wigner", "--state", "{data}/state_strange.json", "--format", "json")),
+    ("wigner_strange.csv", ("wigner", "--state", "{data}/state_strange.json", "--format", "csv")),
+    ("purity_sic_ket.json", ("purity", "--probs", "{data}/probs_sic_ket.json", "--format", "json")),
+    ("graph_hesse_mub.edges", ("graph", "--format", "edges")),
+]
+
+
+@pytest.mark.parametrize("golden, argv", GOLDEN_REPORTS, ids=[name for name, _ in GOLDEN_REPORTS])
+def test_report_matches_its_golden_file(capsys, golden, argv):
+    code, out, _ = run_cli(capsys, *(arg.format(data=GOLDEN) for arg in argv))
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 class TestPlumbing:
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -688,6 +710,19 @@ class TestToleranceHonesty:
         code, out, _ = run_cli(capsys, *argv, "--tol", "1e-8")
         assert code == 0
         assert json.loads(out)["tolerances"] == {"success_threshold": 1e-9, "tol": 1e-8}
+
+    @pytest.mark.parametrize("command", [("compat", "triple"), ("compat", "search", "--restarts", "2")], ids=["triple", "search"])
+    @pytest.mark.parametrize(
+        "excess, code, message",
+        [(0.4e-10, 0, ""), (0.7e-10, 2, "is not a valid density matrix"), (1.5e-10, 2, "ket is not normalized")],
+        ids=["both-pass", "trace-fails", "norm-fails"],
+    )
+    def test_a_ket_needs_its_squared_norm_within_tol(self, capsys, tmp_path, command, excess, code, message):
+        # at the default tol 1e-10 the norm check passes 1 + 0.7e-10, but the trace, its square, fails
+        states = write_states(tmp_path / "long.json", 3, kets=cfs_example_kets() * (1.0 + excess))
+        got, _, err = run_cli(capsys, *command, "--states", states, "--format", "json")
+        assert got == code
+        assert message in err
 
     def test_compat_search_judges_states_at_tol(self, capsys, tmp_path):
         states = write_states(tmp_path / "long.json", 3, kets=cfs_example_kets() * math.sqrt(1.0 + 1e-7))

@@ -736,6 +736,57 @@ class TestPairGenerators:
             assert value == alone_value and phase == alone_phase and counts[r] == alone_counts
             np.testing.assert_array_equal(basis, alone_basis)
 
+    @pytest.mark.parametrize("case", ["one Newton row leaves on the gain test", "every Newton row leaves on it", "none above"])
+    def test_finish_branches_are_each_restarts_own_finish(self, case):
+        rng = np.random.default_rng(1)
+        kets = compatible_triple(rng)
+        rhos = np.einsum("na,nb->nab", kets, kets.conj())
+        factors = _state_factors(rhos)
+        moves, gens, gather = _search_tables(3)
+        descended = [_descend(rhos, factors, haar_unitary(rng, 3), moves, 0.0, _RestartCounts())[:2] for _ in range(2)]
+        values, us = zip(*descended)
+        # both restarts finished: Newton left each at a floor, where its next step promises no gain
+        finished = compat._finish(rhos, factors, us, list(values), gens, gather, 0.0, [_RestartCounts(), _RestartCounts()])
+        floors = [final[:2] for final in finished]
+        entries, stop_value = {
+            "one Newton row leaves on the gain test": ([floors[0], descended[1]], 0.0),
+            "every Newton row leaves on it": (floors, 0.0),
+            "none above": (descended, max(values)),
+        }[case]
+        values, us = (list(column) for column in zip(*entries))
+        events, steps, update = [], compat._newton_steps, compat._damped_update
+
+        def recording_steps(grads, hesses, values):
+            deltas, gains = steps(grads, hesses, values)
+            events.append(("gaining", (gains > compat._NEWTON_MIN_GAIN * values).tolist()))
+            return deltas, gains
+
+        def recording_update(rhos, us, gens, deltas, values):
+            events.append(("update", len(us)))
+            return update(rhos, us, gens, deltas, values)
+
+        counts = [_RestartCounts() for _ in us]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compat, "_newton_steps", recording_steps)
+            mp.setattr(compat, "_damped_update", recording_update)
+            stacked = compat._finish(rhos, factors, us, values, gens, gather, stop_value, counts)
+        if case == "one Newton row leaves on the gain test":
+            # the row that leaves is not in the update that follows
+            at = events.index(("gaining", [False, True]))
+            assert events[at + 1] == ("update", 1)
+        elif case == "every Newton row leaves on it":
+            assert events[-1] == ("gaining", [False, False])
+        else:
+            assert events == [] and all(c == _RestartCounts() for c in counts)
+            assert all(final[0] == v and final[1] is u and final[2] is None for final, v, u in zip(stacked, values, us))
+        for r, (value, basis, phase) in enumerate(stacked):
+            alone_counts = _RestartCounts()
+            ((alone_value, alone_basis, alone_phase),) = compat._finish(
+                rhos, factors, us[r : r + 1], values[r : r + 1], gens, gather, stop_value, [alone_counts]
+            )
+            assert value == alone_value and phase == alone_phase and counts[r] == alone_counts
+            np.testing.assert_array_equal(basis, alone_basis)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_cached_start_is_the_generators_own_draw(self, d):
         for seed in (0, 7, 2024):

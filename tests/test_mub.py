@@ -263,6 +263,22 @@ class TestCoveringWitness:
         with pytest.raises(ValueError):
             covering_witness((0, 1, 9), mubs, sic)
 
+    # each would truncate to a valid triple of indices under int()
+    @pytest.mark.parametrize(
+        "triple",
+        [(0.9, 1, 4), (0.2, 1, 2), (0.5, 1, 2), (np.float64(0.0), 1, 2), (True, 2, 3)],
+        ids=["0.9,1,4", "0.2,1,2", "0.5,1,2", "np.float64", "bool"],
+    )
+    def test_non_integer_index_rejected(self, sic, mubs, triple):
+        with pytest.raises(ValueError, match="need three distinct SIC indices"):
+            covering_witness(triple, mubs, sic)
+        with pytest.raises(ValueError, match="need three distinct SIC indices"):
+            mub_from_triple(triple, sic)
+
+    def test_numpy_integer_indices_accepted(self, sic, mubs):
+        assert covering_witness(np.array([0, 1, 4]), mubs, sic) == [4]
+        np.testing.assert_array_equal(mub_from_triple(np.array([2, 1, 0]), sic)[0], mub_from_triple((0, 1, 2), sic)[0])
+
     def test_functional_really_vanishes_for_reported_witnesses(self, sic, mubs):
         states = StateSet(dim=3, rhos=np.asarray(sic.projectors)[[0, 1, 4]])
         assert pp_functional(states, mubs.projectors[3]) == pytest.approx(0.0, abs=1e-12)
