@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mub import LINES, build_mub_set
-from .qmath import SEARCH_TOL, frozen_array
+from .qmath import SEARCH_TOL, frozen_array, projector_residuals
 from .sicgen import hesse_sic
 
 #: Default overlap tolerance for declaring two states orthogonal.
@@ -79,19 +79,25 @@ class CabelloReport:
 
 
 def build_orthogonality_graph(states, labels, tol: float = ORTHOGONALITY_TOL) -> OrthoGraph:
-    """Edge iff two rank-1 states have Hilbert-Schmidt overlap <= tol."""
+    """Edge iff two rank-1 states have Hilbert-Schmidt overlap <= tol.
+
+    Every state must be a rank-1 projector by the rule ``SicSet`` applies:
+    Hermitian, trace 1 and idempotent, each within ``SEARCH_TOL``
+    (:func:`sicmub.qmath.projector_residuals`).  An empty ``(0, d, d)``
+    stack gives the empty graph.
+    """
     arr = np.asarray(states, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError(f"states must have shape (n, d, d), got {arr.shape}")
     if arr.shape[0] != len(labels):
         raise ValueError(f"{arr.shape[0]} states but {len(labels)} labels")
-    idem = np.max(np.abs(np.einsum("iab,ibc->iac", arr, arr) - arr))
-    if idem > SEARCH_TOL:
-        raise ValueError(f"states must be rank-1 projectors: idempotency residual {idem:.3e}")
     gram = np.einsum("iab,jba->ij", arr, arr)
-    imag = np.max(np.abs(gram.imag))
+    imag = np.abs(gram.imag).max(initial=0.0)
     if imag > SEARCH_TOL:
         raise ValueError(f"trace product has imaginary residual {imag:.3e}")
+    herm, trace, idem = projector_residuals(arr)
+    if not (herm <= SEARCH_TOL and trace <= SEARCH_TOL and idem <= SEARCH_TOL):
+        raise ValueError(f"states must be rank-1 projectors: residuals herm={herm:.3e}, trace={trace:.3e}, idem={idem:.3e}")
     # decide each pair once (i < j) and mirror, so rounding cannot break symmetry
     adjacency = np.triu(gram.real <= tol, k=1)
     adjacency |= adjacency.T

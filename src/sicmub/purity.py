@@ -197,6 +197,6 @@ def _as_prob_vector(p, tol: float) -> np.ndarray:
     """``p`` as a flat float array; raises unless it sums to 1 within ``tol``."""
     vec = np.asarray(p, dtype=float).reshape(-1)
     total = float(np.add.reduce(vec))
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         raise ValueError(f"probability vector must sum to 1 within {tol!r}, got {total!r}")
     return vec

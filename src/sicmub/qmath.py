@@ -15,6 +15,7 @@ with ``writeable = False`` so values can be shared across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,16 @@ def frozen_array(values, dtype=complex) -> np.ndarray:
 
 
 def basis_ket(dim: int, j: int) -> np.ndarray:
-    """Computational-basis ket ``|j>`` in dimension ``dim``."""
-    if not 0 <= j < dim:
+    """Computational-basis ket ``|j>`` in dimension ``dim``.  ``j`` must be
+    an integer (``operator.index``) and not a bool, so no float or bool is
+    taken as an index; anything else raises ``ValueError``."""
+    try:
+        k = -1 if isinstance(j, bool) else operator.index(j)  # a bool as -1, out of range
+    except TypeError:
+        k = -1
+    if not 0 <= k < dim:
         raise ValueError(f"basis index {j} out of range for dimension {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[j] = 1.0
-    return v
+    return np.eye(dim, dtype=complex)[k]
 
 
 def projector(psi) -> np.ndarray:
@@ -109,16 +114,6 @@ class Check:
     residuals: dict[str, float]
 
 
-def _hermiticity_residual(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
-def _min_eigenvalue(m: np.ndarray) -> float:
-    # Symmetric solver on the Hermitian part; robust for near-Hermitian input.
-    h = (m + m.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(h)[0])
-
-
 def validate_density_matrix(rho, tol: float = DEFAULT_TOL) -> Check:
     """Check a density matrix: Hermiticity, unit trace, positivity.
 
@@ -126,14 +121,26 @@ def validate_density_matrix(rho, tol: float = DEFAULT_TOL) -> Check:
     most ``tol`` and ``min_eigenvalue`` is at least ``-tol``.
     """
     m = _as_square(rho, "state")
-    herm = _hermiticity_residual(m)
+    herm = float(np.max(np.abs(m - m.conj().T)))
     trace_res = float(abs(np.trace(m) - 1.0))
-    min_eig = _min_eigenvalue(m)
+    # Symmetric solver on the Hermitian part; robust for near-Hermitian input.
+    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
     passed = herm <= tol and trace_res <= tol and min_eig >= -tol
     return Check(
         passed=passed,
         residuals={"max_hermiticity_residual": herm, "trace_residual": trace_res, "min_eigenvalue": min_eig},
     )
+
+
+def projector_residuals(ops) -> tuple[float, float, float]:
+    """The rank-1 projector rule over a stack ``(n, d, d)``: the largest
+    entry of ``|A - A†|``, of ``|tr A - 1|`` and of ``|A A - A|`` over the
+    stack, each 0.0 for an empty stack.  A caller accepts the stack iff all
+    three are at most its tolerance (a NaN residual fails that test).
+    """
+    p = np.asarray(ops, dtype=complex)
+    deviations = (p - p.conj().transpose(0, 2, 1), np.einsum("iaa->i", p) - 1, np.einsum("iab,ibc->iac", p, p) - p)
+    return tuple(float(np.abs(dev).max(initial=0.0)) for dev in deviations)
 
 
 def validate_orthonormal_basis(kets, tol: float = DEFAULT_TOL) -> Check:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DEFAULT_TOL, SEARCH_TOL, Check, frozen_array
+from .qmath import DEFAULT_TOL, SEARCH_TOL, Check, frozen_array, projector_residuals
 
 
 class NotSicError(ValueError):
@@ -74,13 +74,11 @@ class SicSet:
         d = self.dim
         if p.shape != (d * d, d, d):
             raise ValueError(f"expected {d * d} projectors of shape ({d}, {d}), got {p.shape}")
-        herm = np.max(np.abs(p - p.conj().transpose(0, 2, 1)))
-        traces = np.einsum("iaa->i", p)
-        idem = np.max(np.abs(np.einsum("iab,ibc->iac", p, p) - p))
-        if herm > self.tol or np.max(np.abs(traces - 1)) > self.tol or idem > self.tol:
+        herm, trace, idem = projector_residuals(p)
+        if not (herm <= self.tol and trace <= self.tol and idem <= self.tol):
             raise ValueError(
                 "projectors must be Hermitian, trace-1 and idempotent: residuals "
-                f"herm={herm:.3e}, trace={np.max(np.abs(traces - 1)):.3e}, idem={idem:.3e}"
+                f"herm={herm:.3e}, trace={trace:.3e}, idem={idem:.3e}"
             )
         object.__setattr__(self, "projectors", frozen_array(p))
 
@@ -164,9 +162,9 @@ def sic_probabilities(rho, s: SicSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     if rm.shape != (d, d):
         raise ValueError(f"dimension mismatch: state {rm.shape} vs SIC dimension {d}")
     raw = np.einsum("ab,iba->i", rm, s.projectors).real / d
-    if raw.min() < -tol:
+    if not raw.min() >= -tol:
         raise ValueError(f"negative SIC probability {raw.min():.3e}: input is not positive semidefinite")
-    if abs(raw.sum() - 1.0) > tol:
+    if not abs(raw.sum() - 1.0) <= tol:
         raise ValueError(f"SIC probabilities sum to {raw.sum()!r}: input is not unit trace")
     return np.clip(raw, 0.0, 1.0)
 
@@ -186,7 +184,7 @@ def reconstruct_from_probabilities(p, s: SicSet) -> np.ndarray:
         raise ValueError(f"expected {d * d} probabilities on the last axis, got shape {vec.shape}")
     sums = np.ravel(vec.sum(axis=-1))
     worst = int(np.argmax(np.abs(sums - 1.0)))
-    if abs(sums[worst] - 1.0) > SEARCH_TOL:
+    if not abs(sums[worst] - 1.0) <= SEARCH_TOL:
         raise ValueError(f"probabilities must sum to 1, got {float(sums[worst])!r}")
     coeffs = (d + 1.0) * vec - 1.0 / d
     return np.einsum("...i,iab->...ab", coeffs, s.projectors)

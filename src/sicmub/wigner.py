@@ -98,14 +98,15 @@ def wigner_from_line_probs(q: dict[Triple, float]) -> np.ndarray:
     """Recover the Wigner function from the 12 line probabilities.
 
     ``W(i) = (sum of q over the four lines through i - 1)/3``; exact
-    inverse of :func:`line_marginals` on consistent input.  Each
-    striation's three probabilities must sum to 1 within
+    inverse of :func:`line_marginals` on consistent input.  ``q`` must
+    name each of the 12 lines exactly once, its points in any order, and
+    each striation's three probabilities must sum to 1 within
     ``LINE_NORMALIZATION_TOL``.
     """
     lookup = {tuple(sorted(line)): float(value) for line, value in q.items()}
     missing = sorted(set(_LINE_KEYS) - lookup.keys())
-    if missing or len(lookup) != 12:
-        raise ValueError(f"need exactly the 12 lines of S(9); missing {missing}, got {sorted(lookup)}")
+    if missing or len(q) != 12:  # all 12 lines and 12 keys: no line named twice, no other key
+        raise ValueError(f"need exactly the 12 lines of S(9), each once; missing {missing}, got {list(q)}")
     vec = np.array(_line_values(lookup))
     totals = vec.reshape(4, 3).sum(axis=1)
     bad = np.flatnonzero(np.abs(totals - 1.0) > LINE_NORMALIZATION_TOL)

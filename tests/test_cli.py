@@ -365,6 +365,8 @@ GOLDEN_REPORTS = [
     ("compat_triple_cfs_example.json", ("compat", "triple", "--states", "cfs-example", "--format", "json")),
     ("verify_sic_hesse.json", ("verify-sic", "--builtin", "hesse", "--format", "json")),
     ("verify_sic_hesse.csv", ("verify-sic", "--builtin", "hesse", "--format", "csv")),
+    ("verify_sic_hesse_kets.json", ("verify-sic", "--input", "{data}/sic_hesse_kets.json", "--format", "json")),
+    ("verify_sic_hesse_kets.csv", ("verify-sic", "--input", "{data}/sic_hesse_kets.json", "--format", "csv")),
     ("mubs_cover_014.json", ("mubs", "cover", "--triple", "0,1,4", "--format", "json")),
     ("mubs_cover.csv", ("mubs", "cover", "--format", "csv")),
     ("wigner_strange.json", ("wigner", "--state", "{data}/state_strange.json", "--format", "json")),

@@ -118,6 +118,25 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="imaginary residual"):
             build_orthogonality_graph(np.array([a, b, c]), ["a", "b", "c"])
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            np.zeros((3, 3)),
+            np.diag([1.0, 1.0, 0.0]),
+            np.array([[0, 0, 0], [0, 1, 1], [0, 0, 0]]),  # real idempotent, trace 1, not Hermitian
+            np.full((3, 3), np.nan),
+        ],
+        ids=["zero", "rank-2", "real-non-hermitian-idempotent", "nan"],
+    )
+    def test_each_part_of_the_rank_one_rule_is_checked(self, state):
+        with pytest.raises(ValueError, match="rank-1"):
+            build_orthogonality_graph(np.array([state, projector(basis_ket(3, 0))]), ["a", "b"])
+
+    def test_empty_stack_gives_the_empty_graph(self):
+        graph = build_orthogonality_graph(np.zeros((0, 3, 3)), [])
+        assert graph.n == 0 and graph.edges() == []
+        assert chromatic_number(graph)[0] == 0
+
     def test_edges_are_the_upper_triangle_in_row_major_order(self):
         rng = np.random.default_rng(5)
         for n in (0, 1, 2, 7, 21):

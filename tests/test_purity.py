@@ -11,6 +11,7 @@ from sicmub import (
     TripleProductTable,
     distribution_indices,
     enumerate_min_entropy_pure_states,
+    hesse_sic,
     qbic_check_general,
     qbic_check_hesse,
     quadratic_purity_check,
@@ -320,3 +321,20 @@ class TestPurityRankOneEquivalence:
             )
             top_eigenvalue = np.linalg.eigvalsh(reconstruct_from_probabilities(p, sic))[-1]
             assert both == (abs(top_eigenvalue - 1.0) <= 1e-8)
+
+
+#: Each check that reads nine probabilities (a SIC state for ``sic_probabilities``), given them.
+PROBABILITY_CHECKS = {
+    "quadratic_purity_check": quadratic_purity_check,
+    "qbic_check_hesse": qbic_check_hesse,
+    "distribution_indices": distribution_indices,
+    "reconstruct_from_probabilities": lambda v: reconstruct_from_probabilities(v, hesse_sic()),
+    "sic_probabilities": lambda v: sic_probabilities(np.reshape(v, (3, 3)), hesse_sic()),
+}
+
+
+@pytest.mark.parametrize("check", PROBABILITY_CHECKS.values(), ids=PROBABILITY_CHECKS.keys())
+@pytest.mark.parametrize("values", [[math.nan] * 9, [math.inf, -math.inf] + [1.0 / 9.0] * 7], ids=["nan", "both-infs"])
+def test_non_finite_input_never_reaches_a_verdict(check, values):
+    with pytest.raises(ValueError):
+        check(values)

@@ -13,6 +13,7 @@ from sicmub import (
     validate_density_matrix,
     validate_orthonormal_basis,
 )
+from sicmub.qmath import projector_residuals
 
 
 class TestTraceProduct:
@@ -109,6 +110,15 @@ class TestValidation:
         assert check.passed == (r["max_hermiticity_residual"] <= tol and r["trace_residual"] <= tol and r["min_eigenvalue"] >= -tol)
 
 
+class TestProjectorResiduals:
+    @settings(deadline=None)
+    @given(dim=st.integers(2, 5), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_projectors_of_random_kets_pass_the_rank_one_rule(self, dim, n, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.array([projector(random_ket(dim, rng)) for _ in range(n)])
+        assert max(projector_residuals(stack)) <= 1e-14
+
+
 class TestKetHelpers:
     def test_cauchy_schwarz_for_random_kets(self):
         rng = np.random.default_rng(42)
@@ -131,6 +141,14 @@ class TestKetHelpers:
     def test_basis_index_out_of_range(self, j):
         with pytest.raises(ValueError, match=f"basis index {j} out of range for dimension 3"):
             basis_ket(3, j)
+
+    @pytest.mark.parametrize("j", [True, False, 1.5, 1.0, np.float64(0.0)])
+    def test_basis_index_must_be_an_integer(self, j):
+        with pytest.raises(ValueError, match="basis index"):
+            basis_ket(3, j)
+
+    def test_numpy_integer_basis_index_accepted(self):
+        np.testing.assert_array_equal(basis_ket(3, np.int64(2)), [0, 0, 1])
 
     def test_overlap_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):

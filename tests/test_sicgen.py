@@ -234,3 +234,18 @@ class TestSicSetValidation:
     def test_rejects_wrong_count(self, projectors):
         with pytest.raises(ValueError, match="expected 9"):
             SicSet(dim=3, projectors=np.asarray(projectors)[:8])
+
+    def test_error_text_names_all_three_residuals(self, projectors):
+        bad = np.array(projectors)
+        bad[4] = [[0.5, 0.125, 0], [0, 0.5625, 0], [0, 0, 0]]
+        with pytest.raises(ValueError) as err:
+            SicSet(dim=3, projectors=bad)
+        assert str(err.value) == (
+            "projectors must be Hermitian, trace-1 and idempotent: residuals herm=1.250e-01, trace=6.250e-02, idem=2.500e-01"
+        )
+
+    def test_nan_projectors_rejected(self, projectors):
+        bad = np.array(projectors)
+        bad[4, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="idempotent"):
+            SicSet(dim=3, projectors=bad)

@@ -229,6 +229,14 @@ class TestLineInversion:
         with pytest.raises(ValueError, match="12 lines"):
             wigner_from_line_probs(q)
 
+    def test_line_named_twice_rejected(self):
+        # 13 keys: (2, 1, 0) names line (0, 1, 2) again, and taking its 1/3 over the 0.9 gives the uniform W
+        q = {tuple(line): 1.0 / 3.0 for line in LINES.tolist()}
+        q[(0, 1, 2)] = 0.9
+        q[(2, 1, 0)] = q[(3, 4, 5)]
+        with pytest.raises(ValueError, match="12 lines"):
+            wigner_from_line_probs(q)
+
 
 class TestNegativity:
     def test_sic_state_attains_the_cap(self, projectors, ops):
