@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qmath import SEARCH_TOL, frozen_array, overlap_squared, validate_density_matrix
+from .qmath import SEARCH_TOL, density_checks, frozen_array, overlap_squared, require_finite
 
 #: Absolute tie tolerance for flagging saturation of the ternary criterion.
 SATURATION_TOL = 1e-9
@@ -63,14 +63,11 @@ class StateSet:
         if self.dim < 2:
             raise ValueError(f"states need dimension at least 2, got dim {self.dim}")
         arr = np.asarray(self.rhos, dtype=complex)
-        if not np.isfinite(arr).all():
-            raise ValueError("state entries must be finite, got NaN or infinity")
         if arr.ndim != 3 or arr.shape[1:] != (self.dim, self.dim):
             raise ValueError(f"expected states of shape (N, {self.dim}, {self.dim}), got {arr.shape}")
         if arr.shape[0] < 2:
             raise ValueError("a StateSet needs at least two states")
-        for i, rho in enumerate(arr):
-            check = validate_density_matrix(rho, tol=self.tol)
+        for i, check in enumerate(density_checks(arr, tol=self.tol)):
             if not check.passed:
                 raise ValueError(f"state {i} is not a valid density matrix: {check.residuals}")
         object.__setattr__(self, "rhos", frozen_array(arr))
@@ -148,8 +145,7 @@ def qutrit_triple_criterion(a, b, c, tol: float = SEARCH_TOL, *, norm_tol: float
     for v in kets:
         if v.shape[0] != 3:
             raise ValueError(f"criterion applies to qutrits only, got dimension {v.shape[0]}")
-        if not np.isfinite(v).all():
-            raise ValueError("ket entries must be finite, got NaN or infinity")
+        require_finite(v, "ket")
         if abs(np.linalg.norm(v) - 1.0) > (tol if norm_tol is None else norm_tol):
             raise ValueError("states must be unit kets")
     x1 = overlap_squared(kets[0], kets[1])

@@ -18,6 +18,7 @@ solver accepts at most 64 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -121,43 +122,50 @@ def hesse_mub_graph(tol: float = ORTHOGONALITY_TOL) -> OrthoGraph:
 def _k_colorable(neighbors: list[list[int]], degrees: list[int], k: int) -> list[int] | None:
     """Backtracking k-colorability with DSATUR-style vertex selection
     and first-fresh-color symmetry pruning, on a graph given by each
-    vertex's neighbour list and degree."""
+    vertex's neighbour list and degree.
+
+    Each vertex carries two ints: ``masks[v]``, bit ``c`` set iff a colored
+    neighbour has color ``c``, and the DSATUR key ``saturation * (n + 1) +
+    rank``, where ``rank`` orders higher degree first, then lower index.
+    The largest key is the uncolored vertex of most distinct neighbour
+    colors, then highest degree, then lowest index; a colored vertex's key
+    is -1, so the largest key is -1 once every vertex is colored.
+    """
     n = len(neighbors)
+    step = n + 1
+    keys = [0] * n
+    for rank, v in enumerate(sorted(range(n), key=lambda u: (degrees[u], -u))):
+        keys[v] = rank
+    masks = [0] * n
     colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
 
     def backtrack(num_used: int) -> bool:
-        uncolored = [v for v in range(n) if colors[v] == -1]
-        if not uncolored:
+        key = max(keys)
+        if key < 0:
             return True
-        v = max(uncolored, key=lambda u: (len(neighbor_colors[u]), degrees[u], -u))
-        if len(neighbor_colors[v]) >= k:
+        if key // step >= k:
             return False
-        limit = min(k, num_used + 1)
-        for color in range(limit):
-            if color in neighbor_colors[v]:
+        v = keys.index(key)
+        keys[v] = -1
+        taken = masks[v]
+        for color in range(min(k, num_used + 1)):
+            bit = 1 << color
+            if taken & bit:
                 continue
             colors[v] = color
-            touched = []
-            for u in neighbors[v]:
-                if colors[u] == -1 and color not in neighbor_colors[u]:
-                    neighbor_colors[u].add(color)
-                    touched.append(u)
+            touched = [u for u in neighbors[v] if keys[u] >= 0 and not masks[u] & bit]
+            for u in touched:
+                masks[u] |= bit
+                keys[u] += step
             if backtrack(max(num_used, color + 1)):
                 return True
-            colors[v] = -1
             for u in touched:
-                neighbor_colors[u].remove(color)
+                masks[u] ^= bit
+                keys[u] -= step
+        keys[v] = key
         return False
 
-    return list(colors) if backtrack(0) else None
-
-
-def _check_proper(adjacency: np.ndarray, colors: list[int]) -> None:
-    rows, cols = np.nonzero(adjacency)
-    arr = np.asarray(colors)
-    if np.any(arr[rows] == arr[cols]):
-        raise RuntimeError("coloring solver produced an improper coloring")
+    return colors if backtrack(0) else None
 
 
 def chromatic_number(g: OrthoGraph) -> tuple[int, Coloring]:
@@ -175,12 +183,16 @@ def chromatic_number(g: OrthoGraph) -> tuple[int, Coloring]:
     if g.n == 0:
         return 0, Coloring(assignment=())
     adjacency = np.asarray(g.adjacency)
-    neighbors = [np.flatnonzero(row).tolist() for row in adjacency]
+    rows, cols = np.nonzero(adjacency)  # row-major, so each vertex's neighbours are one run of ``cols``
     degrees = adjacency.sum(axis=1).tolist()
+    targets = cols.tolist()
+    neighbors = [targets[end - degree : end] for degree, end in zip(degrees, accumulate(degrees))]
     k = 1
     while (colors := _k_colorable(neighbors, degrees, k)) is None:
         k += 1
-    _check_proper(adjacency, colors)
+    arr = np.asarray(colors)
+    if np.any(arr[rows] == arr[cols]):
+        raise RuntimeError("coloring solver produced an improper coloring")
     return k, Coloring(assignment=tuple(colors))
 
 

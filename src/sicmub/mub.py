@@ -43,6 +43,12 @@ LINES: np.ndarray = frozen_array(
 #: The rows of :data:`LINES` as sorted tuples, for membership tests.
 _LINE_SET = frozenset(map(tuple, LINES.tolist()))
 
+#: The C(9,3) = 84 triples of distinct SIC indices, each ascending, in lexicographic order.
+TRIPLES: np.ndarray = frozen_array(list(combinations(range(9), 3)), dtype=int)
+
+#: The rows of :data:`TRIPLES` as tuples, the keys of :func:`covering_table`.
+_TRIPLE_KEYS: tuple[Triple, ...] = tuple(map(tuple, TRIPLES.tolist()))
+
 #: ``POINT_LINES[j]``: the four rows of :data:`LINES` through point ``j``, in striation order.
 POINT_LINES: np.ndarray = frozen_array(np.argsort(LINES, axis=None, kind="stable").reshape(9, 4) // 3, dtype=int)
 
@@ -158,15 +164,18 @@ def build_mub_set(s: SicSet) -> MubSet:
     return mubs
 
 
-def _sic_mub_overlaps(m: MubSet, s: SicSet) -> np.ndarray:
-    """``overlaps[i, t, k] = tr(P_i M_tk)``: SIC projector i against state k
-    of striation t+1.  The PP functional of SIC states ``T`` measured in
-    striation t+1 is ``overlaps[T, t].prod(axis=0).sum()``."""
-    return np.einsum("iab,tkba->itk", np.asarray(s.projectors), np.asarray(m.projectors)).real
-
-
-def _witnessing(values: list[float], tol: float) -> list[int]:
-    return [number for number, value in enumerate(values, start=1) if value <= tol]
+def _witnesses(triples: np.ndarray, m: MubSet, s: SicSet, tol: float) -> list[list[int]]:
+    """For each row of ``triples`` ``(n, 3)``, the 1-based striations in whose
+    basis the PP functional of those three SIC states is at most ``tol``,
+    ascending.  ``overlaps[i, t, k] = tr(P_i M_tk)`` is SIC projector i
+    against state k of striation t+1, so the functional of SIC states ``T``
+    in striation t+1 is ``overlaps[T, t].prod(axis=0).sum()``."""
+    overlaps = np.einsum("iab,tkba->itk", np.asarray(s.projectors), np.asarray(m.projectors)).real
+    rows, cols = np.nonzero(overlaps[triples].prod(axis=1).sum(-1) <= tol)
+    lists: list[list[int]] = [[] for _ in range(len(triples))]
+    for row, number in zip(rows.tolist(), (cols + 1).tolist()):
+        lists[row].append(number)
+    return lists
 
 
 def covering_witness(triple, m: MubSet, s: SicSet, tol: float = DEFAULT_TOL) -> list[int]:
@@ -177,11 +186,9 @@ def covering_witness(triple, m: MubSet, s: SicSet, tol: float = DEFAULT_TOL) -> 
     vanishes within ``tol`` (ascending order; nonempty for all 84
     triples of distinct indices).
     """
-    return _witnessing(_sic_mub_overlaps(m, s)[list(_sic_indices(triple))].prod(axis=0).sum(-1).tolist(), tol)
+    return _witnesses(np.array([_sic_indices(triple)]), m, s, tol)[0]
 
 
 def covering_table(m: MubSet, s: SicSet, tol: float = DEFAULT_TOL) -> list[tuple[Triple, list[int]]]:
     """Witnessing striations for all C(9,3) = 84 SIC triples."""
-    triples = list(combinations(range(9), 3))
-    values = _sic_mub_overlaps(m, s)[np.array(triples)].prod(axis=1).sum(-1)
-    return [(t, _witnessing(v, tol)) for t, v in zip(triples, values.tolist())]
+    return list(zip(_TRIPLE_KEYS, _witnesses(TRIPLES, m, s, tol)))

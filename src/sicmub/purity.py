@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .mub import LINES, three_zero_vectors
-from .qmath import DEFAULT_TOL, frozen_array
+from .mub import LINES, TRIPLES, three_zero_vectors
+from .qmath import DEFAULT_TOL, frozen_array, require_finite
 from .sicgen import SicSet
 
 
@@ -187,15 +186,15 @@ def enumerate_min_entropy_pure_states(tol: float = DEFAULT_TOL) -> list[tuple[tu
     candidates sum to 1 only up to rounding, so their sum is not held to
     ``tol``.
     """
-    triples = np.array(list(combinations(range(9), 3)))
-    p = three_zero_vectors(triples)
+    p = three_zero_vectors(TRIPLES)
     keep = (abs(_quadratic_values(p) - _quadratic_target(9)) <= tol) & (abs(_qbic_hesse_values(p)) <= tol)
-    return [(tuple(triple), vec) for triple, vec in zip(triples[keep].tolist(), p[keep])]
+    return [(tuple(triple), vec) for triple, vec in zip(TRIPLES[keep].tolist(), p[keep])]
 
 
 def _as_prob_vector(p, tol: float) -> np.ndarray:
-    """``p`` as a flat float array; raises unless it sums to 1 within ``tol``."""
-    vec = np.asarray(p, dtype=float).reshape(-1)
+    """``p`` as a flat float array; raises unless its entries are finite and
+    sum to 1 within ``tol``."""
+    vec = require_finite(np.asarray(p, dtype=float).reshape(-1), "probability vector")
     total = float(np.add.reduce(vec))
     if not abs(total - 1.0) <= tol:
         raise ValueError(f"probability vector must sum to 1 within {tol!r}, got {total!r}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DEFAULT_TOL, SEARCH_TOL, Check, frozen_array, projector_residuals
+from .qmath import DEFAULT_TOL, SEARCH_TOL, Check, frozen_array, projector_residuals, require_finite
 
 
 class NotSicError(ValueError):
@@ -176,9 +176,10 @@ def reconstruct_from_probabilities(p, s: SicSet) -> np.ndarray:
     The result is Hermitian with unit trace by construction.  Positivity
     is *not* guaranteed; probability vectors that do not describe a
     quantum state reconstruct to a non-positive operator, which callers
-    detect with :func:`sicmub.qmath.validate_density_matrix`.
+    detect with :func:`sicmub.qmath.validate_density_matrix`.  Every entry
+    must be finite and each vector must sum to 1 within ``SEARCH_TOL``.
     """
-    vec = np.asarray(p, dtype=float)
+    vec = require_finite(np.asarray(p, dtype=float), "probability")
     d = s.dim
     if vec.shape[-1:] != (d * d,):
         raise ValueError(f"expected {d * d} probabilities on the last axis, got shape {vec.shape}")

@@ -20,7 +20,7 @@ from operator import itemgetter
 import numpy as np
 
 from .mub import LINES, POINT_LINES, MubSet, Triple
-from .qmath import DEFAULT_TOL, frozen_array
+from .qmath import DEFAULT_TOL, frozen_array, require_finite
 
 #: Per-striation normalization tolerance for line-probability input.
 LINE_NORMALIZATION_TOL = 1e-9
@@ -66,16 +66,18 @@ def phase_point_operators(m: MubSet) -> PhasePointOperators:
 
 
 def wigner_of_density(rho, a: PhasePointOperators) -> np.ndarray:
-    """Wigner function ``W(j) = tr(rho A_j)/3`` of a density matrix."""
-    rm = np.asarray(rho, dtype=complex)
+    """Wigner function ``W(j) = tr(rho A_j)/3`` of a density matrix with
+    finite entries."""
+    rm = require_finite(np.asarray(rho, dtype=complex), "density matrix")
     if rm.shape != (3, 3):
         raise ValueError(f"expected a 3x3 density matrix, got shape {rm.shape}")
     return np.einsum("ab,jba->j", rm, a.ops).real / 3.0
 
 
 def wigner_from_sic_probabilities(p) -> np.ndarray:
-    """Entrywise map ``W(i) = 1/3 - 2 p(i)`` from the SIC representation."""
-    vec = np.asarray(p, dtype=float).reshape(-1)
+    """Entrywise map ``W(i) = 1/3 - 2 p(i)`` from the SIC representation,
+    whose entries must be finite."""
+    vec = require_finite(np.asarray(p, dtype=float).reshape(-1), "SIC probability")
     if vec.shape[0] != 9:
         raise ValueError(f"expected 9 SIC probabilities, got {vec.shape[0]}")
     return 1.0 / 3.0 - 2.0 * vec
@@ -120,7 +122,8 @@ def negativity(w) -> float:
 
     Zero exactly when the quasi-probability is a true probability; for
     Wigner functions of valid qutrit states it never exceeds 1/3, a cap
-    attained by the SIC states themselves.
+    attained by the SIC states themselves.  Raises ``ValueError`` on a NaN
+    or infinite entry, which would otherwise read as no negativity.
     """
-    vec = np.asarray(w, dtype=float).reshape(-1)
+    vec = require_finite(np.asarray(w, dtype=float).reshape(-1), "Wigner")
     return 0.0 - float(vec[vec < 0].sum())  # unlike -x, 0.0 - x gives +0.0 when nothing is negative

@@ -170,6 +170,17 @@ class TestStateSet:
         with pytest.raises(ValueError, match="finite, got NaN or infinity"):
             StateSet(dim=3, rhos=rhos)
 
+    def test_first_invalid_state_is_named_with_its_residuals(self):
+        rhos = np.array(cfs_example_states().rhos)
+        rhos[1] = np.diag([1.0, 0.5, -0.5])  # unit trace, not positive semidefinite
+        rhos[2] = np.diag([1.0, 1.0, 0.0])  # trace 2
+        with pytest.raises(ValueError) as info:
+            StateSet(dim=3, rhos=rhos)
+        assert str(info.value) == (
+            "state 1 is not a valid density matrix: "
+            "{'max_hermiticity_residual': 0.0, 'trace_residual': 0.0, 'min_eigenvalue': -0.5}"
+        )
+
     @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (2, 3, 3, 1)])
     def test_wrong_shape_rejected(self, shape):
         with pytest.raises(ValueError, match=r"expected states of shape \(N, 3, 3\)"):

@@ -2,6 +2,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sicmub import (
     OrthoGraph,
@@ -15,6 +17,7 @@ from sicmub import (
     projector,
     trace_product,
 )
+from sicmub.contextuality import _k_colorable
 
 
 def brute_force_chromatic(adjacency):
@@ -30,6 +33,40 @@ def brute_force_chromatic(adjacency):
             if all(colors[i] != colors[j] for i, j in edges):
                 return k
     return n
+
+
+def set_based_k_colorable(neighbors, degrees, k):
+    """Reference search: the same backtracking with each vertex's neighbour
+    colors held in a set and the next vertex picked by the tuple key
+    (distinct neighbour colors, degree, -index)."""
+    n = len(neighbors)
+    colors = [-1] * n
+    neighbor_colors = [set() for _ in range(n)]
+
+    def backtrack(num_used):
+        uncolored = [v for v in range(n) if colors[v] == -1]
+        if not uncolored:
+            return True
+        v = max(uncolored, key=lambda u: (len(neighbor_colors[u]), degrees[u], -u))
+        if len(neighbor_colors[v]) >= k:
+            return False
+        for color in range(min(k, num_used + 1)):
+            if color in neighbor_colors[v]:
+                continue
+            colors[v] = color
+            touched = []
+            for u in neighbors[v]:
+                if colors[u] == -1 and color not in neighbor_colors[u]:
+                    neighbor_colors[u].add(color)
+                    touched.append(u)
+            if backtrack(max(num_used, color + 1)):
+                return True
+            colors[v] = -1
+            for u in touched:
+                neighbor_colors[u].remove(color)
+        return False
+
+    return list(colors) if backtrack(0) else None
 
 
 def cycle(n):
@@ -204,6 +241,21 @@ class TestChromaticNumber:
             graph = random_graph(rng, n, p)
             chi, _ = chromatic_number(graph)
             assert chi == brute_force_chromatic(np.asarray(graph.adjacency))
+
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.integers(1, 24), p=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+    def test_search_matches_the_set_based_reference_for_every_k(self, n, p, seed):
+        # the same answer, None or the same color list, for every k up to the chromatic number
+        adjacency = np.asarray(random_graph(np.random.default_rng(seed), n, p).adjacency)
+        neighbors = [np.flatnonzero(row).tolist() for row in adjacency]
+        degrees = adjacency.sum(axis=1).tolist()
+        k = 0
+        while True:
+            k += 1
+            expected = set_based_k_colorable(neighbors, degrees, k)
+            assert _k_colorable(neighbors, degrees, k) == expected
+            if expected is not None:
+                break
 
     def test_vertex_cap(self):
         graph = OrthoGraph(labels=tuple(str(i) for i in range(65)), adjacency=np.zeros((65, 65), dtype=bool))

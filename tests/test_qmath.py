@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from sicmub import (
     validate_density_matrix,
     validate_orthonormal_basis,
 )
-from sicmub.qmath import projector_residuals
+from sicmub.qmath import density_checks, projector_residuals
 
 
 class TestTraceProduct:
@@ -108,6 +110,51 @@ class TestValidation:
         r = check.residuals
         assert list(r) == ["max_hermiticity_residual", "trace_residual", "min_eigenvalue"]
         assert check.passed == (r["max_hermiticity_residual"] <= tol and r["trace_residual"] <= tol and r["min_eigenvalue"] >= -tol)
+
+
+def single_state_residuals(m):
+    """The single-matrix density residuals as written before the stacked rule."""
+    herm = float(np.max(np.abs(m - m.conj().T)))
+    trace_res = float(abs(np.trace(m) - 1.0))
+    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+    return {"max_hermiticity_residual": herm, "trace_residual": trace_res, "min_eigenvalue": min_eig}
+
+
+class TestDensityChecks:
+    @settings(deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        kick=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
+        tol=st.floats(-14.0, -2.0).map(lambda e: 10.0**e),
+    )
+    def test_each_state_of_a_stack_gets_its_single_check(self, dim, n, seed, kick, tol):
+        # kicked Ginibre states of every rank, some valid and some not, plus one arbitrary complex matrix
+        rng = np.random.default_rng(seed)
+        stack = []
+        for rank in rng.integers(1, dim + 1, size=n):
+            g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+            rho = g @ g.conj().T / np.linalg.norm(g) ** 2
+            stack.append(rho + kick * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))))
+        stack.append(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        checks = density_checks(np.array(stack), tol)
+        assert len(checks) == len(stack)
+        for check, rho in zip(checks, stack):
+            assert check == validate_density_matrix(rho, tol)
+            assert repr(check.residuals) == repr(single_state_residuals(rho))  # bit for bit, as Python floats
+
+    def test_empty_stack_gives_no_checks(self):
+        assert density_checks(np.zeros((0, 3, 3))) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected_before_the_solver(self, bad):
+        rho = np.eye(3, dtype=complex) / 3.0
+        rho[0, 2] = bad
+        with pytest.raises(ValueError, match="state entries must be finite, got NaN or infinity"):
+            validate_density_matrix(rho)
+        with pytest.raises(ValueError, match="state entries must be finite, got NaN or infinity"):
+            density_checks(np.array([np.eye(3) / 3.0, rho]))
 
 
 class TestProjectorResiduals:

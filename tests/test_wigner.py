@@ -99,6 +99,21 @@ class TestWignerMaps:
         with pytest.raises(ValueError, match=match):
             call(ops)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ops, bad: wigner_of_density(np.where(np.eye(3) == 1, bad, 0.0), ops),
+            lambda ops, bad: wigner_from_sic_probabilities([bad] + [1.0 / 8.0] * 8),
+            lambda ops, bad: negativity([bad] * 9),
+        ],
+        ids=["wigner_of_density", "wigner_from_sic_probabilities", "negativity"],
+    )
+    def test_non_finite_input_rejected(self, ops, call, bad):
+        # a NaN Wigner vector has no entry below 0, so it would read as no negativity
+        with pytest.raises(ValueError, match="entries must be finite, got NaN or infinity"):
+            call(ops, bad)
+
     def test_sic_state_wigner(self, sic, projectors, ops):
         w = wigner_of_density(projectors[0], ops)
         expected = np.full(9, 1.0 / 6.0)
