@@ -32,6 +32,9 @@ ORTHOGONALITY_TOL = 1e-9
 #: Vertex-count cap for the exact coloring solver.
 MAX_VERTICES = 64
 
+#: The labels of :func:`hesse_mub_graph`: the SIC indices, then each MUB state's zero triple.
+HESSE_MUB_LABELS: tuple[str, ...] = tuple([str(i) for i in range(9)] + ["".join(map(str, line)) for line in LINES.tolist()])
+
 
 @dataclass(frozen=True, eq=False)
 class OrthoGraph:
@@ -110,32 +113,39 @@ def hesse_mub_graph(tol: float = ORTHOGONALITY_TOL) -> OrthoGraph:
 
     SIC vertices are labeled "0".."8"; MUB vertices carry their zero
     triple as a three-digit label ("012", ..., "246") in striation
-    order.
+    order (:data:`HESSE_MUB_LABELS`).  The 21 states are built and checked
+    anew on every call.
     """
     sic = hesse_sic()
     mubs = build_mub_set(sic)
     states = np.concatenate([sic.projectors, mubs.projectors.reshape(12, 3, 3)])
-    labels = [str(i) for i in range(9)] + ["".join(map(str, line)) for line in LINES.tolist()]
-    return build_orthogonality_graph(states, labels, tol=tol)
+    return build_orthogonality_graph(states, HESSE_MUB_LABELS, tol=tol)
 
 
-def _k_colorable(neighbors: list[list[int]], degrees: list[int], k: int) -> list[int] | None:
+def _dsatur_ranks(degrees: list[int]) -> list[int]:
+    """Each vertex's tie-break rank in 0..n-1 for :func:`_k_colorable`: a
+    higher degree ranks higher, then a lower index."""
+    ranks = [0] * len(degrees)
+    for rank, v in enumerate(sorted(range(len(degrees)), key=lambda u: (degrees[u], -u))):
+        ranks[v] = rank
+    return ranks
+
+
+def _k_colorable(neighbors: list[list[int]], ranks: list[int], k: int) -> list[int] | None:
     """Backtracking k-colorability with DSATUR-style vertex selection
     and first-fresh-color symmetry pruning, on a graph given by each
-    vertex's neighbour list and degree.
+    vertex's neighbour list and its :func:`_dsatur_ranks` rank.
 
     Each vertex carries two ints: ``masks[v]``, bit ``c`` set iff a colored
     neighbour has color ``c``, and the DSATUR key ``saturation * (n + 1) +
-    rank``, where ``rank`` orders higher degree first, then lower index.
-    The largest key is the uncolored vertex of most distinct neighbour
-    colors, then highest degree, then lowest index; a colored vertex's key
-    is -1, so the largest key is -1 once every vertex is colored.
+    rank``.  The largest key is the uncolored vertex of most distinct
+    neighbour colors, then highest degree, then lowest index; a colored
+    vertex's key is -1, so the largest key is -1 once every vertex is
+    colored.
     """
     n = len(neighbors)
     step = n + 1
-    keys = [0] * n
-    for rank, v in enumerate(sorted(range(n), key=lambda u: (degrees[u], -u))):
-        keys[v] = rank
+    keys = list(ranks)
     masks = [0] * n
     colors = [-1] * n
 
@@ -172,7 +182,7 @@ def chromatic_number(g: OrthoGraph) -> tuple[int, Coloring]:
     """Exact chromatic number with an optimal proper coloring.
 
     Runs the backtracking k-colorability search for k = 1, 2, ... on
-    neighbour lists and degrees built once, and returns the first
+    neighbour lists and ranks built once, and returns the first
     coloring found.  The search is exhaustive, so each
     failed k is a proof that the graph needs more colors, and the
     returned k is the chromatic number.  Graphs above 64 vertices are
@@ -187,8 +197,9 @@ def chromatic_number(g: OrthoGraph) -> tuple[int, Coloring]:
     degrees = adjacency.sum(axis=1).tolist()
     targets = cols.tolist()
     neighbors = [targets[end - degree : end] for degree, end in zip(degrees, accumulate(degrees))]
+    ranks = _dsatur_ranks(degrees)
     k = 1
-    while (colors := _k_colorable(neighbors, degrees, k)) is None:
+    while (colors := _k_colorable(neighbors, ranks, k)) is None:
         k += 1
     arr = np.asarray(colors)
     if np.any(arr[rows] == arr[cols]):

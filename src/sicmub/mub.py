@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -40,8 +41,8 @@ LINES: np.ndarray = frozen_array(
     dtype=int,
 )
 
-#: The rows of :data:`LINES` as sorted tuples, for membership tests.
-_LINE_SET = frozenset(map(tuple, LINES.tolist()))
+#: Each row of :data:`LINES` as a sorted tuple, mapped to its row index.
+_LINE_ROWS = {line: row for row, line in enumerate(map(tuple, LINES.tolist()))}
 
 #: The C(9,3) = 84 triples of distinct SIC indices, each ascending, in lexicographic order.
 TRIPLES: np.ndarray = frozen_array(list(combinations(range(9), 3)), dtype=int)
@@ -61,18 +62,29 @@ def three_zero_vectors(triples: np.ndarray) -> np.ndarray:
     return p
 
 
-def _line_states(lines: np.ndarray, s: SicSet) -> tuple[np.ndarray, np.ndarray]:
-    """Probability vectors and projectors of the MUB states of a stack of
-    lines ``(n, 3)``: each vector is zero on its line and 1/6 elsewhere,
-    and each reconstruction must be a rank-1 projector within ``DEFAULT_TOL``."""
+#: ``three_zero_vectors(LINES)``: row ``r`` is the probability vector of the MUB state of line ``r``.
+LINE_VECTORS: np.ndarray = frozen_array(three_zero_vectors(LINES), dtype=float)
+
+#: ``three_zero_vectors(TRIPLES)``: the 84 minimal-entropy candidates, in the order of :data:`TRIPLES`.
+TRIPLE_VECTORS: np.ndarray = frozen_array(three_zero_vectors(TRIPLES), dtype=float)
+
+#: The computational-basis projectors ``|j><j|``, ``j = 0, 1, 2``, which striation 2 must match.
+COMPUTATIONAL_PROJECTORS: np.ndarray = frozen_array([projector(basis_ket(3, j)) for j in range(3)])
+
+
+def _line_states(rows, s: SicSet) -> tuple[np.ndarray, np.ndarray]:
+    """Probability vectors and projectors of the MUB states of the rows
+    ``rows`` of :data:`LINES`: each vector is zero on its line and 1/6
+    elsewhere, and each reconstruction must be a rank-1 projector within
+    ``DEFAULT_TOL``."""
     if s.dim != 3:
         raise ValueError("MUB construction is defined for the qutrit SIC")
-    p = three_zero_vectors(lines)
+    p = LINE_VECTORS[rows]
     rho = reconstruct_from_probabilities(p, s)
     residuals = np.max(np.abs(rho @ rho - rho), axis=(1, 2))
     if residuals.max() > DEFAULT_TOL:
         worst = residuals.argmax()
-        raise ValueError(f"reconstruction of {tuple(lines[worst].tolist())} is not a rank-1 projector: residual {residuals[worst]:.3e}")
+        raise ValueError(f"reconstruction of {tuple(LINES[rows][worst].tolist())} is not a rank-1 projector: residual {residuals[worst]:.3e}")
     return p, rho
 
 
@@ -98,9 +110,9 @@ def mub_from_triple(triple, s: SicSet) -> tuple[np.ndarray, np.ndarray]:
     which is why non-line triples are rejected up front).
     """
     key = tuple(sorted(_sic_indices(triple)))
-    if key not in _LINE_SET:
+    if key not in _LINE_ROWS:
         raise ValueError(f"{key} is not a line of S(9); the uniform-1/6 vector would not be a state")
-    p, rho = _line_states(np.array([key]), s)
+    p, rho = _line_states([_LINE_ROWS[key]], s)
     return p[0], rho[0]
 
 
@@ -120,6 +132,20 @@ class MubSet:
         object.__setattr__(self, "prob_vectors", frozen_array(self.prob_vectors, dtype=float))
 
 
+@lru_cache(maxsize=8)
+def _verify_targets(n_striations: int, n_states: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`verify_mub_set` compares against, built once per size and
+    read-only: the (s, t) masks of same-basis and of cross-basis pairs, and
+    the identities of ``n_states`` and of ``d`` entries."""
+    same_basis = np.eye(n_striations, dtype=bool)
+    return (
+        frozen_array(same_basis, dtype=bool),
+        frozen_array(~same_basis, dtype=bool),
+        frozen_array(np.eye(n_states), dtype=float),
+        frozen_array(np.eye(d), dtype=float),
+    )
+
+
 def verify_mub_set(m: MubSet, tol: float = DEFAULT_TOL) -> Check:
     """Check orthonormality within each basis, completeness of each
     basis, and cross-basis overlap 1/3 for all 54 cross pairs.
@@ -129,11 +155,11 @@ def verify_mub_set(m: MubSet, tol: float = DEFAULT_TOL) -> Check:
     """
     p = np.asarray(m.projectors)
     n_striations, n_states = p.shape[:2]
+    same_basis, cross_basis, state_identity, identity = _verify_targets(n_striations, n_states, p.shape[-1])
     gram = np.einsum("siab,tjba->sitj", p, p).real.swapaxes(1, 2)  # indexed (s, t, i, j)
-    same_basis = np.eye(n_striations, dtype=bool)
-    within = float(np.max(np.abs(gram[same_basis] - np.eye(n_states))))
-    cross = float(np.max(np.abs(gram[~same_basis] - 1.0 / 3.0), initial=0.0))
-    completeness = float(np.max(np.abs(p.sum(axis=1) - np.eye(p.shape[-1]))))
+    within = float(np.max(np.abs(gram[same_basis] - state_identity)))
+    cross = float(np.max(np.abs(gram[cross_basis] - 1.0 / 3.0), initial=0.0))
+    completeness = float(np.max(np.abs(p.sum(axis=1) - identity)))
     return Check(
         passed=within <= tol and completeness <= tol and cross <= tol,
         residuals={
@@ -152,13 +178,12 @@ def build_mub_set(s: SicSet) -> MubSet:
     including the identification of striation 2 (columns) with the
     computational basis.
     """
-    prob_vectors, projectors = _line_states(LINES, s)
+    prob_vectors, projectors = _line_states(slice(None), s)
     mubs = MubSet(projectors=projectors.reshape(4, 3, 3, 3), prob_vectors=prob_vectors.reshape(4, 3, 9))
     check = verify_mub_set(mubs)
     if not check.passed:
         raise ValueError(f"MUB validation failed: {check.residuals}")
-    computational = np.array([projector(basis_ket(3, j)) for j in range(3)])
-    comp_residual = float(np.max(np.abs(mubs.projectors[1] - computational)))
+    comp_residual = float(np.max(np.abs(mubs.projectors[1] - COMPUTATIONAL_PROJECTORS)))
     if comp_residual > DEFAULT_TOL:
         raise ValueError(f"striation 2 does not match the computational basis: residual {comp_residual:.3e}")
     return mubs

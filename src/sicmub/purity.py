@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mub import LINES, TRIPLES, three_zero_vectors
+from .mub import LINES, TRIPLE_VECTORS, TRIPLES
 from .qmath import DEFAULT_TOL, frozen_array, require_finite
 from .sicgen import SicSet
 
@@ -186,7 +186,7 @@ def enumerate_min_entropy_pure_states(tol: float = DEFAULT_TOL) -> list[tuple[tu
     candidates sum to 1 only up to rounding, so their sum is not held to
     ``tol``.
     """
-    p = three_zero_vectors(TRIPLES)
+    p = TRIPLE_VECTORS
     keep = (abs(_quadratic_values(p) - _quadratic_target(9)) <= tol) & (abs(_qbic_hesse_values(p)) <= tol)
     return [(tuple(triple), vec) for triple, vec in zip(TRIPLES[keep].tolist(), p[keep])]
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,11 +84,16 @@ class SicSet:
         object.__setattr__(self, "projectors", frozen_array(p))
 
 
+@lru_cache(maxsize=8)
+def _gram_target(d: int) -> np.ndarray:
+    """The SIC overlaps ``(d*delta + 1)/(d + 1)`` of dimension ``d``, built
+    once per dimension and read-only."""
+    return frozen_array((d * np.eye(d * d) + 1.0) / (d + 1.0), dtype=float)
+
+
 def _gram_residual(projectors: np.ndarray, d: int) -> float:
     gram = np.einsum("iab,jba->ij", projectors, projectors).real
-    n = d * d
-    target = (d * np.eye(n) + 1.0) / (d + 1.0)
-    return float(np.max(np.abs(gram - target)))
+    return float(np.max(np.abs(gram - _gram_target(d))))
 
 
 def is_sic(s: SicSet, tol: float = DEFAULT_TOL) -> Check:
@@ -123,41 +129,51 @@ def generate_sic_orbit(fiducial, tol: float = DEFAULT_TOL) -> SicSet:
     return SicSet(dim=d, projectors=projectors)
 
 
+_W = np.exp(2j * np.pi / 3)
+_CW = np.conj(_W)
+
+#: The nine Hesse kets, read-only; :func:`hesse_kets` hands out copies.
+_HESSE_KETS: np.ndarray = frozen_array(
+    np.array(
+        [
+            [0, 1, -1],
+            [-1, 0, 1],
+            [1, -1, 0],
+            [0, _W, -_CW],
+            [-1, 0, _CW],
+            [1, -_W, 0],
+            [0, _CW, -_W],
+            [-1, 0, _W],
+            [1, -_CW, 0],
+        ],
+        dtype=complex,
+    )
+    / math.sqrt(2.0)
+)
+
+
 def hesse_kets() -> np.ndarray:
-    """The nine qutrit kets of the Hesse SIC, indexed 0-8.
+    """The nine qutrit kets of the Hesse SIC, indexed 0-8, as a new
+    writable array.
 
     Index 0 is the fiducial ``(0, 1, -1)/sqrt(2)``; the rest follow the
     ``i = 3b + a`` orbit layout (each printed ket may differ from the
     literal orbit vector by a global phase, which projectors ignore).
     """
-    w = np.exp(2j * np.pi / 3)
-    cw = np.conj(w)
-    kets = np.array(
-        [
-            [0, 1, -1],
-            [-1, 0, 1],
-            [1, -1, 0],
-            [0, w, -cw],
-            [-1, 0, cw],
-            [1, -w, 0],
-            [0, cw, -w],
-            [-1, 0, w],
-            [1, -cw, 0],
-        ],
-        dtype=complex,
-    )
-    return kets / math.sqrt(2.0)
+    return _HESSE_KETS.copy()
 
 
 def hesse_sic() -> SicSet:
-    """The Hesse SIC: the standard qutrit SIC, fiducial first."""
-    kets = hesse_kets()
+    """The Hesse SIC: the standard qutrit SIC, fiducial first, built and
+    validated anew on every call."""
+    kets = _HESSE_KETS
     return SicSet(dim=3, projectors=np.einsum("ia,ib->iab", kets, kets.conj()))
 
 
 def sic_probabilities(rho, s: SicSet, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """SIC representation ``p(i) = tr(rho P_i) / d`` of a density matrix."""
-    rm = np.asarray(rho, dtype=complex)
+    """SIC representation ``p(i) = tr(rho P_i) / d`` of a density matrix
+    with finite entries."""
+    rm = require_finite(np.asarray(rho, dtype=complex), "density matrix")
     d = s.dim
     if rm.shape != (d, d):
         raise ValueError(f"dimension mismatch: state {rm.shape} vs SIC dimension {d}")

@@ -29,6 +29,10 @@ LINE_NORMALIZATION_TOL = 1e-9
 _LINE_KEYS: tuple[Triple, ...] = tuple(map(tuple, LINES.tolist()))
 _line_values = itemgetter(*_LINE_KEYS)
 
+#: The qutrit identity, which each ``A_j`` subtracts, and the target ``3 delta_jk`` of their Gram matrix.
+_IDENTITY: np.ndarray = frozen_array(np.eye(3), dtype=float)
+_GRAM_TARGET: np.ndarray = frozen_array(3.0 * np.eye(9), dtype=float)
+
 
 @dataclass(frozen=True, eq=False)
 class PhasePointOperators:
@@ -51,11 +55,11 @@ def phase_point_operators(m: MubSet) -> PhasePointOperators:
     are checked within ``DEFAULT_TOL``; violations raise with the residuals.
     """
     line_projectors = np.asarray(m.projectors).reshape(12, 3, 3)
-    ops = line_projectors[POINT_LINES].sum(axis=1) - np.eye(3)
+    ops = line_projectors[POINT_LINES].sum(axis=1) - _IDENTITY
 
     trace_residual = float(np.max(np.abs(np.einsum("jaa->j", ops) - 1.0)))
     gram = np.einsum("jab,kba->jk", ops, ops).real
-    gram_residual = float(np.max(np.abs(gram - 3.0 * np.eye(9))))
+    gram_residual = float(np.max(np.abs(gram - _GRAM_TARGET)))
     line_residual = float(np.max(np.abs(ops[LINES].sum(axis=1) / 3.0 - line_projectors)))
     if max(trace_residual, gram_residual, line_residual) > DEFAULT_TOL:
         raise ValueError(

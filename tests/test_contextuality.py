@@ -17,7 +17,8 @@ from sicmub import (
     projector,
     trace_product,
 )
-from sicmub.contextuality import _k_colorable
+from sicmub.contextuality import _dsatur_ranks, _k_colorable
+from sicmub.mub import LINES
 
 
 def brute_force_chromatic(adjacency):
@@ -111,6 +112,16 @@ class TestGraphConstruction:
         graph = hesse_mub_graph()
         assert graph.n == 21
         assert len(graph.edges()) == 48
+
+    def test_builtin_adjacency_follows_from_the_line_table(self):
+        # SIC i meets MUB m iff i lies on line m; MUB m meets m' iff their lines are parallel
+        expected = np.zeros((21, 21), dtype=bool)
+        for m, line in enumerate(LINES.tolist()):
+            expected[line, 9 + m] = expected[9 + m, line] = True
+            for other in range(12):
+                expected[9 + m, 9 + other] = other != m and other // 3 == m // 3
+        assert np.count_nonzero(expected[:9, 9:]) == 36 and np.count_nonzero(expected[9:, 9:]) == 2 * 12
+        assert np.array_equal(np.asarray(hesse_mub_graph().adjacency), expected)
 
     def test_sic_block_has_no_internal_edges(self):
         graph = hesse_mub_graph()
@@ -249,11 +260,16 @@ class TestChromaticNumber:
         adjacency = np.asarray(random_graph(np.random.default_rng(seed), n, p).adjacency)
         neighbors = [np.flatnonzero(row).tolist() for row in adjacency]
         degrees = adjacency.sum(axis=1).tolist()
+        # the rank order the old search sorted for itself on every call: higher degree first, then lower index
+        ranks = [0] * n
+        for rank, v in enumerate(sorted(range(n), key=lambda u: (degrees[u], -u))):
+            ranks[v] = rank
+        assert _dsatur_ranks(degrees) == ranks
         k = 0
         while True:
             k += 1
             expected = set_based_k_colorable(neighbors, degrees, k)
-            assert _k_colorable(neighbors, degrees, k) == expected
+            assert _k_colorable(neighbors, ranks, k) == expected
             if expected is not None:
                 break
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,6 +167,19 @@ class TestProbabilityRepresentation:
         # unit trace, but the fiducial (0, 1, -1)/sqrt(2) gets probability -1/12
         with pytest.raises(ValueError, match="negative SIC probability -8.333e-02"):
             sic_probabilities(np.diag([1.5, 0.0, -0.5]), sic)
+
+
+    @pytest.mark.parametrize(
+        "rho",
+        [np.full((3, 3), math.nan), np.full((3, 3), math.inf), np.full((3, 3), -math.inf), np.diag([math.inf, 0.0, 0.0]), np.diag([-math.inf, 0.0, 0.0]), np.diag([math.nan, 0.5, 0.5])],
+        ids=["all-nan", "all-+inf", "all--inf", "diag-+inf", "diag--inf", "diag-nan"],
+    )
+    def test_non_finite_density_matrix_rejected(self, sic, rho):
+        # it once read as "negative SIC probability nan: input is not positive semidefinite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^density matrix entries must be finite, got NaN or infinity$"):
+                sic_probabilities(rho, sic)
 
 
 class TestRepresentationProperties:
