@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qmath import SEARCH_TOL, density_checks, frozen_array, overlap_squared, require_finite
+from .qmath import SEARCH_TOL, density_checks, frozen_array, overlap_squared, require_finite, require_tolerance
 
 #: Absolute tie tolerance for flagging saturation of the ternary criterion.
 SATURATION_TOL = 1e-9
@@ -137,16 +137,20 @@ def qutrit_triple_criterion(a, b, c, tol: float = SEARCH_TOL, *, norm_tol: float
     (it is attached as ``witness``).  ``saturated`` marks an incompatible
     triple whose two boundary sides agree within ``SATURATION_TOL``.
 
-    Raises ``ValueError`` for non-qutrit or non-finite input, kets whose
-    norm is off 1 by more than ``norm_tol`` (default ``tol``), or states
-    identical as projectors.
+    Raises ``ValueError`` for non-qutrit or non-finite input, a NaN,
+    negative or infinite ``tol`` or ``norm_tol``, kets whose norm is off 1
+    by more than ``norm_tol`` (default ``tol``), or states identical as
+    projectors.
     """
+    require_tolerance(tol)
+    norm_tol = tol if norm_tol is None else require_tolerance(norm_tol)
     kets = [np.asarray(v, dtype=complex).reshape(-1) for v in (a, b, c)]
     for v in kets:
         if v.shape[0] != 3:
             raise ValueError(f"criterion applies to qutrits only, got dimension {v.shape[0]}")
         require_finite(v, "ket")
-        if abs(np.linalg.norm(v) - 1.0) > (tol if norm_tol is None else norm_tol):
+        # np.linalg.norm of a complex vector, without its dispatch
+        if abs(math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)) - 1.0) > norm_tol:
             raise ValueError("states must be unit kets")
     x1 = overlap_squared(kets[0], kets[1])
     x2 = overlap_squared(kets[1], kets[2])

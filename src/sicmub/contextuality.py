@@ -23,7 +23,7 @@ from itertools import accumulate
 import numpy as np
 
 from .mub import LINES, build_mub_set
-from .qmath import SEARCH_TOL, frozen_array, projector_residuals
+from .qmath import SEARCH_TOL, frozen_array, projector_residuals, require_tolerance
 from .sicgen import hesse_sic
 
 #: Default overlap tolerance for declaring two states orthogonal.
@@ -90,6 +90,7 @@ def build_orthogonality_graph(states, labels, tol: float = ORTHOGONALITY_TOL) ->
     (:func:`sicmub.qmath.projector_residuals`).  An empty ``(0, d, d)``
     stack gives the empty graph.
     """
+    require_tolerance(tol)
     arr = np.asarray(states, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError(f"states must have shape (n, d, d), got {arr.shape}")

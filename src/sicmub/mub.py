@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .qmath import DEFAULT_TOL, Check, basis_ket, frozen_array, projector
+from .qmath import DEFAULT_TOL, Check, basis_ket, frozen_array, projector, require_tolerance
 from .sicgen import SicSet, reconstruct_from_probabilities
 
 Triple = tuple[int, int, int]
@@ -153,6 +153,7 @@ def verify_mub_set(m: MubSet, tol: float = DEFAULT_TOL) -> Check:
     Passes iff ``max_within_basis_residual``, ``max_completeness_residual``
     and ``max_cross_basis_residual`` are all at most ``tol``.
     """
+    require_tolerance(tol)
     p = np.asarray(m.projectors)
     n_striations, n_states = p.shape[:2]
     same_basis, cross_basis, state_identity, identity = _verify_targets(n_striations, n_states, p.shape[-1])
@@ -195,6 +196,7 @@ def _witnesses(triples: np.ndarray, m: MubSet, s: SicSet, tol: float) -> list[li
     ascending.  ``overlaps[i, t, k] = tr(P_i M_tk)`` is SIC projector i
     against state k of striation t+1, so the functional of SIC states ``T``
     in striation t+1 is ``overlaps[T, t].prod(axis=0).sum()``."""
+    require_tolerance(tol)
     overlaps = np.einsum("iab,tkba->itk", np.asarray(s.projectors), np.asarray(m.projectors)).real
     rows, cols = np.nonzero(overlaps[triples].prod(axis=1).sum(-1) <= tol)
     lists: list[list[int]] = [[] for _ in range(len(triples))]

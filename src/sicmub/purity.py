@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mub import LINES, TRIPLE_VECTORS, TRIPLES
-from .qmath import DEFAULT_TOL, frozen_array, require_finite
+from .qmath import DEFAULT_TOL, frozen_array, require_finite, require_tolerance
 from .sicgen import SicSet
 
 
@@ -158,12 +158,12 @@ def distribution_indices(p, zero_tol: float = 1e-9) -> DistributionIndices:
     must sum to 1 within ``zero_tol`` and whose squares must not sum to 0."""
     vec = _as_prob_vector(p, zero_tol)
     d_sq = vec.shape[0]
-    weight = float(np.dot(vec, vec))
+    weight = float(vec.dot(vec))
     if weight == 0.0:
         raise ValueError(f"probability vector has no weight: its squares sum to {weight!r}")
     effective = 1.0 / weight
     positive = vec[vec > 0]
-    entropy = 0.0 - float(np.sum(positive * np.log(positive)))  # unlike -x, 0.0 - x gives +0.0 for a point mass
+    entropy = 0.0 - float((positive * np.log(positive)).sum())  # unlike -x, 0.0 - x gives +0.0 for a point mass
     zeros = int(np.count_nonzero(vec < zero_tol))
     bound = d_sq - effective
     return DistributionIndices(
@@ -186,14 +186,16 @@ def enumerate_min_entropy_pure_states(tol: float = DEFAULT_TOL) -> list[tuple[tu
     candidates sum to 1 only up to rounding, so their sum is not held to
     ``tol``.
     """
+    require_tolerance(tol)
     p = TRIPLE_VECTORS
     keep = (abs(_quadratic_values(p) - _quadratic_target(9)) <= tol) & (abs(_qbic_hesse_values(p)) <= tol)
     return [(tuple(triple), vec) for triple, vec in zip(TRIPLES[keep].tolist(), p[keep])]
 
 
 def _as_prob_vector(p, tol: float) -> np.ndarray:
-    """``p`` as a flat float array; raises unless its entries are finite and
-    sum to 1 within ``tol``."""
+    """``p`` as a flat float array; raises unless ``tol`` is finite and
+    non-negative and the entries are finite and sum to 1 within ``tol``."""
+    require_tolerance(tol)
     vec = require_finite(np.asarray(p, dtype=float).reshape(-1), "probability vector")
     total = float(np.add.reduce(vec))
     if not abs(total - 1.0) <= tol:

@@ -15,6 +15,7 @@ with ``writeable = False`` so values can be shared across threads.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -40,6 +41,14 @@ def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if np.count_nonzero(np.isfinite(arr)) != arr.size:  # half the cost of ``.all()`` on a 3x3 or a 9-vector
         raise ValueError(f"{what} entries must be finite, got NaN or infinity")
     return arr
+
+
+def require_tolerance(tol: float) -> float:
+    """``tol`` itself; raises ``ValueError`` unless it is finite and at least 0,
+    so a NaN or negative tolerance never reads as a failed check."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    return tol
 
 
 def basis_ket(dim: int, j: int) -> np.ndarray:
@@ -127,7 +136,8 @@ def validate_density_matrix(rho, tol: float = DEFAULT_TOL) -> Check:
 
     Passes iff ``max_hermiticity_residual`` and ``trace_residual`` are at
     most ``tol`` and ``min_eigenvalue`` is at least ``-tol``.  A matrix
-    with a NaN or infinite entry raises ``ValueError``.
+    with a NaN or infinite entry raises ``ValueError``, as does a ``tol``
+    that is NaN, negative or infinite.
     """
     return density_checks(_as_square(rho, "state")[None], tol)[0]
 
@@ -136,13 +146,15 @@ def density_checks(rhos, tol: float = DEFAULT_TOL) -> list[Check]:
     """The density-matrix rule of :func:`validate_density_matrix` over a
     stack ``(n, d, d)``: one ``Check`` per state, the same, bit for bit, as
     for that state alone.  Raises ``ValueError`` if any entry is NaN or
-    infinite, before any residual is computed.
+    infinite, before any residual is computed, and unless ``tol`` is finite
+    and non-negative.
     """
+    require_tolerance(tol)
     arr = require_finite(np.asarray(rhos, dtype=complex), "state")
     adjoint = arr.conj().transpose(0, 2, 1)
     herms = np.abs(arr - adjoint).max(axis=(1, 2)).tolist()
     # Python's complex abs per state: numpy's vectorised abs can differ in the last bit
-    traces = [abs(trace - 1.0) for trace in np.trace(arr, axis1=1, axis2=2).tolist()]
+    traces = [abs(trace - 1.0) for trace in arr.trace(axis1=1, axis2=2).tolist()]
     # Symmetric solver on the Hermitian part; robust for near-Hermitian input.
     min_eigs = np.linalg.eigvalsh((arr + adjoint) / 2.0)[:, 0].tolist()
     return [
@@ -173,6 +185,7 @@ def validate_orthonormal_basis(kets, tol: float = DEFAULT_TOL) -> Check:
     ``k != d`` kets of dimension ``d`` never passes; only its residuals
     carry ``completeness_residual = |d - k|``.
     """
+    require_tolerance(tol)
     arr = np.asarray(kets, dtype=complex)
     if arr.ndim != 2:
         raise ValueError(f"basis must have shape (k, d), got {arr.shape}")

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qmath import DEFAULT_TOL, SEARCH_TOL, Check, frozen_array, projector_residuals, require_finite
+from .qmath import DEFAULT_TOL, SEARCH_TOL, Check, frozen_array, projector_residuals, require_finite, require_tolerance
 
 
 class NotSicError(ValueError):
@@ -71,6 +71,7 @@ class SicSet:
     tol: float = SEARCH_TOL
 
     def __post_init__(self):
+        require_tolerance(self.tol)
         p = np.asarray(self.projectors, dtype=complex)
         d = self.dim
         if p.shape != (d * d, d, d):
@@ -101,6 +102,7 @@ def is_sic(s: SicSet, tol: float = DEFAULT_TOL) -> Check:
 
     Passes iff the worst deviation, ``max_gram_residual``, is at most ``tol``.
     """
+    require_tolerance(tol)
     residual = _gram_residual(np.asarray(s.projectors), s.dim)
     return Check(passed=residual <= tol, residuals={"max_gram_residual": residual})
 
@@ -113,6 +115,7 @@ def generate_sic_orbit(fiducial, tol: float = DEFAULT_TOL) -> SicSet:
     not a SIC fiducial and :class:`NotSicError` is raised with the
     observed residual.
     """
+    require_tolerance(tol)
     fid = np.asarray(fiducial, dtype=complex).reshape(-1)
     d = fid.shape[0]
     norm = np.linalg.norm(fid)
@@ -173,16 +176,18 @@ def hesse_sic() -> SicSet:
 def sic_probabilities(rho, s: SicSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """SIC representation ``p(i) = tr(rho P_i) / d`` of a density matrix
     with finite entries."""
+    require_tolerance(tol)
     rm = require_finite(np.asarray(rho, dtype=complex), "density matrix")
     d = s.dim
     if rm.shape != (d, d):
         raise ValueError(f"dimension mismatch: state {rm.shape} vs SIC dimension {d}")
     raw = np.einsum("ab,iba->i", rm, s.projectors).real / d
-    if not raw.min() >= -tol:
-        raise ValueError(f"negative SIC probability {raw.min():.3e}: input is not positive semidefinite")
+    low = raw.min()
+    if not low >= -tol:
+        raise ValueError(f"negative SIC probability {low:.3e}: input is not positive semidefinite")
     if not abs(raw.sum() - 1.0) <= tol:
         raise ValueError(f"SIC probabilities sum to {raw.sum()!r}: input is not unit trace")
-    return np.clip(raw, 0.0, 1.0)
+    return raw.clip(0.0, 1.0)
 
 
 def reconstruct_from_probabilities(p, s: SicSet) -> np.ndarray:
@@ -199,8 +204,8 @@ def reconstruct_from_probabilities(p, s: SicSet) -> np.ndarray:
     d = s.dim
     if vec.shape[-1:] != (d * d,):
         raise ValueError(f"expected {d * d} probabilities on the last axis, got shape {vec.shape}")
-    sums = np.ravel(vec.sum(axis=-1))
-    worst = int(np.argmax(np.abs(sums - 1.0)))
+    sums = vec.sum(axis=-1).ravel()
+    worst = int(abs(sums - 1.0).argmax())
     if not abs(sums[worst] - 1.0) <= SEARCH_TOL:
         raise ValueError(f"probabilities must sum to 1, got {float(sums[worst])!r}")
     coeffs = (d + 1.0) * vec - 1.0 / d

@@ -27,6 +27,7 @@ LINE_NORMALIZATION_TOL = 1e-9
 
 #: The rows of :data:`LINES` as the tuple keys of line-probability dicts.
 _LINE_KEYS: tuple[Triple, ...] = tuple(map(tuple, LINES.tolist()))
+_LINE_KEY_SET = frozenset(_LINE_KEYS)
 _line_values = itemgetter(*_LINE_KEYS)
 
 #: The qutrit identity, which each ``A_j`` subtracts, and the target ``3 delta_jk`` of their Gram matrix.
@@ -92,9 +93,9 @@ def line_marginals(w) -> dict[Triple, float]:
 
     For ``w`` coming from a state, the value at line ``(ijk)`` is the
     Born probability of that MUB outcome, and each striation's three
-    values sum to the total mass of ``w``.
+    values sum to the total mass of ``w``, whose entries must be finite.
     """
-    vec = np.asarray(w, dtype=float).reshape(-1)
+    vec = require_finite(np.asarray(w, dtype=float).reshape(-1), "Wigner")
     if vec.shape[0] != 9:
         raise ValueError(f"expected 9 Wigner values, got {vec.shape[0]}")
     return dict(zip(_LINE_KEYS, vec[LINES].sum(axis=1).tolist()))
@@ -105,19 +106,20 @@ def wigner_from_line_probs(q: dict[Triple, float]) -> np.ndarray:
 
     ``W(i) = (sum of q over the four lines through i - 1)/3``; exact
     inverse of :func:`line_marginals` on consistent input.  ``q`` must
-    name each of the 12 lines exactly once, its points in any order, and
-    each striation's three probabilities must sum to 1 within
-    ``LINE_NORMALIZATION_TOL``.
+    name each of the 12 lines exactly once, its points in any order, with
+    finite probabilities, and each striation's three probabilities must
+    sum to 1 within ``LINE_NORMALIZATION_TOL``.
     """
-    lookup = {tuple(sorted(line)): float(value) for line, value in q.items()}
-    missing = sorted(set(_LINE_KEYS) - lookup.keys())
-    if missing or len(q) != 12:  # all 12 lines and 12 keys: no line named twice, no other key
+    lookup = {line if line in _LINE_KEY_SET else tuple(sorted(line)): float(value) for line, value in q.items()}
+    if len(q) != 12 or lookup.keys() != _LINE_KEY_SET:  # all 12 lines and 12 keys: no line named twice, no other key
+        missing = sorted(_LINE_KEY_SET - lookup.keys())
         raise ValueError(f"need exactly the 12 lines of S(9), each once; missing {missing}, got {list(q)}")
-    vec = np.array(_line_values(lookup))
+    vec = require_finite(np.array(_line_values(lookup)), "line probability")
     totals = vec.reshape(4, 3).sum(axis=1)
-    bad = np.flatnonzero(np.abs(totals - 1.0) > LINE_NORMALIZATION_TOL)
-    if bad.size:
-        raise ValueError(f"striation {bad[0] + 1} probabilities sum to {float(totals[bad[0]])!r}, expected 1")
+    deviations = abs(totals - 1.0)
+    if deviations.max() > LINE_NORMALIZATION_TOL:
+        bad = int((deviations > LINE_NORMALIZATION_TOL).argmax())
+        raise ValueError(f"striation {bad + 1} probabilities sum to {float(totals[bad])!r}, expected 1")
     return (vec[POINT_LINES].sum(axis=1) - 1.0) / 3.0
 
 

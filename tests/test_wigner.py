@@ -114,6 +114,24 @@ class TestWignerMaps:
         with pytest.raises(ValueError, match="entries must be finite, got NaN or infinity"):
             call(ops, bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("position", range(9))
+    def test_non_finite_wigner_entry_has_no_line_marginals(self, bad, position):
+        # a NaN entry once passed through to the four lines through its point
+        w = np.full(9, 1.0 / 9.0)
+        w[position] = bad
+        with pytest.raises(ValueError, match="^Wigner entries must be finite, got NaN or infinity$"):
+            line_marginals(w)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("line", [tuple(line) for line in LINES.tolist()], ids=lambda line: "".join(map(str, line)))
+    def test_non_finite_line_probability_has_no_wigner_function(self, bad, line):
+        # a NaN striation sum once passed the normalization check and gave a NaN W
+        q = {tuple(row): 1.0 / 3.0 for row in LINES.tolist()}
+        q[line] = bad
+        with pytest.raises(ValueError, match="^line probability entries must be finite, got NaN or infinity$"):
+            wigner_from_line_probs(q)
+
     def test_sic_state_wigner(self, sic, projectors, ops):
         w = wigner_of_density(projectors[0], ops)
         expected = np.full(9, 1.0 / 6.0)

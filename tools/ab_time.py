@@ -2,25 +2,26 @@
 
     python3 tools/ab_time.py --parent PARENT/src --change src --workload geometry
 
-Loads the ``sicmub`` package of each tree under its own name
-(``sicmub_parent`` and ``sicmub_change``), builds the benchmark's geometry
-workload of ``perfbench/geometry.py`` once per tree from seed 5, so both
-get the same inputs, and replays one cycle of its stream (the rounds after
-which the analysis cycle and the even/odd certification passes come round
-again) ``--repeats`` times.  Each operation runs in both trees back to
-back, the parent first on even steps and the change first on odd ones, so
-machine drift falls on both alike.  Only ``execute`` is timed; the
-workload's checks do not run.
+Loads the ``sicmub`` package of each tree twice, under four names
+(``sicmub_parent_a``, ``sicmub_parent_b``, ``sicmub_change_a`` and
+``sicmub_change_b``), builds the benchmark's geometry workload of
+``perfbench/geometry.py`` once per copy from seed 5, so all four get the
+same inputs, and replays one cycle of its stream (the rounds after which
+the analysis cycle and the even/odd certification passes come round
+again) ``--repeats`` times.  Each operation runs in all four copies back
+to back: the parent first on even steps and the change first on odd
+ones, and copy ``a`` first on every other pair of steps, so machine drift
+falls on all alike.  Only ``execute`` is timed; the workload's checks do
+not run.
 
-Per op kind it prints the sum over operations of each one's fastest run
-in each tree, their ratio (change over parent), and the paired sign
-count: in how many of the side-by-side runs the change was faster.  The
-last line is the same as one JSON object.  The printed line also gives a
-repeat-only bootstrap interval of the ratio (the repeats of each operation
-resampled, paired across the trees).  It does not cover a difference
-between two loaded copies of the same code, which has read up to about
-3 % on the search code (2 vCPUs), so it is no confidence interval for a
-change and stays out of the JSON line.
+Per op kind it prints, for each tree, the sum over operations of each
+one's fastest run in a copy, averaged over the two copies; their ratio
+(change over parent), a 95 % bootstrap interval of that ratio, and the
+paired sign count: in how many of the side-by-side runs the change was
+faster.  The interval resamples the copies of each tree as well as the
+repeats of each operation, so it covers the gap between two loaded copies
+of the same code, which has read up to about 3 % on the search code
+(2 vCPUs).  The last line is the same as one JSON object.
 
 Exits 0 when every operation gave the same output in both trees, bit for
 bit (floats and arrays compared by their bytes), 1 naming the first
@@ -49,9 +50,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = ("geometry",)
 SEED = 5
 TREES = ("parent", "change")
-#: Bootstrap resamples and their generator's seed.
+#: Each tree is loaded this many times, as ``sicmub_<tree>_a``, ``_b``, ...
+COPIES = 2
+#: Bootstrap resamples, their generator's seed, and how many are drawn at once.
 DRAWS = 2000
 DRAW_SEED = 27
+DRAW_CHUNK = 100
 
 
 def load_tree(src: str, name: str) -> str:
@@ -113,35 +117,51 @@ def canonical(value):
     raise TypeError(f"cannot compare outputs of type {type(value).__name__}")
 
 
-def replay(workloads: dict, ops: int, repeats: int) -> tuple[list[str], np.ndarray, str | None]:
+def run_order(step: int) -> list[tuple[int, int]]:
+    """The ``(tree, copy)`` runs of one step, in order: the trees alternate
+    every step and the copies every other step, each pair of trees running
+    one copy back to back."""
+    trees = (0, 1) if step % 2 == 0 else (1, 0)
+    copies = tuple(range(COPIES)) if step // 2 % 2 == 0 else tuple(reversed(range(COPIES)))
+    return [(t, c) for c in copies for t in trees]
+
+
+def replay(workloads: list[list], ops: int, repeats: int) -> tuple[list[str], np.ndarray, str | None]:
     """Run the first ``ops`` operations of the stream ``repeats`` times in each
-    tree, interleaved.  Returns each operation's kind, the times ``(tree,
-    repeat, op)`` in nanoseconds, and the label of the first operation whose
-    outputs differ (``None`` if all match); the replay stops there."""
-    times = np.zeros((len(TREES), repeats, ops), dtype=np.int64)
+    copy ``workloads[tree][copy]`` of each tree, interleaved.  Returns each
+    operation's kind, the times ``(tree, copy, repeat, op)`` in nanoseconds,
+    and the label of the first operation whose outputs differ (``None`` if
+    all match); the replay stops there."""
+    times = np.zeros((len(TREES), COPIES, repeats, ops), dtype=np.int64)
     kinds: list[str] = []
     step = 0
     for repeat in range(repeats):
-        streams = [workloads[tree].stream() for tree in TREES]
+        streams = [[copy.stream() for copy in tree] for tree in workloads]
         for i in range(ops):
-            pair = [next(stream) for stream in streams]
+            batch = [[next(stream) for stream in tree] for tree in streams]
             if repeat == 0:
-                kinds.append(pair[0].kind)
-            outputs = [None, None]
-            order = (0, 1) if step % 2 == 0 else (1, 0)
-            step += 1
-            for t in order:
+                kinds.append(batch[0][0].kind)
+            outputs = [[None] * COPIES for _ in TREES]
+            for t, c in run_order(step):
                 start = perf_counter_ns()
-                outputs[t] = workloads[TREES[t]].execute(pair[t])
-                times[t, repeat, i] = perf_counter_ns() - start
-            if pair[0].label != pair[1].label or canonical(outputs[0]) != canonical(outputs[1]):
-                return kinds, times, pair[0].label
+                outputs[t][c] = workloads[t][c].execute(batch[t][c])
+                times[t, c, repeat, i] = perf_counter_ns() - start
+            step += 1
+            first = canonical(outputs[0][0])
+            if any(op.label != batch[0][0].label for tree in batch for op in tree) or any(
+                canonical(out) != first for tree in outputs for out in tree
+            ):
+                return kinds, times, batch[0][0].label
     return kinds, times, None
 
 
 def minima_sum(samples: np.ndarray) -> float:
-    """Sum over operations of each one's fastest run; ``samples`` is ``(repeat, op)``."""
-    return float(samples.min(axis=0).sum())
+    """Sum over operations of each one's fastest run in a copy, averaged over
+    the copies; ``samples`` is ``(copy, repeat, op)``, or ``(repeat, op)``
+    for one copy.  Each copy's minima come from the same number of runs, so
+    a copy counts the same however its runs are pooled."""
+    per_copy = samples.reshape(-1, *samples.shape[-2:]).min(axis=1).sum(axis=1)
+    return float(per_copy.mean())
 
 
 def sign_count(parent: np.ndarray, change: np.ndarray) -> dict[str, int]:
@@ -154,25 +174,39 @@ def sign_count(parent: np.ndarray, change: np.ndarray) -> dict[str, int]:
 
 
 def bootstrap_interval(parent: np.ndarray, change: np.ndarray, draws: int = DRAWS, seed: int = DRAW_SEED) -> tuple[float, float]:
-    """Repeat-only 95 % interval of ``minima_sum(change) / minima_sum(parent)``
-    over ``draws`` resamples: each draw picks, per operation, as many repeats
-    as there are, with replacement, the same ones in both trees.  ``parent``
-    and ``change`` are ``(repeat, op)``."""
-    repeats, ops = parent.shape
-    picks = np.random.default_rng(seed).integers(0, repeats, size=(draws, repeats, ops))
+    """95 % interval of ``minima_sum(change) / minima_sum(parent)`` over
+    ``draws`` two-level resamples.  ``parent`` and ``change`` are ``(copy,
+    repeat, op)``.  Each draw picks, for each tree on its own, as many copies
+    as there are, with replacement; then, per picked copy and operation, as
+    many repeats as there are, with replacement, the same ones in both trees;
+    and averages the picked copies' sums of per-op minima.  A draw that
+    picks one copy twice reads that copy alone, so the interval spans the
+    gap between the copies as well as the spread of the repeats."""
+    copies, repeats, ops = parent.shape
+    rng = np.random.default_rng(seed)
     columns = np.arange(ops)
-    ratios = change[picks, columns].min(axis=1).sum(axis=1) / parent[picks, columns].min(axis=1).sum(axis=1)
-    low, high = np.quantile(ratios, [0.025, 0.975])
+    ratios = []
+    for start in range(0, draws, DRAW_CHUNK):  # in chunks, so 50 repeats take a few MB, not hundreds
+        n = min(DRAW_CHUNK, draws - start)
+        copy_picks = rng.integers(0, copies, size=(2, n, copies, 1, 1))
+        repeat_picks = rng.integers(0, repeats, size=(n, copies, repeats, ops))
+        parent_sums, change_sums = (
+            samples[picks, repeat_picks, columns].min(axis=2).sum(axis=2).mean(axis=1)
+            for samples, picks in zip((parent, change), copy_picks)
+        )
+        ratios.append(change_sums / parent_sums)
+    low, high = np.quantile(np.concatenate(ratios), [0.025, 0.975])
     return float(low), float(high)
 
 
 def summarize(kinds: list[str], times: np.ndarray) -> dict[str, dict]:
-    """Per op kind: the op count, each tree's sum of per-op minima (ms), the
-    ratio, its repeat-only bootstrap interval and the paired sign count."""
+    """Per op kind: the op count, each tree's sum of per-op minima (ms,
+    averaged over copies), the ratio, its bootstrap interval over copies and repeats, and the paired
+    sign count.  ``times`` is ``(tree, copy, repeat, op)``."""
     report = {}
     for kind in dict.fromkeys(kinds):
         columns = [i for i, k in enumerate(kinds) if k == kind]
-        parent, change = times[0][:, columns], times[1][:, columns]
+        parent, change = times[0][..., columns], times[1][..., columns]
         report[kind] = {
             "ops": len(columns),
             "parent_ms": minima_sum(parent) / 1e6,
@@ -200,20 +234,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="the parent tree's src directory")
     parser.add_argument("--change", required=True, help="the changed tree's src directory")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
-    parser.add_argument("--repeats", type=int, default=5, help="times each operation runs per tree (default 5)")
+    parser.add_argument("--repeats", type=int, default=5, help="times each operation runs in each copy of each tree (default 5)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be positive")
 
     sys.path.insert(0, str(PERFBENCH))
     try:
-        workloads = {tree: make_workload(load_tree(src, f"sicmub_{tree}")) for tree, src in zip(TREES, (args.parent, args.change))}
-        for workload in workloads.values():
-            workload.warm_up()
+        workloads = [
+            [make_workload(load_tree(src, f"sicmub_{tree}_{chr(ord('a') + copy)}")) for copy in range(COPIES)]
+            for tree, src in zip(TREES, (args.parent, args.change))
+        ]
+        for tree in workloads:
+            for workload in tree:
+                workload.warm_up()
     except Exception as failed:  # a tree that cannot build or warm up its workload
         print(f"error: {type(failed).__name__}: {failed}", file=sys.stderr)
         return 2
-    ops = stream_period(workloads["parent"])
+    ops = stream_period(workloads[0][0])
     try:
         kinds, times, differs = replay(workloads, ops, args.repeats)
     except Exception as failed:  # an operation that raises in either tree
@@ -223,17 +261,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"differ: the outputs of {differs} are not bit for bit the same")
         return 1
     report = summarize(kinds, times)
-    print(f"workload {args.workload} seed {SEED}: {ops} ops x {args.repeats} repeats per tree, all outputs bit for bit the same")
+    print(
+        f"workload {args.workload} seed {SEED}: {ops} ops x {args.repeats} repeats in each of {COPIES} copies per tree, "
+        "all outputs bit for bit the same"
+    )
     for kind, r in report.items():
         low, high = r["interval"]
         pairs = r["pairs"]
         print(
             f"{kind}: {r['ops']} ops, sum of per-op minima {r['parent_ms']:.4f} -> {r['change_ms']:.4f} ms, "
-            f"ratio {r['ratio']:.4f} (repeat-only interval [{low:.4f}, {high:.4f}]), change faster in "
+            f"ratio {r['ratio']:.4f} (interval over copies and repeats [{low:.4f}, {high:.4f}]), change faster in "
             f"{pairs['faster']} of {sum(pairs.values())} pairs"
         )
-    kinds_json = {kind: {key: value for key, value in r.items() if key != "interval"} for kind, r in report.items()}
-    print(json.dumps({"workload": args.workload, "seed": SEED, "ops": ops, "repeats": args.repeats, "kinds": kinds_json}))
+    print(json.dumps({"workload": args.workload, "seed": SEED, "ops": ops, "repeats": args.repeats, "copies": COPIES, "kinds": report}))
     return 0
 
 
