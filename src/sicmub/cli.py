@@ -19,9 +19,10 @@ checks fail), 2 for usage or input errors, including malformed or
 non-finite input, any input the library rejects and an ``--output``
 file that cannot be written.
 
-Each handler imports the library modules it uses when it runs, and the
-package itself is lazy, so a call loads only its own subcommand's
-modules: ``verify-sic`` loads ``qmath`` and ``sicgen``, ``compat`` loads
+Handlers reach the library through the lazy package, as
+``sm.hesse_sic`` or ``sm.compat.SATURATION_TOL``: a name loads its module
+on first use, so a call loads only its own subcommand's modules:
+``verify-sic`` loads ``qmath`` and ``sicgen``, ``compat`` loads
 ``compat``, and the other subcommands load ``sicgen`` and ``mub`` plus
 their own module.  ``compat search`` takes the defaults of the flags it
 is not given from ``WitnessSearchConfig``, and reports the config it ran.
@@ -46,15 +47,11 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
-from . import __version__
-from .qmath import DEFAULT_TOL, validate_density_matrix
-
-if TYPE_CHECKING:
-    from .compat import StateSet
+import sicmub as sm
 
 #: Environment variable overriding the default tolerance.
 TOL_ENV_VAR = "SICMUB_TOL"
@@ -193,7 +190,7 @@ class RunReport:
             "tolerances": self.tolerances,
             "results": self.results,
             "residuals": self.residuals,
-            "version": __version__,
+            "version": sm.__version__,
         }
 
     def to_json(self) -> str:
@@ -246,7 +243,7 @@ def _resolve_tol(cli_tol: float | None) -> float:
     """``--tol``, else ``SICMUB_TOL``, else ``DEFAULT_TOL``; finite and > 0."""
     raw = os.environ.get(TOL_ENV_VAR) if cli_tol is None else cli_tol
     if raw is None:
-        return DEFAULT_TOL
+        return sm.DEFAULT_TOL
     try:
         tol = float(raw)
     except ValueError as exc:
@@ -261,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sicmub",
         description="Qutrit SIC-POVM geometry: compatibility certificates, MUBs, Wigner functions, contextuality.",
     )
-    parser.add_argument("--version", action="version", version=f"sicmub {__version__}")
+    parser.add_argument("--version", action="version", version=f"sicmub {sm.__version__}")
     sub = parser.add_subparsers(required=True)
 
     def leaf(p: argparse.ArgumentParser, handler, formats=("text", "json")) -> None:
         p.add_argument(
-            "--tol", type=float, default=None, help=f"tolerance passed to every library check (default: {TOL_ENV_VAR}, else {DEFAULT_TOL:g})"
+            "--tol", type=float, default=None, help=f"tolerance passed to every library check (default: {TOL_ENV_VAR}, else {sm.DEFAULT_TOL:g})"
         )
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", default=None, help="write the report to a file instead of stdout")
@@ -341,33 +338,29 @@ def _emit(report: RunReport, args) -> None:
         sys.stdout.write(payload)
 
 
-def _load_states_arg(source: str, tol: float) -> tuple[StateSet, str]:
+def _load_states_arg(source: str, tol: float) -> tuple[sm.StateSet, str]:
     """Resolve --states, a built-in name or a file path, to (state set,
     digest).  A file's states are judged at ``tol``; the built-in keeps
     the ``StateSet`` default, since its kets are exact up to rounding."""
-    from .compat import StateSet, cfs_example_states
-
     if source == "cfs-example":
-        return cfs_example_states(), _digest(b"builtin:cfs-example")
+        return sm.cfs_example_states(), _digest(b"builtin:cfs-example")
     dim, rhos, raw = load_state_file(source, tol)
-    return StateSet(dim=dim, rhos=rhos, tol=tol), _digest(raw)
+    return sm.StateSet(dim=dim, rhos=rhos, tol=tol), _digest(raw)
 
 
 def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport]:
-    from .sicgen import SicSet, hesse_sic, is_sic
-
     if (args.builtin is None) == (args.input is None):
         raise UsageError("verify-sic needs exactly one of --builtin or --input")
     if args.builtin is not None:
         if args.builtin != "hesse":
             raise UsageError(f"unknown built-in SIC {args.builtin!r}; available: hesse")
-        sic = hesse_sic()
+        sic = sm.hesse_sic()
         digest = HESSE_DIGEST
     else:
         dim, rhos, raw = load_state_file(args.input, tol)
-        sic = SicSet(dim=dim, projectors=rhos, tol=tol)
+        sic = sm.SicSet(dim=dim, projectors=rhos, tol=tol)
         digest = _digest(raw)
-    check = is_sic(sic, tol=tol)
+    check = sm.is_sic(sic, tol=tol)
     gram = np.einsum("iab,jba->ij", np.asarray(sic.projectors), np.asarray(sic.projectors)).real
     results: dict[str, Any] = {"dim": sic.dim, "is_sic": check.passed, "max_gram_residual": check.residuals["max_gram_residual"]}
     if args.emit_states:
@@ -382,17 +375,15 @@ def _cmd_verify_sic(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport]:
-    from .compat import SATURATION_TOL, qutrit_triple_criterion
-
     states, digest = _load_states_arg(args.states, tol)
     if len(states) != 3:
         raise UsageError(f"the ternary criterion needs exactly 3 states, got {len(states)}")
     kets = [_principal_ket(rho, states.tol) for rho in states.rhos]
-    verdict = qutrit_triple_criterion(*kets, tol=tol, norm_tol=states.tol)
+    verdict = sm.qutrit_triple_criterion(*kets, tol=tol, norm_tol=states.tol)
     label = verdict.verdict + (" (saturated)" if verdict.saturated else "")
     report = RunReport(
         inputs_digest=digest,
-        tolerances={"tol": tol, "saturation_tol": SATURATION_TOL},
+        tolerances={"tol": tol, "saturation_tol": sm.compat.SATURATION_TOL},
         results={
             "verdict": label,
             "incompatible": verdict.incompatible,
@@ -408,12 +399,10 @@ def _cmd_compat_triple(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport]:
-    from .compat import WitnessSearchConfig, witness_search
-
     given = {"restarts": args.restarts, "seed": args.seed, "success_threshold": args.threshold}
-    cfg = WitnessSearchConfig(**{name: value for name, value in given.items() if value is not None})
+    cfg = sm.WitnessSearchConfig(**{name: value for name, value in given.items() if value is not None})
     states, digest = _load_states_arg(args.states, tol)
-    result = witness_search(states, cfg)
+    result = sm.witness_search(states, cfg)
     tolerances = {"success_threshold": cfg.success_threshold}
     if args.states != "cfs-example":
         tolerances["tol"] = tol
@@ -440,14 +429,11 @@ def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_mubs_build(args, tol: float) -> tuple[int, RunReport]:
-    from .mub import LINES, build_mub_set, verify_mub_set
-    from .sicgen import hesse_sic
-
-    mubs = build_mub_set(hesse_sic())
-    check = verify_mub_set(mubs, tol=tol)
+    mubs = sm.build_mub_set(sm.hesse_sic())
+    check = sm.verify_mub_set(mubs, tol=tol)
     report = RunReport(
         results={
-            "striations": [["".join(map(str, t)) for t in striation] for striation in LINES.reshape(4, 3, 3).tolist()],
+            "striations": [["".join(map(str, t)) for t in striation] for striation in sm.mub.LINES.reshape(4, 3, 3).tolist()],
             "prob_vectors": [[list(map(float, v)) for v in block] for block in np.asarray(mubs.prob_vectors)],
             "projectors": encode_complex(mubs.projectors),
         },
@@ -457,28 +443,22 @@ def _cmd_mubs_build(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_mubs_verify(args, tol: float) -> tuple[int, RunReport]:
-    from .mub import build_mub_set, verify_mub_set
-    from .sicgen import hesse_sic
-
-    check = verify_mub_set(build_mub_set(hesse_sic()), tol=tol)
+    check = sm.verify_mub_set(sm.build_mub_set(sm.hesse_sic()), tol=tol)
     return (0 if check.passed else 1), RunReport(results={"passed": check.passed}, residuals=check.residuals)
 
 
 def _cmd_mubs_cover(args, tol: float) -> tuple[int, RunReport]:
-    from .mub import build_mub_set, covering_table, covering_witness
-    from .sicgen import hesse_sic
-
-    sic = hesse_sic()
-    mubs = build_mub_set(sic)
+    sic = sm.hesse_sic()
+    mubs = sm.build_mub_set(sic)
     if args.triple is not None:
         try:
             triple = tuple(int(x) for x in args.triple.split(","))
         except ValueError as exc:
             raise UsageError(f"--triple must be comma-separated integers, got {args.triple!r}") from exc
-        table = [(triple, covering_witness(triple, mubs, sic, tol=tol))]
+        table = [(triple, sm.covering_witness(triple, mubs, sic, tol=tol))]
         results = {"triple": list(triple), "witnessing_striations": table[0][1]}
     else:
-        table = covering_table(mubs, sic, tol=tol)
+        table = sm.covering_table(mubs, sic, tol=tol)
         results = {
             "table": [
                 {"triple": "".join(map(str, t)), "witnessing_striations": w} for t, w in table
@@ -490,31 +470,27 @@ def _cmd_mubs_cover(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_wigner(args, tol: float) -> tuple[int, RunReport]:
-    from .mub import build_mub_set
-    from .sicgen import hesse_sic, sic_probabilities
-    from .wigner import line_marginals, negativity, phase_point_operators, wigner_from_sic_probabilities, wigner_of_density
-
     _, rhos, raw = load_state_file(args.state, tol)
     if len(rhos) != 1:
         raise UsageError(f"wigner expects exactly one state, got {len(rhos)}")
     rho = rhos[0]
-    check = validate_density_matrix(rho, tol=tol)
+    check = sm.validate_density_matrix(rho, tol=tol)
     if not check.passed:
         raise UsageError(f"input is not a valid density matrix: {check.residuals}")
-    sic = hesse_sic()
-    mubs = build_mub_set(sic)
-    probs = sic_probabilities(rho, sic, tol=tol)
-    w = wigner_from_sic_probabilities(probs)
-    ops = phase_point_operators(mubs)
-    w_ops = wigner_of_density(rho, ops)
+    sic = sm.hesse_sic()
+    mubs = sm.build_mub_set(sic)
+    probs = sm.sic_probabilities(rho, sic, tol=tol)
+    w = sm.wigner_from_sic_probabilities(probs)
+    ops = sm.phase_point_operators(mubs)
+    w_ops = sm.wigner_of_density(rho, ops)
     cross_residual = float(np.max(np.abs(w - w_ops)))
-    marginals = line_marginals(w)
+    marginals = sm.line_marginals(w)
     report = RunReport(
         inputs_digest=_digest(raw),
         results={
             "wigner": [float(x) for x in w],
             "grid": [[float(x) for x in w[3 * r : 3 * r + 3]] for r in range(3)],
-            "negativity": negativity(w),
+            "negativity": sm.negativity(w),
             "line_probabilities": {"".join(map(str, line)): q for line, q in sorted(marginals.items())},
             "sic_probabilities": [float(x) for x in probs],
         },
@@ -525,31 +501,26 @@ def _cmd_wigner(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_purity(args, tol: float) -> tuple[int, RunReport]:
-    from .purity import distribution_indices, qbic_check_general, qbic_check_hesse, quadratic_purity_check, triple_product_table
-    from .sicgen import hesse_sic
-
     doc, raw = _load_json(args.probs)
     if not isinstance(doc, dict) or "probabilities" not in doc:
         raise UsageError(f"{args.probs}: expected an object with a 'probabilities' field")
     dim = decode_dim(doc, args.probs, default=3)
     probs = decode_array(doc["probabilities"], (dim * dim,), f"{args.probs}: probabilities", pairs=False)
-    if probs.min() < -tol:  # the library checks the sum, at the same tol
-        raise UsageError(f"{args.probs}: not a probability vector (min {float(probs.min())!r})")
-    quadratic = quadratic_purity_check(probs, tol=tol)
+    quadratic = sm.quadratic_purity_check(probs, tol=tol)
     results: dict[str, Any] = {
         "quadratic": {"passed": quadratic.passed, "value": quadratic.value, "target": quadratic.target},
     }
     residuals = {"quadratic": quadratic.residual}
     pure = quadratic.passed
     if dim == 3:
-        hesse_form = qbic_check_hesse(probs, tol=tol)
-        general = qbic_check_general(probs, triple_product_table(hesse_sic()), tol=tol)
+        hesse_form = sm.qbic_check_hesse(probs, tol=tol)
+        general = sm.qbic_check_general(probs, sm.triple_product_table(sm.hesse_sic()), tol=tol)
         results["qbic_hesse"] = {"passed": hesse_form.passed, "value": hesse_form.value}
         results["qbic_general"] = {"passed": general.passed, "value": general.value, "target": general.target}
         residuals["qbic_hesse"] = hesse_form.residual
         residuals["qbic_general"] = general.residual
         pure = pure and hesse_form.passed and general.passed
-    indices = distribution_indices(probs, zero_tol=tol)
+    indices = sm.distribution_indices(probs, zero_tol=tol)
     entropy = indices.shannon_entropy_nats / np.log(2.0) if args.bits else indices.shannon_entropy_nats
     results["indices"] = {
         "effective_number": indices.effective_number,
@@ -563,9 +534,7 @@ def _cmd_purity(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_min_entropy(args, tol: float) -> tuple[int, RunReport]:
-    from .purity import enumerate_min_entropy_pure_states
-
-    survivors = enumerate_min_entropy_pure_states(tol=tol)
+    survivors = sm.enumerate_min_entropy_pure_states(tol=tol)
     report = RunReport(
         results={
             "count": len(survivors),
@@ -578,11 +547,9 @@ def _cmd_min_entropy(args, tol: float) -> tuple[int, RunReport]:
 
 
 def _cmd_graph(args, tol: float) -> tuple[int, RunReport]:
-    from .contextuality import cabello_criterion, hesse_mub_graph
-
     if args.builtin != "hesse-mub":
         raise UsageError(f"unknown built-in graph {args.builtin!r}; available: hesse-mub")
-    graph = hesse_mub_graph(tol=tol)
+    graph = sm.hesse_mub_graph(tol=tol)
     edges = graph.edges()
     results: dict[str, Any] = {
         "labels": list(graph.labels),
@@ -592,7 +559,7 @@ def _cmd_graph(args, tol: float) -> tuple[int, RunReport]:
     }
     exit_code = 0
     if args.chromatic:
-        verdict = cabello_criterion(graph, GRAPH_DIM)
+        verdict = sm.cabello_criterion(graph, GRAPH_DIM)
         results["chromatic_number"] = verdict.chromatic_number
         results["dim"] = GRAPH_DIM
         results["contextual"] = verdict.contextual

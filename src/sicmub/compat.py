@@ -111,9 +111,10 @@ def pp_functional(states: StateSet, effects) -> float:
     """The PP product-sum ``sum_i prod_a tr(rho_a E_i)``.
 
     Nonnegative for valid inputs; a value of zero (within tolerance)
-    certifies PP incompatibility for this particular measurement.
+    certifies PP incompatibility for this particular measurement.  An
+    effect with a NaN or infinite entry raises ``ValueError``.
     """
-    eff = np.asarray(effects, dtype=complex)
+    eff = require_finite(np.asarray(effects, dtype=complex), "measurement")
     if eff.ndim != 3 or eff.shape[1] != eff.shape[2]:
         raise ValueError(f"measurement must have shape (k, d, d), got {eff.shape}")
     if eff.shape[1] != states.dim:

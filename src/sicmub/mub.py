@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .qmath import DEFAULT_TOL, Check, basis_ket, frozen_array, projector, require_tolerance
+from .qmath import DEFAULT_TOL, Check, basis_ket, frozen_array, projector, require_finite, require_tolerance
 from .sicgen import SicSet, reconstruct_from_probabilities
 
 Triple = tuple[int, int, int]
@@ -122,14 +122,17 @@ class MubSet:
 
     ``projectors[s, k]`` and ``prob_vectors[s, k]`` describe the state of
     striation ``s+1`` whose zero triple is row ``3*s + k`` of :data:`LINES`.
+    A NaN or infinite entry in either array raises ``ValueError``.
     """
 
     projectors: np.ndarray
     prob_vectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "projectors", frozen_array(self.projectors))
-        object.__setattr__(self, "prob_vectors", frozen_array(self.prob_vectors, dtype=float))
+        projectors = require_finite(np.asarray(self.projectors, dtype=complex), "MUB projector")
+        prob_vectors = require_finite(np.asarray(self.prob_vectors, dtype=float), "MUB probability")
+        object.__setattr__(self, "projectors", frozen_array(projectors))
+        object.__setattr__(self, "prob_vectors", frozen_array(prob_vectors, dtype=float))
 
 
 @lru_cache(maxsize=8)

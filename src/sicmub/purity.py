@@ -45,6 +45,7 @@ class TripleProductTable:
 
     Symmetric under every permutation of the indices; diagonal values
     are fixed by the SIC conditions (``C_jjj = 1``, ``C_jjk = 1/(d+1)``).
+    A NaN or infinite entry raises ``ValueError``.
     """
 
     dim: int
@@ -55,7 +56,7 @@ class TripleProductTable:
         n = self.dim * self.dim
         if arr.shape != (n, n, n):
             raise ValueError(f"expected table of shape ({n}, {n}, {n}), got {arr.shape}")
-        object.__setattr__(self, "values", frozen_array(arr, dtype=float))
+        object.__setattr__(self, "values", frozen_array(require_finite(arr, "triple product"), dtype=float))
 
 
 def triple_product(s: SicSet, j: int, k: int, l: int) -> float:
@@ -154,8 +155,9 @@ class DistributionIndices:
 
 
 def distribution_indices(p, zero_tol: float = 1e-9) -> DistributionIndices:
-    """Effective number, Shannon entropy (nats), and zero count of ``p``, which
-    must sum to 1 within ``zero_tol`` and whose squares must not sum to 0."""
+    """Effective number, Shannon entropy (nats), and zero count of ``p``: its
+    entries must sum to 1 within ``zero_tol``, none may be below
+    ``-zero_tol``, and their squares must not sum to 0."""
     vec = _as_prob_vector(p, zero_tol)
     d_sq = vec.shape[0]
     weight = float(vec.dot(vec))
@@ -194,10 +196,17 @@ def enumerate_min_entropy_pure_states(tol: float = DEFAULT_TOL) -> list[tuple[tu
 
 def _as_prob_vector(p, tol: float) -> np.ndarray:
     """``p`` as a flat float array; raises unless ``tol`` is finite and
-    non-negative and the entries are finite and sum to 1 within ``tol``."""
+    non-negative and the entries are finite, none below ``-tol``, and sum to
+    1 within ``tol``."""
     require_tolerance(tol)
-    vec = require_finite(np.asarray(p, dtype=float).reshape(-1), "probability vector")
+    vec = np.asarray(p, dtype=float).reshape(-1)
+    # one count on the passing path: NaN and -inf fail it and +inf fails the
+    # sum; either failure first names a non-finite entry as such
+    if np.count_nonzero(vec >= -tol) != vec.size:
+        require_finite(vec, "probability vector")
+        raise ValueError(f"probability vector entries must be at least {-tol!r}, got {float(vec.min())!r}")
     total = float(np.add.reduce(vec))
     if not abs(total - 1.0) <= tol:
+        require_finite(vec, "probability vector")
         raise ValueError(f"probability vector must sum to 1 within {tol!r}, got {total!r}")
     return vec

@@ -183,10 +183,11 @@ def validate_orthonormal_basis(kets, tol: float = DEFAULT_TOL) -> Check:
     Passes iff there are as many kets as entries and the Gram matrix is
     the identity within ``tol`` (``orthonormality_residual``).  A set of
     ``k != d`` kets of dimension ``d`` never passes; only its residuals
-    carry ``completeness_residual = |d - k|``.
+    carry ``completeness_residual = |d - k|``.  A ket with a NaN or
+    infinite entry raises ``ValueError``.
     """
     require_tolerance(tol)
-    arr = np.asarray(kets, dtype=complex)
+    arr = require_finite(np.asarray(kets, dtype=complex), "basis")
     if arr.ndim != 2:
         raise ValueError(f"basis must have shape (k, d), got {arr.shape}")
     ortho = float(np.max(np.abs(arr.conj() @ arr.T - np.eye(arr.shape[0]))))

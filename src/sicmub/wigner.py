@@ -37,7 +37,8 @@ _GRAM_TARGET: np.ndarray = frozen_array(3.0 * np.eye(9), dtype=float)
 
 @dataclass(frozen=True, eq=False)
 class PhasePointOperators:
-    """The nine grid operators ``A_j``, indexed like the SIC outcomes."""
+    """The nine grid operators ``A_j``, indexed like the SIC outcomes.  A NaN
+    or infinite entry raises ``ValueError``."""
 
     ops: np.ndarray
 
@@ -45,7 +46,7 @@ class PhasePointOperators:
         arr = np.asarray(self.ops, dtype=complex)
         if arr.shape != (9, 3, 3):
             raise ValueError(f"expected 9 operators of shape (3, 3), got {arr.shape}")
-        object.__setattr__(self, "ops", frozen_array(arr))
+        object.__setattr__(self, "ops", frozen_array(require_finite(arr, "phase-point operator")))
 
 
 def phase_point_operators(m: MubSet) -> PhasePointOperators:

@@ -38,6 +38,16 @@ def test_minima_sum_averages_the_copies(tool):
     assert tool.minima_sum(copies) == 10 + 18 + 29 + 37
 
 
+def test_per_copy_sums_average_to_the_reported_sum(tool):
+    # (tree, copy, repeat, op): the parent's copy b runs every op 3 units slower, the change's copy b runs op 3 8 units faster
+    times = np.stack([np.stack([PARENT, PARENT + 3]), np.stack([PARENT * 2, PARENT * 2 - np.array([0, 0, 0, 8])])])
+    kind = tool.summarize(["a"] * 4, times)["a"]
+    assert kind["parent_copy_ms"] == [97 / 1e6, 109 / 1e6]
+    assert kind["change_copy_ms"] == [194 / 1e6, 186 / 1e6]
+    assert sum(kind["parent_copy_ms"]) / 2 == pytest.approx(kind["parent_ms"])
+    assert sum(kind["change_copy_ms"]) / 2 == pytest.approx(kind["change_ms"])
+
+
 def test_bootstrap_of_identical_timings_is_exactly_one(tool):
     assert tool.bootstrap_interval(PARENT[None], PARENT.copy()[None]) == (1.0, 1.0)
     assert tool.bootstrap_interval(np.stack([PARENT, PARENT]), np.stack([PARENT, PARENT])) == (1.0, 1.0)
@@ -133,8 +143,9 @@ def test_a_tree_against_itself_matches(tmp_path):
     assert summary["ops"] == 196 and summary["repeats"] == 2 and summary["copies"] == 2
     assert list(summary["kinds"]) == ["certify", "pure", "mixed", "triple"]
     for kind in summary["kinds"].values():
-        assert set(kind) == {"ops", "parent_ms", "change_ms", "ratio", "interval", "pairs"}
+        assert set(kind) == {"ops", "parent_ms", "change_ms", "parent_copy_ms", "change_copy_ms", "ratio", "interval", "pairs"}
         assert len(kind["interval"]) == 2 and sum(kind["pairs"].values()) == kind["ops"] * 2 * 2
+        assert len(kind["parent_copy_ms"]) == len(kind["change_copy_ms"]) == 2
 
 
 def test_a_last_bit_changed_in_one_tree_exits_1(tmp_path):

@@ -484,6 +484,8 @@ DIM_ONE_DOC = {"dim": 1, "kets": [[[1.0, 0.0]], [[0.0, 1.0]]]}
 MIXED_TRIPLE_DOC = {"dim": 3, "matrices": encode_complex([np.eye(3) / 3.0] * 3)}
 #: Three orthonormal kets in dimension 4: well-formed, but the ternary criterion is for qutrits.
 DIM_FOUR_DOC = {"dim": 4, "kets": encode_complex(np.eye(4)[:3])}
+#: The Hesse SIC as a ket file.
+HESSE_KETS_DOC = {"dim": 3, "kets": encode_complex(hesse_kets())}
 #: One short of a qutrit SIC.
 EIGHT_KETS_DOC = {"dim": 3, "kets": encode_complex(hesse_kets()[:8])}
 #: The Hermitian part of each matrix has largest eigenvalue 1 with eigenvector |0>,
@@ -588,6 +590,7 @@ MALFORMED_ERRORS = {
     "compat-triple-deep-nesting": "is not valid JSON: maximum recursion depth exceeded",
     "seed-negative": "seed must be non-negative, got -1",
     "threshold-zero": "error: success_threshold must be finite and positive, got 0.0",
+    "purity-negative-entry": "error: probability vector entries must be at least -1e-10, got -0.1",
 }
 
 
@@ -800,14 +803,18 @@ class TestCodecProperties:
 #: beside ``sicmub.cli`` and ``sicmub.qmath`` that a fresh interpreter holds after the call)
 IMPORT_COMMANDS = [
     (HESSE, None, {"sicmub.sicgen"}),
+    (("verify-sic", "--input", "{file}"), HESSE_KETS_DOC, {"sicmub.sicgen"}),
     (("compat", "triple", "--states", "cfs-example"), None, {"sicmub.compat"}),
+    (TRIPLE, CFS_DOC, {"sicmub.compat"}),
     (SEARCH, None, {"sicmub.compat"}),
     (("mubs", "build"), None, {"sicmub.sicgen", "sicmub.mub"}),
     (("mubs", "verify"), None, {"sicmub.sicgen", "sicmub.mub"}),
     (("mubs", "cover"), None, {"sicmub.sicgen", "sicmub.mub"}),
+    (("mubs", "cover", "--triple", "0,1,4"), None, {"sicmub.sicgen", "sicmub.mub"}),
     (WIGNER, ONE_KET_DOC, {"sicmub.sicgen", "sicmub.mub", "sicmub.wigner"}),
     (PURITY, PURE_PROBS_DOC, {"sicmub.sicgen", "sicmub.mub", "sicmub.purity"}),
     (("min-entropy", "enumerate"), None, {"sicmub.sicgen", "sicmub.mub", "sicmub.purity"}),
+    (("graph",), None, {"sicmub.sicgen", "sicmub.mub", "sicmub.contextuality"}),
     (("graph", "--chromatic"), None, {"sicmub.sicgen", "sicmub.mub", "sicmub.contextuality"}),
 ]
 

@@ -188,6 +188,14 @@ class TestStateSet:
 
 
 class TestPpFunctional:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_effect_rejected(self, bad):
+        # a NaN or +inf effect once gave a NaN functional
+        effects = computational_effects()
+        effects[0, 0, 0] = bad
+        with pytest.raises(ValueError, match="^measurement entries must be finite, got NaN or infinity$"):
+            pp_functional(cfs_example_states(), effects)
+
     def test_cfs_triple_vanishes_in_computational_basis(self):
         assert pp_functional(cfs_example_states(), computational_effects()) == pytest.approx(0.0, abs=1e-14)
 

@@ -121,6 +121,15 @@ class TestMubFromTriple:
 
 
 class TestBuildAndVerify:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("field", ["projectors", "prob_vectors"])
+    def test_non_finite_entries_rejected(self, mubs, field, bad):
+        # a NaN set once failed verify_mub_set with NaN residuals and left every triple uncovered
+        fields = {"projectors": np.array(mubs.projectors), "prob_vectors": np.array(mubs.prob_vectors)}
+        fields[field][2, 1, 0] = bad
+        with pytest.raises(ValueError, match="^MUB (projector|probability) entries must be finite, got NaN or infinity$"):
+            MubSet(**fields)
+
     def test_construction_verifies_at_tight_tolerance(self, mubs):
         report = verify_mub_set(mubs, tol=1e-10)
         assert report.passed

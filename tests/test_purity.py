@@ -72,6 +72,14 @@ class TestQuadraticCheck:
 
 
 class TestTripleProducts:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_table_rejected(self, sic, bad):
+        # a NaN table once made qbic_check_general fail every vector
+        values = np.array(triple_product_table(sic).values)
+        values[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="^triple product entries must be finite, got NaN or infinity$"):
+            TripleProductTable(dim=3, values=values)
+
     def test_collinear_value(self, sic):
         assert triple_product(sic, 0, 1, 2) == pytest.approx(-0.125, abs=1e-14)
 
@@ -341,3 +349,24 @@ def test_non_finite_input_never_reaches_a_verdict(check, values):
         warnings.simplefilter("error")  # rejected before any sum: no RuntimeWarning on the way
         with pytest.raises(ValueError):
             check(values)
+
+
+#: Each check that reads nine probabilities at a tolerance, given both.
+TOLERANT_CHECKS = {
+    "quadratic_purity_check": lambda v, tol: quadratic_purity_check(v, tol=tol),
+    "qbic_check_hesse": lambda v, tol: qbic_check_hesse(v, tol=tol),
+    "qbic_check_general": lambda v, tol: qbic_check_general(v, triple_product_table(hesse_sic()), tol=tol),
+    "distribution_indices": lambda v, tol: distribution_indices(v, zero_tol=tol),
+}
+
+
+@pytest.mark.parametrize("check", TOLERANT_CHECKS.values(), ids=TOLERANT_CHECKS.keys())
+def test_an_entry_below_minus_tol_is_not_a_probability(check):
+    # [1.5, -0.5, 0, ...] sums to 1: it once read as an impure state and gave a negative entropy
+    with pytest.raises(ValueError, match=r"^probability vector entries must be at least -0\.001, got -0\.5$"):
+        check([1.5, -0.5] + [0.0] * 7, 1e-3)
+    with pytest.raises(ValueError, match="at least -0.001, got -0.0010000000000000002$"):
+        check([np.nextafter(-1e-3, -1.0), 1.001] + [0.0] * 7, 1e-3)
+    check([-1e-3, 1.001] + [0.0] * 7, 1e-3)  # at -tol itself: still a probability
+    with pytest.raises(ValueError, match="^probability vector entries must be finite, got NaN or infinity$"):
+        check([-math.inf, 1.0] + [0.0] * 7, 1e-3)

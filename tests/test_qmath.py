@@ -73,6 +73,14 @@ class TestValidation:
         assert validate_orthonormal_basis(q.T, tol=1e-10).passed
         assert not validate_orthonormal_basis(q.T[:2], tol=1e-10).passed
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_basis_rejected(self, bad):
+        # a NaN ket once gave passed=False with a NaN residual
+        kets = np.eye(3, dtype=complex)
+        kets[1, 2] = bad
+        with pytest.raises(ValueError, match="^basis entries must be finite, got NaN or infinity$"):
+            validate_orthonormal_basis(kets)
+
     def test_completeness_residual_only_for_an_incomplete_basis(self):
         complete = validate_orthonormal_basis(np.eye(3), tol=1e-10)
         assert list(complete.residuals) == ["orthonormality_residual"]

@@ -41,6 +41,13 @@ def ginibre_states(draw):
 
 
 class TestPhasePointOperators:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_operator_rejected(self, ops, bad):
+        arr = np.array(ops.ops)
+        arr[4, 0, 2] = bad
+        with pytest.raises(ValueError, match="^phase-point operator entries must be finite, got NaN or infinity$"):
+            PhasePointOperators(ops=arr)
+
     def test_unit_traces(self, ops):
         for a in np.asarray(ops.ops):
             assert np.trace(a).real == pytest.approx(1.0, abs=1e-12)

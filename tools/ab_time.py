@@ -15,13 +15,15 @@ falls on all alike.  Only ``execute`` is timed; the workload's checks do
 not run.
 
 Per op kind it prints, for each tree, the sum over operations of each
-one's fastest run in a copy, averaged over the two copies; their ratio
-(change over parent), a 95 % bootstrap interval of that ratio, and the
-paired sign count: in how many of the side-by-side runs the change was
-faster.  The interval resamples the copies of each tree as well as the
-repeats of each operation, so it covers the gap between two loaded copies
-of the same code, which has read up to about 3 % on the search code
-(2 vCPUs).  The last line is the same as one JSON object.
+one's fastest run in a copy, averaged over the two copies, and that sum
+in each copy, which shows the gap between two copies of one tree.  It
+also prints the ratio of the averages (change over parent), a 95 %
+bootstrap interval of that ratio, and the paired sign count: in how many
+of the side-by-side runs the change was faster.  The interval resamples
+the copies of each tree as well as the repeats of each operation, so it
+covers the gap between two loaded copies of the same code, which has read
+up to about 3 % on the search code (2 vCPUs).  The last line is the same
+as one JSON object.
 
 Exits 0 when every operation gave the same output in both trees, bit for
 bit (floats and arrays compared by their bytes), 1 naming the first
@@ -155,13 +157,18 @@ def replay(workloads: list[list], ops: int, repeats: int) -> tuple[list[str], np
     return kinds, times, None
 
 
+def copy_sums(samples: np.ndarray) -> np.ndarray:
+    """Per copy, the sum over operations of each one's fastest run in that
+    copy; ``samples`` is ``(copy, repeat, op)``, or ``(repeat, op)`` for one
+    copy."""
+    return samples.reshape(-1, *samples.shape[-2:]).min(axis=1).sum(axis=1)
+
+
 def minima_sum(samples: np.ndarray) -> float:
-    """Sum over operations of each one's fastest run in a copy, averaged over
-    the copies; ``samples`` is ``(copy, repeat, op)``, or ``(repeat, op)``
-    for one copy.  Each copy's minima come from the same number of runs, so
-    a copy counts the same however its runs are pooled."""
-    per_copy = samples.reshape(-1, *samples.shape[-2:]).min(axis=1).sum(axis=1)
-    return float(per_copy.mean())
+    """:func:`copy_sums` averaged over the copies.  Each copy's minima come
+    from the same number of runs, so a copy counts the same however its runs
+    are pooled."""
+    return float(copy_sums(samples).mean())
 
 
 def sign_count(parent: np.ndarray, change: np.ndarray) -> dict[str, int]:
@@ -201,8 +208,9 @@ def bootstrap_interval(parent: np.ndarray, change: np.ndarray, draws: int = DRAW
 
 def summarize(kinds: list[str], times: np.ndarray) -> dict[str, dict]:
     """Per op kind: the op count, each tree's sum of per-op minima (ms,
-    averaged over copies), the ratio, its bootstrap interval over copies and repeats, and the paired
-    sign count.  ``times`` is ``(tree, copy, repeat, op)``."""
+    averaged over copies) and that sum in each copy, the ratio, its
+    bootstrap interval over copies and repeats, and the paired sign count.
+    ``times`` is ``(tree, copy, repeat, op)``."""
     report = {}
     for kind in dict.fromkeys(kinds):
         columns = [i for i, k in enumerate(kinds) if k == kind]
@@ -211,6 +219,8 @@ def summarize(kinds: list[str], times: np.ndarray) -> dict[str, dict]:
             "ops": len(columns),
             "parent_ms": minima_sum(parent) / 1e6,
             "change_ms": minima_sum(change) / 1e6,
+            "parent_copy_ms": (copy_sums(parent) / 1e6).tolist(),
+            "change_copy_ms": (copy_sums(change) / 1e6).tolist(),
             "ratio": minima_sum(change) / minima_sum(parent),
             "interval": bootstrap_interval(parent, change),
             "pairs": sign_count(parent, change),
@@ -268,10 +278,11 @@ def main(argv: list[str] | None = None) -> int:
     for kind, r in report.items():
         low, high = r["interval"]
         pairs = r["pairs"]
+        per_copy = ", ".join(" / ".join(f"{ms:.4f}" for ms in r[f"{tree}_copy_ms"]) for tree in TREES)
         print(
-            f"{kind}: {r['ops']} ops, sum of per-op minima {r['parent_ms']:.4f} -> {r['change_ms']:.4f} ms, "
-            f"ratio {r['ratio']:.4f} (interval over copies and repeats [{low:.4f}, {high:.4f}]), change faster in "
-            f"{pairs['faster']} of {sum(pairs.values())} pairs"
+            f"{kind}: {r['ops']} ops, sum of per-op minima {r['parent_ms']:.4f} -> {r['change_ms']:.4f} ms "
+            f"(per copy {per_copy}), ratio {r['ratio']:.4f} (interval over copies and repeats [{low:.4f}, {high:.4f}]), "
+            f"change faster in {pairs['faster']} of {sum(pairs.values())} pairs"
         )
     print(json.dumps({"workload": args.workload, "seed": SEED, "ops": ops, "repeats": args.repeats, "copies": COPIES, "kinds": report}))
     return 0
