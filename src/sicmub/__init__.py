@@ -25,7 +25,7 @@ _EXPORTS = {
     "compat": (
         "CompatVerdict", "StateSet", "WitnessSearchConfig", "WitnessSearchResult", "cfs_example_kets",
         "cfs_example_states", "pp_functional", "qutrit_triple_criterion", "saturation_cubic_roots",
-        "saturation_profile", "witness_search",
+        "saturation_profile", "verify_certificate", "witness_search",
     ),
     "mub": ("MubSet", "build_mub_set", "covering_table", "covering_witness", "mub_from_triple", "verify_mub_set"),
     "purity": (

@@ -25,7 +25,8 @@ on first use, so a call loads only its own subcommand's modules:
 ``verify-sic`` loads ``qmath`` and ``sicgen``, ``compat`` loads
 ``compat``, and the other subcommands load ``sicgen`` and ``mub`` plus
 their own module.  ``compat search`` takes the defaults of the flags it
-is not given from ``WitnessSearchConfig``, and reports the config it ran.
+is not given from ``WitnessSearchConfig``, and reports the config it ran
+and the certificate check of the basis it found, at the success threshold.
 
 JSON schemas (complex numbers are ``[re, im]`` pairs; every number must
 be finite):
@@ -403,6 +404,7 @@ def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport]:
     cfg = sm.WitnessSearchConfig(**{name: value for name, value in given.items() if value is not None})
     states, digest = _load_states_arg(args.states, tol)
     result = sm.witness_search(states, cfg)
+    check, matching = sm.verify_certificate(states, result.basis, cfg.success_threshold)
     tolerances = {"success_threshold": cfg.success_threshold}
     if args.states != "cfs-example":
         tolerances["tol"] = tol
@@ -421,11 +423,12 @@ def _cmd_compat_search(args, tol: float) -> tuple[int, RunReport]:
             "polish_iters": sum(r.polish_iters for r in result.history),
             "polish_accepted": sum(r.polish_accepted for r in result.history),
             "basis_kets": encode_complex(result.basis),
+            "matching": list(matching),
             "history": [asdict(r) for r in result.history],
         },
-        residuals={"pp_functional": result.value},
+        residuals=check.residuals,
     )
-    return (0 if result.success else 1), report
+    return (0 if result.success and check.passed else 1), report
 
 
 def _cmd_mubs_build(args, tol: float) -> tuple[int, RunReport]:

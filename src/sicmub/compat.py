@@ -14,16 +14,19 @@ provides a constructive certificate.  The search's descent moves to the
 exact minimum along each pair rotation: for N states the functional
 there is a trigonometric polynomial of degree N // 2 in 4t.  A
 Gauss-Newton polish of the matched orthogonality residuals then
-certifies zeros; it is abandoned after the first accepted update that
-cuts the value by less than 4x, where a positive floor makes it converge
-only linearly, and a damped Newton finisher closes positive floors.
+certifies zeros.  Like the other phases it stops at the stop value; it is
+also abandoned after the first accepted update that cuts the value by
+less than 4x, where a positive floor makes it converge only linearly, and
+a damped Newton finisher closes positive floors.
 Both finishers halve a rejected step with one eigendecomposition of its
 generator.  Each Haar start is drawn once per seed, restart and
 dimension and shared by every search that asks for it.  Without early
 stop the finisher runs all restarts as one stack, one phase at a time:
 the polish, then Newton on the restarts still above the stop value.  The
 arithmetic is per restart, so each restart's record and the winner are
-those of restarts run one by one.
+those of restarts run one by one.  :func:`verify_certificate` checks a
+returned basis without the search: it recomputes the functional and reads
+off which state gives each outcome its smallest probability.
 
 The ternary criterion implemented here uses the non-strict inequality
 ``(x1 + x2 + x3 - 1)**2 >= 4 x1 x2 x3``: equality (saturation) counts
@@ -41,7 +44,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qmath import SEARCH_TOL, density_checks, frozen_array, overlap_squared, require_finite, require_tolerance
+from .qmath import (
+    SEARCH_TOL,
+    Check,
+    density_checks,
+    frozen_array,
+    overlap_squared,
+    require_finite,
+    require_tolerance,
+    validate_orthonormal_basis,
+)
 
 #: Absolute tie tolerance for flagging saturation of the ternary criterion.
 SATURATION_TOL = 1e-9
@@ -121,6 +133,30 @@ def pp_functional(states: StateSet, effects) -> float:
         raise ValueError(f"dimension mismatch: states {states.dim} vs measurement {eff.shape[1]}")
     probs = np.einsum("nab,kba->nk", states.rhos, eff).real
     return float(probs.prod(axis=0).sum())
+
+
+def verify_certificate(states: StateSet, basis, tol: float) -> tuple[Check, tuple[int, ...]]:
+    """Check a PP incompatibility certificate: a basis, kets as rows, in
+    which every outcome gets probability zero, within ``tol``, from some state.
+
+    Returns a ``Check`` and the matching: per outcome, the index of the
+    state that gives it the smallest probability.  The residuals are the
+    basis's ``orthonormality_residual`` (:func:`validate_orthonormal_basis`),
+    the ``pp_functional`` recomputed from the states, and
+    ``max_matched_probability``, the largest of the matched probabilities.
+    Passes iff the first two are at most ``tol``.  Needs no search: any
+    basis can be checked, whoever found it.  Raises ``ValueError`` unless
+    the basis has shape ``(d, d)`` for the states' dimension ``d`` and
+    finite entries, and unless ``tol`` is finite and non-negative.
+    """
+    kets = np.asarray(basis, dtype=complex)
+    if kets.shape != (states.dim, states.dim):
+        raise ValueError(f"dimension mismatch: states {states.dim} need a basis of shape {(states.dim,) * 2}, got {kets.shape}")
+    orthonormal = validate_orthonormal_basis(kets, tol)
+    probs = np.einsum("ma,nab,mb->nm", kets.conj(), states.rhos, kets).real  # <k_m| rho_n |k_m>
+    value = float(probs.prod(axis=0).sum())
+    residuals = {**orthonormal.residuals, "pp_functional": value, "max_matched_probability": float(probs.min(axis=0).max())}
+    return Check(passed=orthonormal.passed and value <= tol, residuals=residuals), tuple(probs.argmin(axis=0).tolist())
 
 
 def qutrit_triple_criterion(a, b, c, tol: float = SEARCH_TOL, *, norm_tol: float | None = None) -> CompatVerdict:
@@ -232,10 +268,10 @@ class WitnessSearchConfig:
     its start basis from the generator seeded ``[seed, r]``.  A restart
     whose functional ends below ``success_threshold`` certifies
     incompatibility.  With ``stop_at_success`` the restart loop exits on
-    the first success, a restart's descent and Newton stop at the
-    threshold, and the polish starts only on a restart still above it; a
-    polish once started runs on to 1e-26 or its other stop rules, whatever
-    the threshold.  Without it every restart runs its whole pipeline.
+    the first success, and each phase of a restart, the descent, the
+    polish and Newton, stops once its value is at or below the threshold.
+    Without it every restart runs its whole pipeline, and the polish runs
+    on to 1e-26 or its other stop rules.
     :func:`witness_search` describes the pipeline and how the winner is
     picked.
     """
@@ -643,8 +679,8 @@ def _finish(
     residuals have a zero, Gauss-Newton converges quadratically; where they
     do not (a positive floor) it converges only linearly, so a restart's
     polish ends after its first accepted update that cuts the value by less
-    than 4x.  It also ends below 1e-26, at ``_POLISH_ITERS`` iterations, or
-    when no halving improves.
+    than 4x.  It also ends at ``stop_value``, below 1e-26, at
+    ``_POLISH_ITERS`` iterations, or when no halving improves.
 
     Newton steps by ``-H^-1 g`` from :func:`_functional_derivatives`, with
     each Hessian eigenvalue replaced by its magnitude (so saddles are left
@@ -689,7 +725,7 @@ def _finish(
                 latest[r], finals[r] = update, (update[2], update[0], phase)
                 if phase == "polish":
                     counts[r].polish_accepted += 1
-                    going_on = 1e-26 <= update[2] <= value / 4.0 and counts[r].polish_iters < _POLISH_ITERS
+                    going_on = 1e-26 <= update[2] <= value / 4.0 and update[2] > stop_value and counts[r].polish_iters < _POLISH_ITERS
                 else:
                     going_on = update[2] > stop_value and counts[r].newton_iters < _POLISH_ITERS
                 if going_on:

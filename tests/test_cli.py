@@ -145,6 +145,25 @@ class TestCompatSearch:
         assert history[-1]["phase"] == "polish" and history[-1]["polish_accepted"] > 0
         for key in ("cycles", "probes", "newton_iters", "polish_iters", "polish_accepted"):
             assert doc["results"][key] == sum(record[key] for record in history)
+        # the certificate check of the basis, at the threshold: each state zeroes one outcome
+        assert sorted(doc["results"]["matching"]) == [0, 1, 2]
+        residuals = doc["residuals"]
+        assert set(residuals) == {"orthonormality_residual", "pp_functional", "max_matched_probability"}
+        assert residuals["orthonormality_residual"] <= 1e-9 and residuals["pp_functional"] <= 1e-9
+
+    def test_text_report_prints_the_matching(self, capsys):
+        code, out, _ = run_cli(capsys, "compat", "search", "--states", "cfs-example")
+        assert code == 0
+        assert "matching: [1, 2, 0]" in out.splitlines()
+        assert any(line.startswith("residual max_matched_probability: ") for line in out.splitlines())
+
+    def test_a_success_whose_certificate_fails_exits_one(self, capsys):
+        # below the basis's own rounding no certificate can pass its orthonormality check
+        code, out, _ = run_cli(capsys, "compat", "search", "--states", "cfs-example", "--threshold", "1e-20", "--format", "json")
+        doc = json.loads(out)
+        assert doc["results"]["success"] is True
+        assert doc["residuals"]["orthonormality_residual"] > 1e-20
+        assert code == 1
 
     def test_reports_are_byte_identical_across_runs(self, capsys):
         args = ("compat", "search", "--states", "cfs-example", "--restarts", "4", "--seed", "9", "--format", "json")

@@ -16,9 +16,16 @@ def tool():
 
 def records():
     return [
-        {"search": "search-exhaust compatible-0", "best_restart": 1, "basis": "00ff", "history": [[0, "0x1p-3"], [1, "0x1p-4"]]},
-        {"search": "search-exhaust compatible-1", "best_restart": 0, "basis": "0ff0", "history": [[0, "0x1p-5"]]},
+        {"search": "search-exhaust compatible-0", "best_restart": 1, "success": False, "basis": "00ff", "history": [[0, "0x1p-3"], [1, "0x1p-4"]]},
+        {"search": "search-exhaust compatible-1", "best_restart": 0, "success": False, "basis": "0ff0", "history": [[0, "0x1p-5"]]},
     ]
+
+
+def streams():
+    """Two searches of each of four streams: the certify stream and the random sets under two configs."""
+    labels = ["search-certify cfs-example", "search-certify hesse-014", "search-exhaust compatible-0"]
+    labels += [f"random-sets {config} set-{i} d=2 ranks=[1, 1]" for config in ("certify", "default") for i in (0, 1)]
+    return [{"search": label, "success": True, "value": "0x1p-30", "basis": "00ff"} for label in labels]
 
 
 def test_identical_searches_have_no_difference(tool):
@@ -48,3 +55,45 @@ def test_both_trees_are_required(tool, capsys):
         tool.main([])
     assert exit_info.value.code == 2
     assert "--parent and --change are required" in capsys.readouterr().err
+
+
+def test_a_search_label_names_its_stream(tool):
+    assert tool.stream("search-certify hesse-014") == "search-certify"
+    assert tool.stream("random-sets exhaust set-3 d=2 ranks=[1, 2]") == "random-sets exhaust"
+
+
+def test_moved_counts_differences_and_flips_per_stream(tool):
+    change = streams()
+    change[1]["value"] = "0x1.8p-30"
+    change[3]["success"] = False
+    change[6]["basis"] = "00fe"
+    assert tool.moved(streams(), change) == {
+        "search-certify": (1, 0, 2),
+        "search-exhaust": (0, 0, 1),
+        "random-sets certify": (1, 1, 2),
+        "random-sets default": (1, 0, 2),
+    }
+
+
+def test_a_missing_search_counts_as_differing(tool):
+    assert tool.moved(streams(), streams()[1:])["search-certify"] == (1, 0, 2)
+
+
+def test_a_difference_prints_each_stream_before_exiting_one(tool, capsys, monkeypatch):
+    change = streams()
+    change[0]["success"] = False
+    monkeypatch.setattr(tool, "searches", lambda src: streams() if src == "parent" else change)
+    assert tool.main(["--parent", "parent", "--change", "change"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "search-certify: 1 of 2 searches differ, 1 flip success",
+        "search-exhaust: 0 of 1 searches differ, 0 flip success",
+        "random-sets certify: 0 of 2 searches differ, 0 flip success",
+        "random-sets default: 0 of 2 searches differ, 0 flip success",
+        "differ: search-certify cfs-example: success True against False",
+    ]
+
+
+def test_no_difference_exits_zero_without_stream_counts(tool, capsys, monkeypatch):
+    monkeypatch.setattr(tool, "searches", lambda src: streams())
+    assert tool.main(["--parent", "parent", "--change", "change"]) == 0
+    assert capsys.readouterr().out == "all 7 searches match byte for byte\n"

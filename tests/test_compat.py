@@ -22,6 +22,7 @@ from sicmub import (
     saturation_cubic_roots,
     saturation_profile,
     validate_orthonormal_basis,
+    verify_certificate,
     witness_search,
 )
 import sicmub.compat as compat
@@ -378,7 +379,15 @@ class TestCfsExample:
 class TestWitnessSearch:
     def test_hesse_triple_reaches_threshold_and_matches_mub_basis(self, kets, mubs):
         states = StateSet.from_kets(kets[[0, 1, 4]])
-        result = witness_search(states, WitnessSearchConfig(restarts=32, seed=7))
+        # at the default threshold the polish stops once it certifies, and the certificate checks out
+        cfg = WitnessSearchConfig(restarts=32, seed=7)
+        default = witness_search(states, cfg)
+        assert default.success
+        check, matching = verify_certificate(states, default.basis, cfg.success_threshold)
+        assert check.passed and sorted(matching) == [0, 1, 2], (check, matching)
+        # the polish goes on to 1e-20 only when asked to; the MUB distance below needs that depth,
+        # since the functional rises only like the fourth power of the distance from the witness
+        result = witness_search(states, WitnessSearchConfig(restarts=32, seed=7, success_threshold=1e-20))
         assert result.success
         assert result.value < 1e-10
         basis = np.asarray(result.basis)
@@ -466,7 +475,13 @@ class TestWitnessSearch:
             assert 6 * (record.cycles - 1) < record.probes <= 6 * record.cycles
 
     def test_cfs_example_certifies_through_the_polish(self):
-        result = witness_search(cfs_example_states())
+        states = cfs_example_states()
+        default = witness_search(states)
+        record = default.history[default.best_restart]
+        assert default.success and record.phase == "polish" and record.newton_iters == 0, record
+        check, matching = verify_certificate(states, default.basis, WitnessSearchConfig().success_threshold)
+        assert check.passed and sorted(matching) == [0, 1, 2], (check, matching)
+        result = witness_search(states, WitnessSearchConfig(success_threshold=1e-20))
         record = result.history[result.best_restart]
         assert result.success and record.phase == "polish" and record.newton_iters == 0, record
         assert record.final_value < 1e-20
@@ -650,6 +665,82 @@ class TestWitnessSearch:
     def test_config_rejects_non_positive_restarts_and_negative_seeds(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must"):
             WitnessSearchConfig(**{field: value})
+
+
+def certifiable_set(rng, d, n, mixed):
+    """``n`` random states in dimension ``d``, pure or of random rank, with a
+    planted certificate: outcome m of a Haar basis is assigned to state
+    ``m % n``, and each state's kets avoid the outcomes assigned to it."""
+    u = haar_unitary(rng, d)
+    rhos = []
+    for a in range(n):
+        free = u[:, [m for m in range(d) if m % n != a]]
+        rank = int(rng.integers(1, free.shape[1] + 1)) if mixed else 1
+        kets = (free @ (rng.standard_normal((free.shape[1], rank)) + 1j * rng.standard_normal((free.shape[1], rank)))).T
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        rhos.append(np.einsum("r,ra,rb->ab", rng.dirichlet(np.ones(rank)), kets, kets.conj()))
+    return np.array(rhos)
+
+
+class TestVerifyCertificate:
+    def test_cfs_witness_passes_with_a_bijective_matching(self):
+        check, matching = verify_certificate(cfs_example_states(), np.eye(3), 1e-12)
+        assert check.passed and matching == (0, 1, 2)
+        assert check.residuals == {"orthonormality_residual": 0.0, "pp_functional": 0.0, "max_matched_probability": 0.0}
+
+    def test_a_haar_basis_fails_on_the_functional(self):
+        basis = haar_unitary(np.random.default_rng(3), 3).T
+        check, matching = verify_certificate(cfs_example_states(), basis, 1e-8)
+        assert not check.passed
+        assert check.residuals["orthonormality_residual"] <= 1e-8 and check.residuals["pp_functional"] > 1e-3
+        assert check.residuals["max_matched_probability"] > 1e-3 and len(matching) == 3
+
+    def test_a_non_orthonormal_basis_fails_on_its_residual(self):
+        basis = np.eye(3, dtype=complex)
+        basis[1, 0] = 1e-6  # outcome 1 still gets probability zero from state 1, so the functional vanishes
+        check, _ = verify_certificate(cfs_example_states(), basis, 1e-8)
+        assert not check.passed
+        assert check.residuals["pp_functional"] <= 1e-8
+        assert check.residuals["orthonormality_residual"] == pytest.approx(1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_basis_rejected(self, bad):
+        basis = np.eye(3, dtype=complex)
+        basis[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            verify_certificate(cfs_example_states(), basis, 1e-8)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3), (3,)])
+    def test_dimension_mismatch_rejected(self, shape):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            verify_certificate(cfs_example_states(), np.ones(shape), 1e-8)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-10, math.inf])
+    def test_nan_negative_or_infinite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_certificate(cfs_example_states(), np.eye(3), tol)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        d=st.integers(2, 4),
+        n=st.integers(2, 5),
+        mixed=st.booleans(),
+        planted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]),
+    )
+    def test_every_successful_early_stop_search_passes_at_its_threshold(self, d, n, mixed, planted, seed, threshold):
+        rng = np.random.default_rng(seed)
+        if planted:
+            rhos = certifiable_set(rng, d, n, mixed)
+        else:
+            rhos = random_mixtures(rng, [int(rng.integers(1, d + 1)) if mixed else 1 for _ in range(n)], d)
+        states = StateSet(dim=d, rhos=rhos)
+        result = witness_search(states, WitnessSearchConfig(restarts=4, seed=seed, success_threshold=threshold))
+        if result.success:
+            check, matching = verify_certificate(states, result.basis, threshold)
+            assert check.passed, (check, matching)
+            assert check.residuals["pp_functional"] == pytest.approx(result.value, abs=1e-15)
 
 
 class TestPairGenerators:
@@ -1022,7 +1113,7 @@ class TestCriterionWitnessAgreement:
                     totals[key] += getattr(record, key)
         # the early-stop counts repeat exactly too, polish-to-Newton hand-overs under the threshold included
         assert len(incompatible) == 91
-        assert totals == {"cycles": 1224, "probes": 7241, "polish_iters": 121, "polish_accepted": 115, "newton_iters": 110}
+        assert totals == {"cycles": 1224, "probes": 7241, "polish_iters": 76, "polish_accepted": 70, "newton_iters": 110}
         assert phases == {"descent": 45, "polish": 24, "newton": 22}
 
         for margin, triple in compatible:

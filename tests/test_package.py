@@ -22,7 +22,7 @@ PUBLIC = {
     "compat": (
         "CompatVerdict", "StateSet", "WitnessSearchConfig", "WitnessSearchResult", "cfs_example_kets",
         "cfs_example_states", "pp_functional", "qutrit_triple_criterion", "saturation_cubic_roots",
-        "saturation_profile", "witness_search",
+        "saturation_profile", "verify_certificate", "witness_search",
     ),
     "mub": ("MubSet", "build_mub_set", "covering_table", "covering_witness", "mub_from_triple", "verify_mub_set"),
     "purity": (
@@ -100,6 +100,7 @@ PARAMETERS = {
     "qutrit_triple_criterion": "a, b, c, tol=1e-08, norm_tol=None",
     "saturation_cubic_roots": "",
     "saturation_profile": "x",
+    "verify_certificate": "states, basis, tol",
     "witness_search": "states, cfg=None",
     "MubSet": "projectors, prob_vectors",
     "build_mub_set": "s",

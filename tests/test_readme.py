@@ -39,6 +39,8 @@ def test_quickstart_comments_hold():
     np.testing.assert_allclose(verdict.overlaps, (0.25, 0.25, 0.25), atol=1e-12)
     assert values["sm.covering_witness((0, 1, 4), mubs, sic)"] == [4]
     assert values["result.value"] < 1e-10 and namespace["result"].success
+    check, matching = values["sm.verify_certificate(triple, result.basis, 1e-10)"]
+    assert check.passed and matching == (2, 1, 0)
     assert values["sm.quadratic_purity_check(p).passed"]
     np.testing.assert_allclose(namespace["w"], [-1 / 3] + [1 / 6] * 8, atol=1e-12)
     assert abs(values["sm.negativity(w)"] - 1 / 3) < 1e-12

@@ -21,7 +21,9 @@ The first two are built by the workloads of ``perfbench/search.py`` from
 ``perfbench/inputs.py``, so both trees get the same inputs.  Exits 0 when
 every search's ``RestartRecord``s, ``best_restart``, ``success``, ``value``
 and basis bytes match, 1 naming the first search that differs, and 2 when
-a tree cannot run the streams.
+a tree cannot run the streams.  Before exiting 1 it prints, per stream
+(the certify and exhaust streams, and the random sets under each config),
+how many searches differ and how many flip ``success``.
 """
 
 from __future__ import annotations
@@ -123,6 +125,26 @@ def first_difference(parent: list[dict], change: list[dict]) -> str | None:
     return None
 
 
+def stream(search: str) -> str:
+    """The stream of a search label: its first word, with the config for the random sets."""
+    words = search.split()
+    return " ".join(words[: 2 if words[0] == "random-sets" else 1])
+
+
+def moved(parent: list[dict], change: list[dict]) -> dict[str, tuple[int, int, int]]:
+    """Per stream of the parent's searches, in order of first appearance:
+    how many differ from the change's search of the same label (a missing
+    one differs), how many of those flip ``success``, and how many there are."""
+    changed = {record["search"]: record for record in change}
+    counts: dict[str, tuple[int, int, int]] = {}
+    for old in parent:
+        new, name = changed.get(old["search"]), stream(old["search"])
+        differ, flips, total = counts.get(name, (0, 0, 0))
+        flipped = new is not None and new["success"] != old["success"]
+        counts[name] = (differ + (new != old), flips + flipped, total + 1)
+    return counts
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="the parent tree's src directory")
@@ -141,6 +163,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     difference = first_difference(parent, change)
     if difference is not None:
+        for name, (differ, flips, total) in moved(parent, change).items():
+            print(f"{name}: {differ} of {total} searches differ, {flips} flip success")
         print(f"differ: {difference}")
         return 1
     print(f"all {len(parent)} searches match byte for byte")
