@@ -12,7 +12,11 @@ qutrit pure states there is an exact algebraic criterion on the three
 squared overlaps; for arbitrary inputs a seeded search over bases
 provides a constructive certificate.  The search's descent moves to the
 exact minimum along each pair rotation: for N states the functional
-there is a trigonometric polynomial of degree N // 2 in 4t.  A
+there is a trigonometric polynomial of degree N // 2 in 4t.  For three
+pure states, the only input of ``compat search --states cfs-example``
+and of the benchmark's searches, each move runs as straight-line float
+code whose operations are the helpers' in the same order, so every
+search is bit for bit the one the helpers give.  A
 Gauss-Newton polish of the matched orthogonality residuals then
 certifies zeros.  Like the other phases it stops at the stop value; it is
 also abandoned after the first accepted update that cuts the value by
@@ -479,6 +483,60 @@ def _haar_start(seed: int, restart: int, d: int) -> np.ndarray:
     return frozen_array(q * (phases / np.abs(phases)).conj())
 
 
+def _pure_triple_cycle(
+    amps: list[list[complex]], col_products: list[float], moves: list[tuple[int, int, complex]], value: float, stop_value: float
+) -> tuple[float, int]:
+    """One descent cycle over ``moves`` for three pure states, each with one
+    factor column: the value after it and the moves it evaluated, one
+    functional evaluation each.
+
+    Each move is :func:`_pair_coefficients`, :func:`_pair_minimum` and
+    :func:`_rotate_pair` unrolled into straight-line code, with no call and
+    no per-state list: the same float and complex operations in the same
+    order, with ``math.atan2``, ``math.cos`` and ``math.sin``, so every bit
+    is the helpers'.  Like :func:`_descend`'s loop it updates ``amps`` and
+    ``col_products`` in place and stops at ``stop_value``.
+    """
+    probes = 0
+    for j, k, c in moves:
+        x, y = amps[j], amps[k]
+        a0, a1, a2, b0, b1, b2 = x[0], x[1], x[2], y[0], y[1], y[2]
+        # each sum keeps the helper's 0.0 start, which turns a -0.0 into 0.0 (atan2 reads the sign)
+        s0 = 0.0 + (a0.real * a0.real + a0.imag * a0.imag)
+        s1 = 0.0 + (a1.real * a1.real + a1.imag * a1.imag)
+        s2 = 0.0 + (a2.real * a2.real + a2.imag * a2.imag)
+        q0 = 0.0 + (b0.real * b0.real + b0.imag * b0.imag)
+        q1 = 0.0 + (b1.real * b1.real + b1.imag * b1.imag)
+        q2 = 0.0 + (b2.real * b2.real + b2.imag * b2.imag)
+        gamma0 = 0.0 + (c * a0.conjugate() * b0).real
+        gamma1 = 0.0 + (c * a1.conjugate() * b1).real
+        gamma2 = 0.0 + (c * a2.conjugate() * b2).real
+        alpha0, beta0 = 0.5 * (s0 + q0), 0.5 * (s0 - q0)
+        alpha1, beta1 = 0.5 * (s1 + q1), 0.5 * (s1 - q1)
+        alpha2, beta2 = 0.5 * (s2 + q2), 0.5 * (s2 - q2)
+        z0, z1, z2 = complex(beta0, gamma0), complex(beta1, gamma1), complex(beta2, gamma2)
+        acc = alpha2 * z0 * z1 + alpha1 * z0 * z2 + alpha0 * z1 * z2
+        angle = 0.25 * math.atan2(-acc.imag, -acc.real)
+        cos_2t, sin_2t = math.cos(2.0 * angle), math.sin(2.0 * angle)
+        h0 = beta0 * cos_2t + gamma0 * sin_2t
+        h1 = beta1 * cos_2t + gamma1 * sin_2t
+        h2 = beta2 * cos_2t + gamma2 * sin_2t
+        # _pair_products starts each product at 1.0, and 1.0 * x is x exactly
+        plus = (alpha0 + h0) * (alpha1 + h1) * (alpha2 + h2)
+        minus = (alpha0 - h0) * (alpha1 - h1) * (alpha2 - h2)
+        probes += 1
+        moved = value - col_products[j] - col_products[k] + plus + minus
+        if moved < value:
+            value, col_products[j], col_products[k] = moved, plus, minus
+            cos_t, sin_t = math.cos(angle), math.sin(angle)
+            forward, back = sin_t * c, sin_t * c.conjugate()
+            amps[j] = [cos_t * a + forward * b for a, b in zip(x, y)]
+            amps[k] = [cos_t * b - back * a for a, b in zip(x, y)]
+        if value <= stop_value:
+            break
+    return value, probes
+
+
 def _descend(
     rhos: np.ndarray,
     factors: list[np.ndarray],
@@ -495,7 +553,12 @@ def _descend(
     along the rotation, :func:`_pair_minimum`, a trigonometric polynomial of
     degree ``N // 2`` in ``4t`` for ``N`` states.  ``counts.probes`` adds the
     functional evaluations that took.  A move that lowers the value rotates
-    columns j, k of the basis and their amplitudes; any other leaves them.
+    columns j, k of the basis and their amplitudes with :func:`_rotate_pair`;
+    any other leaves them.  When ``factors`` are three states of one column
+    each (three pure states, in any dimension) every cycle runs in
+    :func:`_pure_triple_cycle` instead: the same moves as straight-line float
+    code, with the helpers' arithmetic, bit for bit.  Every other set of
+    states runs the helpers.
     The descent ends after ``_DESCENT_CYCLES`` cycles, at ``stop_value``, or
     after the first cycle that improves the value by less than the relative
     ``_CYCLE_IMPROVEMENT_REL``, and hands over to the finishers.
@@ -508,18 +571,23 @@ def _descend(
     amps = (np.concatenate(factors + [np.eye(d)], axis=1).conj().T @ u).T.tolist()
     col_products = _column_probs(rhos, u).prod(axis=0).tolist()
     value = start_value = float(sum(col_products))
+    pure_triple = [w.shape[1] for w in factors] == [1, 1, 1]
     while counts.cycles < _DESCENT_CYCLES and value > stop_value:
         cycle_start = value
-        for j, k, c in moves:
-            coeffs = _pair_coefficients(amps[j], amps[k], c, owners, len(factors))
-            angle, pair, evaluations = _pair_minimum(coeffs)
-            counts.probes += evaluations
-            moved = value - col_products[j] - col_products[k] + pair[0] + pair[1]
-            if moved < value:
-                value, (col_products[j], col_products[k]) = moved, pair
-                amps[j], amps[k] = _rotate_pair(amps[j], amps[k], c, angle)
-            if value <= stop_value:
-                break
+        if pure_triple:
+            value, probes = _pure_triple_cycle(amps, col_products, moves, value, stop_value)
+            counts.probes += probes
+        else:
+            for j, k, c in moves:
+                coeffs = _pair_coefficients(amps[j], amps[k], c, owners, len(factors))
+                angle, pair, evaluations = _pair_minimum(coeffs)
+                counts.probes += evaluations
+                moved = value - col_products[j] - col_products[k] + pair[0] + pair[1]
+                if moved < value:
+                    value, (col_products[j], col_products[k]) = moved, pair
+                    amps[j], amps[k] = _rotate_pair(amps[j], amps[k], c, angle)
+                if value <= stop_value:
+                    break
         counts.cycles += 1
         if cycle_start - value <= _CYCLE_IMPROVEMENT_REL * cycle_start:
             break

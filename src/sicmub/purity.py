@@ -16,6 +16,7 @@ exercised by the test suite rather than assumed anywhere in the code.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,17 +195,29 @@ def enumerate_min_entropy_pure_states(tol: float = DEFAULT_TOL) -> list[tuple[tu
     return [(tuple(triple), vec) for triple, vec in zip(TRIPLES[keep].tolist(), p[keep])]
 
 
+#: Half the largest float: ``n`` entries of at most this over ``n`` sum without overflow.
+_HALF_MAX = sys.float_info.max / 2.0
+
+
 def _as_prob_vector(p, tol: float) -> np.ndarray:
     """``p`` as a flat float array; raises unless ``tol`` is finite and
     non-negative and the entries are finite, none below ``-tol``, and sum to
-    1 within ``tol``."""
+    1 within ``tol``.  An entry too large to sum without overflow fails
+    before the sum; a vector that passes has none unless ``tol`` is near
+    the float range."""
     require_tolerance(tol)
     vec = np.asarray(p, dtype=float).reshape(-1)
-    # one count on the passing path: NaN and -inf fail it and +inf fails the
-    # sum; either failure first names a non-finite entry as such
-    if np.count_nonzero(vec >= -tol) != vec.size:
+    # Python's min and max of a few floats cost less than one numpy call. A
+    # NaN in first place fails the minimum; a later one is skipped by both and
+    # fails the sum. -inf fails the minimum and +inf the maximum, so the sum
+    # sees no infinity. Each failure first names a non-finite entry as such.
+    entries = vec.tolist()
+    if entries and not min(entries) >= -tol:
         require_finite(vec, "probability vector")
         raise ValueError(f"probability vector entries must be at least {-tol!r}, got {float(vec.min())!r}")
+    if entries and max(entries) > _HALF_MAX / len(entries):
+        require_finite(vec, "probability vector")
+        raise ValueError(f"probability vector must sum to 1 within {tol!r}, got an entry of {float(vec.max())!r}")
     total = float(np.add.reduce(vec))
     if not abs(total - 1.0) <= tol:
         require_finite(vec, "probability vector")

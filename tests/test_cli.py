@@ -535,6 +535,8 @@ HEAVY_PROBS_DOC = {"dim": 3, "probabilities": [0.0, 0.0, 0.0] + [(1.0 + 5e-9) / 
 ZERO_PROBS_DOC = {"dim": 3, "probabilities": [0.0] * 9}
 TINY_PROBS_DOC = {"dim": 3, "probabilities": [1e-170] * 9}
 NEGATIVE_ZERO_PROBS_DOC = {"dim": 3, "probabilities": [-0.0] * 9}
+#: Finite entries whose sum overflows.
+HUGE_PROBS_DOC = {"dim": 3, "probabilities": [1e308] * 9}
 TRIPLE = ("compat", "triple", "--states", "{file}")
 PURITY = ("purity", "--probs", "{file}")
 HESSE = ("verify-sic", "--builtin", "hesse")
@@ -593,6 +595,7 @@ MALFORMED = [
     ("wigner-dim-two", WIGNER, json.dumps(QUBIT_DOC), {}),
     ("purity-no-probabilities", PURITY, json.dumps({"dim": 3}), {}),
     ("purity-negative-entry", PURITY, json.dumps(NEGATIVE_PROBS_DOC), {}),
+    ("purity-sum-overflows", PURITY, json.dumps(HUGE_PROBS_DOC), {}),
     ("graph-unknown-builtin", ("graph", "--builtin", "wat"), None, {}),
     # the input file exists, so no directory of that name can be created beneath it
     ("output-unwritable", HESSE + ("--output", "{file}/report.json"), "{}", {}),
@@ -610,6 +613,7 @@ MALFORMED_ERRORS = {
     "seed-negative": "seed must be non-negative, got -1",
     "threshold-zero": "error: success_threshold must be finite and positive, got 0.0",
     "purity-negative-entry": "error: probability vector entries must be at least -1e-10, got -0.1",
+    "purity-sum-overflows": "error: probability vector must sum to 1 within 1e-10, got an entry of 1e+308",
 }
 
 

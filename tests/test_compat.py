@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sicmub import (
     basis_ket,
     cfs_example_kets,
     cfs_example_states,
+    hesse_kets,
     overlap_squared,
     pp_functional,
     projector,
@@ -1075,6 +1077,126 @@ class TestPairGenerators:
                 plus, _ = _matched_residual(factors, match, u @ _generator_exp(gens, step), gens)
                 minus, _ = _matched_residual(factors, match, u @ _generator_exp(gens, -step), gens)
                 np.testing.assert_allclose(jac[:, g], (plus - minus) / (2.0 * eps), atol=1e-6)
+
+
+def bits(values):
+    """Each complex or float entry as the hex forms of its parts: equal exactly when the bits are, signed zeros included."""
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+#: The pure-triple path against the helper chain: (d, ranks) of a seeded random set, the
+#: search's value, and its totals of cycles and probes, as the helper chain alone gives them.
+PATH_CASES = {
+    "rank-2 state in a triple": (3, [1, 2, 1], "0x1.98988c3f9f41ap-7", 9, 54),
+    "two pure states": (3, [1, 1], "0x1.308a31f1a9330p-6", 9, 54),
+    "four pure states": (3, [1, 1, 1, 1], "-0x1.07a384e6f6a09p-58", 13, 312),
+    "pure qubit triple": (2, [1, 1, 1], "0x1.5592c7134659ep-5", 9, 18),
+    "pure ququart triple": (4, [1, 1, 1], "-0x1.4c3558ab018c0p-65", 123, 1474),
+}
+
+
+def straight_line_move(amps, col_products, move, value):
+    """One move of ``_pure_triple_cycle``, in place; returns the angles its ``math.cos``
+    calls received (``2t``, then ``t`` if the move rotates), the value and the probes."""
+    cosines = []
+
+    def recording_cos(t):
+        cosines.append(t)
+        return math.cos(t)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compat, "math", SimpleNamespace(atan2=math.atan2, cos=recording_cos, sin=math.sin))
+        moved, probes = compat._pure_triple_cycle(amps, col_products, [move], value, 0.0)
+    return cosines, moved, probes
+
+
+class TestPureTripleCycle:
+    """The descent's straight-line move for three one-column factors is the helper chain,
+    ``_pair_coefficients``, ``_pair_minimum`` and ``_rotate_pair``, bit for bit."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        source=st.sampled_from(["random", "hesse", "cfs"]),
+        triple=st.sampled_from(list(combinations(range(9), 3))),
+        move=st.integers(0, 11),
+        seed=st.integers(0, 2**32 - 1),
+        rotated=st.booleans(),
+        start=st.sampled_from(["identity", "haar"]),
+    )
+    @example(source="cfs", triple=(0, 1, 2), move=1, seed=0, rotated=False, start="identity")
+    @example(source="hesse", triple=(0, 3, 6), move=0, seed=0, rotated=False, start="identity")
+    def test_straight_line_move_is_the_helper_chain_bit_for_bit(self, source, triple, move, seed, rotated, start):
+        rng = np.random.default_rng(seed)
+        if source == "random":
+            d = 2 + seed % 3
+            kets = np.array([random_ket(d, rng) for _ in range(3)])
+        else:
+            # exact zero entries: from the identity start their amplitudes carry signed zeros
+            d = 3
+            kets = cfs_example_kets() if source == "cfs" else hesse_kets()[list(triple)]
+        if rotated:
+            kets = kets @ haar_unitary(rng, d).T
+        u = np.eye(d, dtype=complex) if start == "identity" else haar_unitary(rng, d)
+        moves = _search_tables(d)[0]
+        j, k, c = moves[move % len(moves)]
+        # the descent's amplitude rows, from the kets as one-column factors
+        amps = (np.concatenate([kets.T, np.eye(d)], axis=1).conj().T @ u).T.tolist()
+
+        coeffs = _pair_coefficients(amps[j], amps[k], c, [0, 1, 2], 3)
+        angle, (plus, minus), evaluations = _pair_minimum(coeffs)
+        rotated_j, rotated_k = _rotate_pair(amps[j], amps[k], c, angle)
+
+        # every column's product starts at 4, so the move lowers the value and rotates its columns
+        col_products = [4.0] * d
+        value = 4.0 * d
+        cosines, moved, probes = straight_line_move(amps, col_products, (j, k, c), value)
+        assert [t.hex() for t in cosines] == [(2.0 * angle).hex(), angle.hex()]
+        assert bits([col_products[j], col_products[k], moved]) == bits([plus, minus, value - 4.0 - 4.0 + plus + minus])
+        assert bits(amps[j]) == bits(rotated_j) and bits(amps[k]) == bits(rotated_k)
+        assert probes == evaluations == 1
+
+    def test_a_negative_zero_term_keeps_the_helpers_angle(self):
+        # Hesse triple (0, 3, 6) from the identity start: the first move's gamma terms are all zero,
+        # the third -0.0; the helper's 0.0 start makes it +0.0, and without it atan2 turns the angle
+        # from pi/4 to -pi/4
+        amps = (np.concatenate([hesse_kets()[[0, 3, 6]].T, np.eye(3)], axis=1).conj().T).T.tolist()
+        j, k, c = _search_tables(3)[0][0]
+        terms = [(c * a.conjugate() * b).real for a, b in zip(amps[j][:3], amps[k][:3])]
+        assert terms == [0.0] * 3 and [math.copysign(1.0, t) for t in terms] == [1.0, 1.0, -1.0]
+        coeffs = _pair_coefficients(amps[j], amps[k], c, [0, 1, 2], 3)
+        unsigned = [(alpha, beta, t) for (alpha, beta, _), t in zip(coeffs, terms)]
+        assert (_pair_minimum(coeffs)[0], _pair_minimum(unsigned)[0]) == (math.pi / 4.0, -math.pi / 4.0)
+        cosines, _, _ = straight_line_move(amps, [4.0] * 3, (j, k, c), 12.0)
+        assert cosines[-1] == math.pi / 4.0
+
+    @pytest.mark.parametrize("case", PATH_CASES, ids=list(PATH_CASES))
+    def test_each_set_takes_its_path_with_unchanged_results(self, monkeypatch, case):
+        d, ranks, value, cycles, probes = PATH_CASES[case]
+        pure_triple = ranks == [1, 1, 1]
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            monkeypatch.setattr(compat, name, wrapper)
+
+        for name in ("_pair_coefficients", "_pair_minimum", "_pair_products", "_rotate_pair", "_pure_triple_cycle"):
+            counted(name, getattr(compat, name))
+        states = StateSet(dim=d, rhos=random_mixtures(np.random.default_rng(40 + list(PATH_CASES).index(case)), ranks, d))
+        result = witness_search(states, WitnessSearchConfig(restarts=4, seed=11, stop_at_success=False))
+        assert result.value.hex() == value
+        assert (sum(r.cycles for r in result.history), sum(r.probes for r in result.history)) == (cycles, probes)
+        if pure_triple:
+            # one call per cycle, and no helper at all
+            assert calls == Counter({"_pure_triple_cycle": cycles})
+        else:
+            assert calls["_pure_triple_cycle"] == 0
+            assert calls["_pair_coefficients"] == calls["_pair_minimum"] > 0
+            assert 0 < calls["_rotate_pair"] <= calls["_pair_minimum"]
+            if len(ranks) <= 3:
+                assert calls["_pair_minimum"] == probes  # one closed-form angle per move
 
 
 class TestCriterionWitnessAgreement:

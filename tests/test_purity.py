@@ -25,7 +25,7 @@ from sicmub import (
     triple_product_table,
 )
 from sicmub.mub import LINES
-from sicmub.purity import _qbic_hesse_check, _qbic_hesse_values, _quadratic_check, _quadratic_values
+from sicmub.purity import _as_prob_vector, _qbic_hesse_check, _qbic_hesse_values, _quadratic_check, _quadratic_values
 
 #: Vectors of nine non-negative floats scaled to sum to 1.
 probability_vectors = arrays(float, 9, elements=st.floats(0.0, 1.0)).filter(lambda a: a.sum() > 0).map(lambda a: a / a.sum())
@@ -370,3 +370,22 @@ def test_an_entry_below_minus_tol_is_not_a_probability(check):
     check([-1e-3, 1.001] + [0.0] * 7, 1e-3)  # at -tol itself: still a probability
     with pytest.raises(ValueError, match="^probability vector entries must be finite, got NaN or infinity$"):
         check([-math.inf, 1.0] + [0.0] * 7, 1e-3)
+
+
+@pytest.mark.parametrize("check", TOLERANT_CHECKS.values(), ids=TOLERANT_CHECKS.keys())
+def test_entries_whose_sum_overflows_are_rejected_before_the_sum(check):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from an overflowing sum
+        with pytest.raises(ValueError, match=r"^probability vector must sum to 1 within 1e-10, got an entry of 1e\+308$"):
+            check([1e308] * 9, 1e-10)
+        with pytest.raises(ValueError, match="^probability vector entries must be finite, got NaN or infinity$"):
+            check([1e308] * 8 + [math.inf], 1e-10)
+        # a large entry whose sum is finite still reads as a wrong sum
+        with pytest.raises(ValueError, match=r"^probability vector must sum to 1 within 1e-10, got 5\.0$"):
+            check([5.0] + [0.0] * 8, 1e-10)
+
+
+def test_the_overflow_guard_passes_every_vector_within_tol_of_sum_one():
+    # the guard caps entries at half the float range over their count, far above 1 + n * tol
+    vec = [1e299] + [-1e298] * 8
+    assert _as_prob_vector(vec, 1e300).tolist() == vec

@@ -21,9 +21,11 @@ The first two are built by the workloads of ``perfbench/search.py`` from
 ``perfbench/inputs.py``, so both trees get the same inputs.  Exits 0 when
 every search's ``RestartRecord``s, ``best_restart``, ``success``, ``value``
 and basis bytes match, 1 naming the first search that differs, and 2 when
-a tree cannot run the streams.  Before exiting 1 it prints, per stream
-(the certify and exhaust streams, and the random sets under each config),
-how many searches differ and how many flip ``success``.
+a tree cannot run the streams.  Before exiting 0 or 1 it prints, per
+stream (the certify and exhaust streams, and the random sets under each
+config) and per tree, the totals of the ``RestartRecord`` counts over
+every restart of its searches; before exiting 1 it also prints, per
+stream, how many searches differ and how many flip ``success``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = ("search-certify", "search-exhaust")
 SEED = 5
+#: The ``RestartRecord`` counts totalled per stream.
+COUNTS = ("cycles", "probes", "polish_iters", "polish_accepted", "newton_iters")
 
 
 def _exact(value):
@@ -76,7 +80,7 @@ def _record(search: str, result) -> str:
             "success": result.success,
             "value": _exact(result.value),
             "basis": result.basis.tobytes().hex(),
-            "history": [[_exact(v) for v in dataclasses.astuple(r)] for r in result.history],
+            "history": [{name: _exact(v) for name, v in dataclasses.asdict(r).items()} for r in result.history],
         }
     )
 
@@ -145,6 +149,27 @@ def moved(parent: list[dict], change: list[dict]) -> dict[str, tuple[int, int, i
     return counts
 
 
+def count_totals(records: list[dict]) -> dict[str, dict[str, int]]:
+    """Per stream of ``records``, in order of first appearance, the totals of
+    the ``COUNTS`` over every restart of its searches."""
+    totals: dict[str, dict[str, int]] = {}
+    for record in records:
+        stream_totals = totals.setdefault(stream(record["search"]), dict.fromkeys(COUNTS, 0))
+        for restart in record["history"]:
+            for name in COUNTS:
+                stream_totals[name] += restart[name]
+    return totals
+
+
+def print_totals(trees: dict[str, list[dict]]) -> None:
+    """One line per stream and tree: the stream, the tree and its count totals."""
+    totals = {tree: count_totals(records) for tree, records in trees.items()}
+    for name in dict.fromkeys(name for per_stream in totals.values() for name in per_stream):
+        for tree, per_stream in totals.items():
+            if name in per_stream:
+                print(f"{name} {tree}: " + ", ".join(f"{key} {value}" for key, value in per_stream[name].items()))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="the parent tree's src directory")
@@ -161,6 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as failed:
         print(f"error: {failed}", file=sys.stderr)
         return 2
+    print_totals({"parent": parent, "change": change})
     difference = first_difference(parent, change)
     if difference is not None:
         for name, (differ, flips, total) in moved(parent, change).items():
